@@ -25,14 +25,17 @@ class ValidationError(ValueError):
 
 
 def _check_name(name: str) -> str:
-    if not name or any(ch.isspace() for ch in name) or name in (">", "#"):
+    if not name or any(ch.isspace() for ch in name) or name == ">" or "#" in name:
         raise ValidationError(f"invalid vertex name: {name!r}")
     return name
 
 
 @dataclass(frozen=True)
 class DirectedEdge:
-    """One hyperedge: disjoint tail and head vertex sets, union non-empty."""
+    """One hyperedge: disjoint tail and head vertex sets, union non-empty.
+
+    ``vertices`` (tail | head) is computed once at construction.
+    """
 
     tail: frozenset[str]
     head: frozenset[str]
@@ -45,10 +48,8 @@ class DirectedEdge:
             raise ValidationError(f"head and tail overlap on {{{overlap}}}")
         if not (self.tail | self.head):
             raise ValidationError("edge has no vertices")
-
-    @property
-    def vertices(self) -> frozenset[str]:
-        return self.tail | self.head
+        # Not a field: equality, hash and repr still see only tail and head.
+        object.__setattr__(self, "vertices", self.tail | self.head)
 
     def __len__(self) -> int:
         return len(self.tail) + len(self.head)
@@ -208,21 +209,22 @@ def normalize(hg: DirectedHypergraph) -> DirectedHypergraph:
     identical vertex sets the first survives.  Any proper coloring of the
     result is a proper coloring of the input, because a dropped edge is a
     superset of a kept one and monochromaticity only depends on vertex sets.
+    Edges are non-empty, so only pairs sharing a vertex can be nested; those
+    come from the pattern module's incidence walk.
     """
-    kept: list[DirectedEdge] = []
-    for i, e in enumerate(hg.edges):
-        vs = e.vertices
-        redundant = False
-        for j, other in enumerate(hg.edges):
-            if j == i:
-                continue
-            ovs = other.vertices
-            if ovs < vs or (ovs == vs and j < i):
-                redundant = True
-                break
-        if not redundant:
-            kept.append(e)
-    return DirectedHypergraph(hg.vertices, tuple(kept))
+    from .patterns import edge_masks, later_partners  # patterns imports this module
+
+    full = [h | t for h, t in edge_masks(hg)]
+    redundant = [False] * len(full)
+    for i, later in later_partners(hg):
+        for j in later:
+            both = full[i] & full[j]
+            if both == full[i]:  # i is a subset of j, or equal and first
+                redundant[j] = True
+            elif both == full[j]:
+                redundant[i] = True
+    kept = tuple(e for e, drop in zip(hg.edges, redundant) if not drop)
+    return DirectedHypergraph(hg.vertices, kept)
 
 
 def is_proper(hg: DirectedHypergraph, coloring: Coloring) -> bool:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .core import DirectedEdge, DirectedHypergraph
-from .patterns import CONDITION_IDS
+from .patterns import CONDITION_IDS, VIOLATING_CODES, pair_code
 
 GENERATOR_KINDS = ("paper-i", "paper-r", "h2-tower", "perm-tower", "random")
 H2_TOWER_MAX_LEVEL = 6
@@ -115,32 +115,6 @@ def gen_perm_tower(k: int, max_level: int = PERM_TOWER_MAX_LEVEL) -> DirectedHyp
     )
 
 
-def _mask_pair_ok(cond: str, e1: tuple[int, int, int], e2: tuple[int, int, int]) -> bool:
-    # Bitmask mirror of patterns.pair_satisfies for one-head edges:
-    # e = (head index, tail mask, full mask).
-    common = e1[2] & e2[2]
-    size = bin(common).count("1")
-    if cond == "lovasz":
-        return size != 1
-    if cond in ("onehead-h1", "i0-free", "r4-free", "i0r4-free"):
-        if size != 1:
-            return True
-        in_h1 = common == 1 << e1[0]
-        in_h2 = common == 1 << e2[0]
-        if cond == "onehead-h1":
-            return in_h1 or in_h2
-        if cond == "i0-free":
-            return not (in_h1 and in_h2)
-        if cond == "r4-free":
-            return in_h1 == in_h2
-        return not in_h1 and not in_h2
-    if size != 2:
-        return True
-    if cond == "h2-two-intersect":
-        return bool(common & (1 << e1[0])) or bool(common & (1 << e2[0]))
-    return e1[1] == common and e2[1] == common
-
-
 def gen_random(
     n: int,
     m: int,
@@ -170,7 +144,8 @@ def gen_random(
 
     rng = random.Random(seed)
     budget = REJECTION_ATTEMPTS_PER_EDGE * m if max_attempts is None else max_attempts
-    accepted: list[tuple[int, int, int]] = []
+    bad = VIOLATING_CODES.get(cond, 0)
+    accepted: list[tuple[int, int]] = []  # (head mask, tail mask)
     used_sets: set[int] = set()
 
     attempts = 0
@@ -178,26 +153,25 @@ def gen_random(
         attempts += 1
         size = rng.randint(lo, hi)
         picks = rng.sample(range(n), size + 1)
-        head = picks[-1]
+        head_mask = 1 << picks[-1]
         tail_mask = 0
         for t in picks[:-1]:
             tail_mask |= 1 << t
-        full_mask = tail_mask | (1 << head)
+        full_mask = tail_mask | head_mask
         if full_mask in used_sets:
             continue
-        candidate = (head, tail_mask, full_mask)
-        if cond != "none" and not all(_mask_pair_ok(cond, candidate, e) for e in accepted):
+        if bad and any(bad >> pair_code(head_mask, tail_mask, h, t) & 1 for h, t in accepted):
             continue
-        accepted.append(candidate)
+        accepted.append((head_mask, tail_mask))
         used_sets.add(full_mask)
 
     names = tuple(f"v{i + 1}" for i in range(n))
     edges = tuple(
         DirectedEdge(
             frozenset(names[i] for i in range(n) if tmask & (1 << i)),
-            frozenset((names[head],)),
+            frozenset((names[hmask.bit_length() - 1],)),
         )
-        for head, tmask, _ in accepted
+        for hmask, tmask in accepted
     )
     return DirectedHypergraph(names, edges)
 

@@ -13,11 +13,22 @@ the edges intersect and which roles the shared vertices play:
 
 Because every pattern has exactly two edges, containment reduces to
 classifying each edge pair; no general subhypergraph isomorphism is needed.
+
+Cost model.  Each edge is held as a head bitmask and a tail bitmask over
+vertex positions, and ``pair_code`` classifies a pair from those four masks
+alone; the pattern of a pair and its verdict under each condition are table
+lookups on that code.  Pairs with no shared vertex are never examined: they
+match no pattern and satisfy every condition.  ``later_partners`` walks
+per-vertex incidence lists and yields only the pairs that share a vertex, so
+a check costs the sum of squared vertex degrees rather than m^2.  Witnesses
+come out in ascending (i, j) order.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from typing import Iterator
 
 from .core import DirectedEdge, DirectedHypergraph, is_two_to_one
 
@@ -68,18 +79,126 @@ class PatternReport:
             raise ValueError("avoided flag inconsistent with witness list")
 
 
+# Intersection codes returned by pair_code, one row each: the pattern the
+# pair realizes (for 2->1 edges) and the conditions it violates.  Each
+# condition constrains only one- or two-vertex intersections, so pairs
+# sharing no vertex or three or more are code 0 and pass everything.
+_CODE_TABLE: tuple[tuple[str | None, tuple[str, ...]], ...] = (
+    (None, ()),                                     # 0 shared vertices, or >= 3
+    ("I0", ("i0-free", "i0r4-free", "lovasz")),     # 1: head of both
+    ("H1", ("onehead-h1", "lovasz")),               # 1: tail of both
+    ("R4", ("r4-free", "i0r4-free", "lovasz")),     # 1: head of one, tail of other
+    ("H2", ("h2-two-intersect",)),                  # 2: both tails exactly the pair
+    ("H2", ("h2-two-intersect", "tails-only-2-intersect")),  # 2: in both tails, a tail is wider
+    ("R3", ("tails-only-2-intersect",)),            # 2: in one tail, not the other
+    ("I1", ("tails-only-2-intersect",)),            # 2: neither tail, a common head
+    ("E", ("tails-only-2-intersect",)),             # 2: neither tail, no common head
+)
+_I0, _H1, _R4, _H2, _H2_WIDE, _R3, _I1, _E = range(1, len(_CODE_TABLE))
+_PATTERN_OF = tuple(pattern for pattern, _ in _CODE_TABLE)
+# Bit c of a mask is set iff code c matches the pattern / violates the condition.
+_PATTERN_CODES = {
+    p: sum(1 << c for c, (q, _) in enumerate(_CODE_TABLE) if q == p) for p in PATTERN_IDS
+}
+VIOLATING_CODES = {
+    cond: sum(1 << c for c, (_, bad) in enumerate(_CODE_TABLE) if cond in bad)
+    for cond in CONDITION_IDS
+}
+
+
+def pair_code(h1: int, t1: int, h2: int, t2: int) -> int:
+    """Intersection code of two edges given as head/tail vertex bitmasks."""
+    common = (h1 | t1) & (h2 | t2)
+    size = common.bit_count()
+    if size == 1:
+        if common & h1:
+            return _I0 if common & h2 else _R4
+        return _R4 if common & h2 else _H1
+    if size == 2:
+        in_t1 = common & t1 == common
+        in_t2 = common & t2 == common
+        if in_t1 and in_t2:
+            return _H2 if t1 == common == t2 else _H2_WIDE
+        if in_t1 or in_t2:
+            return _R3
+        return _I1 if h1 & h2 & common else _E
+    return 0
+
+
+def _masks(e: DirectedEdge, pos: dict[str, int]) -> tuple[int, int]:
+    h = t = 0
+    for v in e.head:
+        h |= 1 << pos[v]
+    for v in e.tail:
+        t |= 1 << pos[v]
+    return h, t
+
+
+def edge_masks(hg: DirectedHypergraph) -> list[tuple[int, int]]:
+    """(head mask, tail mask) of every edge; bit p stands for hg.vertices[p]."""
+    pos = hg.positions
+    return [_masks(e, pos) for e in hg.edges]
+
+
+def later_partners(hg: DirectedHypergraph) -> Iterator[tuple[int, list[int]]]:
+    """(i, [j > i sharing a vertex with edge i, ascending]) for every edge i.
+
+    Walking the lists in order gives each vertex-sharing pair i < j once, in
+    ascending (i, j) order; pairs sharing no vertex never appear.
+    """
+    pos = hg.positions
+    incident: list[list[int]] = [[] for _ in hg.vertices]
+    rows = []
+    for k, e in enumerate(hg.edges):
+        row = [pos[v] for v in e.vertices]
+        rows.append(row)
+        for p in row:
+            incident[p].append(k)
+    for i, row in enumerate(rows):
+        later: set[int] = set()
+        for p in row:
+            edges = incident[p]
+            later.update(edges[bisect_right(edges, i):])
+        yield i, sorted(later)
+
+
+def _profile(hg: DirectedHypergraph, i: int, j: int,
+             h1: int, t1: int, h2: int, t2: int) -> IntersectionProfile:
+    common = (h1 | t1) & (h2 | t2)
+    names = hg.vertices
+    rows = []
+    while common:
+        low = common & -common
+        rows.append((names[low.bit_length() - 1],
+                     "head" if h1 & low else "tail", "head" if h2 & low else "tail"))
+        common ^= low
+    return IntersectionProfile(i, j, tuple(rows))
+
+
+def _witnesses(hg: DirectedHypergraph, codes: int) -> tuple[IntersectionProfile, ...]:
+    """Profiles of the vertex-sharing pairs whose code is in the codes mask."""
+    masks = edge_masks(hg)
+    out = []
+    for i, later in later_partners(hg):
+        h1, t1 = masks[i]
+        for j in later:
+            h2, t2 = masks[j]
+            if codes >> pair_code(h1, t1, h2, t2) & 1:
+                out.append(_profile(hg, i, j, h1, t1, h2, t2))
+    return tuple(out)
+
+
+def _two_edge_code(e1: DirectedEdge, e2: DirectedEdge) -> int:
+    pos = {v: p for p, v in enumerate(e1.vertices | e2.vertices)}
+    return pair_code(*_masks(e1, pos), *_masks(e2, pos))
+
+
 def classify_intersection(hg: DirectedHypergraph, i: int, j: int) -> IntersectionProfile:
     """Exact intersection of edges i < j, listed in vertex-sequence order."""
     if not 0 <= i < j < len(hg.edges):
         raise IndexError(f"edge pair ({i}, {j}) out of range")
-    e1, e2 = hg.edges[i], hg.edges[j]
     pos = hg.positions
-    common = sorted(e1.vertices & e2.vertices, key=pos.__getitem__)
-    rows = tuple(
-        (v, "tail" if v in e1.tail else "head", "tail" if v in e2.tail else "head")
-        for v in common
-    )
-    return IntersectionProfile(i, j, rows)
+    return _profile(hg, i, j, *_masks(hg.edges[i], pos), *_masks(hg.edges[j], pos))
 
 
 def classify_pair(e1: DirectedEdge, e2: DirectedEdge) -> str | None:
@@ -88,27 +207,7 @@ def classify_pair(e1: DirectedEdge, e2: DirectedEdge) -> str | None:
     Pairs intersecting in zero or three vertices match no pattern (all seven
     need four or five distinct vertices).
     """
-    common = e1.vertices & e2.vertices
-    size = len(common)
-    if size == 1:
-        (v,) = common
-        in_h1, in_h2 = v in e1.head, v in e2.head
-        if in_h1 and in_h2:
-            return "I0"
-        if not in_h1 and not in_h2:
-            return "H1"
-        return "R4"
-    if size == 2:
-        tails1 = common <= e1.tail
-        tails2 = common <= e2.tail
-        if tails1 and tails2:
-            return "H2"
-        if tails1 or tails2:
-            return "R3"
-        # Each edge has its head among the two common vertices.
-        h1, h2 = next(iter(e1.head)), next(iter(e2.head))
-        return "I1" if h1 == h2 else "E"
-    return None
+    return _PATTERN_OF[_two_edge_code(e1, e2)]
 
 
 def contains_pattern(hg: DirectedHypergraph, pattern: str) -> PatternReport:
@@ -120,13 +219,8 @@ def contains_pattern(hg: DirectedHypergraph, pattern: str) -> PatternReport:
         raise ValueError(f"unknown pattern {pattern!r}; expected one of {PATTERN_IDS}")
     if not is_two_to_one(hg):
         raise ValueError("pattern containment is defined for 2->1 hypergraphs only")
-    witnesses = []
-    m = len(hg.edges)
-    for i in range(m):
-        for j in range(i + 1, m):
-            if classify_pair(hg.edges[i], hg.edges[j]) == pattern:
-                witnesses.append(classify_intersection(hg, i, j))
-    return PatternReport(pattern, not witnesses, tuple(witnesses))
+    witnesses = _witnesses(hg, _PATTERN_CODES[pattern])
+    return PatternReport(pattern, not witnesses, witnesses)
 
 
 def pair_satisfies(cond: str, e1: DirectedEdge, e2: DirectedEdge) -> bool:
@@ -135,29 +229,9 @@ def pair_satisfies(cond: str, e1: DirectedEdge, e2: DirectedEdge) -> bool:
     Each condition constrains only pairs with the relevant intersection size
     (one vertex, or two for the last two conditions); other pairs pass.
     """
-    common = e1.vertices & e2.vertices
-    size = len(common)
-    if cond == "lovasz":
-        return size != 1
-    if cond in ("onehead-h1", "i0-free", "r4-free", "i0r4-free"):
-        if size != 1:
-            return True
-        (v,) = common
-        in_h1, in_h2 = v in e1.head, v in e2.head
-        if cond == "onehead-h1":
-            return in_h1 or in_h2
-        if cond == "i0-free":
-            return (v in e1.tail) or (v in e2.tail)
-        if cond == "r4-free":
-            return in_h1 == in_h2
-        return (v in e1.tail) and (v in e2.tail)
-    if cond in ("h2-two-intersect", "tails-only-2-intersect"):
-        if size != 2:
-            return True
-        if cond == "h2-two-intersect":
-            return any(v in e1.head or v in e2.head for v in common)
-        return e1.tail == common and e2.tail == common
-    raise ValueError(f"unknown condition {cond!r}; expected one of {CONDITION_IDS}")
+    if cond not in CONDITION_IDS:
+        raise ValueError(f"unknown condition {cond!r}; expected one of {CONDITION_IDS}")
+    return not VIOLATING_CODES[cond] >> _two_edge_code(e1, e2) & 1
 
 
 def check_condition(hg: DirectedHypergraph, cond: str) -> PatternReport:
@@ -168,10 +242,5 @@ def check_condition(hg: DirectedHypergraph, cond: str) -> PatternReport:
     """
     if cond not in CONDITION_IDS:
         raise ValueError(f"unknown condition {cond!r}; expected one of {CONDITION_IDS}")
-    witnesses = []
-    m = len(hg.edges)
-    for i in range(m):
-        for j in range(i + 1, m):
-            if not pair_satisfies(cond, hg.edges[i], hg.edges[j]):
-                witnesses.append(classify_intersection(hg, i, j))
-    return PatternReport(cond, not witnesses, tuple(witnesses))
+    witnesses = _witnesses(hg, VIOLATING_CODES[cond])
+    return PatternReport(cond, not witnesses, witnesses)

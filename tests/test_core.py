@@ -128,7 +128,7 @@ class TestIsProper:
 
 class TestValidation:
     def test_bad_names(self):
-        for name in ("", ">", "#", "a b"):
+        for name in ("", ">", "#", "a b", "a#b"):
             with pytest.raises(ValidationError):
                 DirectedHypergraph((name,), ())
 
@@ -193,6 +193,40 @@ def hypergraphs(draw):
 @given(hypergraphs())
 def test_roundtrip_property(hg):
     assert parse(serialize(hg)) == hg
+
+
+# Names built from the format's own tokens and separators, plus any other
+# non-whitespace character.  A name with '#' or equal to '>' must be refused
+# at construction; every other one must survive serialize/parse unchanged.
+ADVERSARIAL_NAMES = st.text(
+    alphabet=st.sampled_from("ve>#-") | st.characters(blacklist_categories=("Cs", "Z", "Cc")),
+    min_size=1,
+    max_size=3,
+)
+
+
+@st.composite
+def adversarial_hypergraphs(draw):
+    names = draw(st.lists(ADVERSARIAL_NAMES, max_size=6, unique=True))
+    edges = []
+    for _ in range(draw(st.integers(min_value=0, max_value=5)) if names else 0):
+        support = draw(st.lists(st.sampled_from(names), min_size=1, max_size=4, unique=True))
+        heads = draw(st.integers(min_value=0, max_value=len(support)))
+        edges.append(DirectedEdge(frozenset(support[heads:]), frozenset(support[:heads])))
+    return names, draw(st.permutations(names)), edges
+
+
+@given(adversarial_hypergraphs())
+def test_roundtrip_adversarial_names(spec):
+    names, order, edges = spec
+    if any(name == ">" or "#" in name for name in names):
+        with pytest.raises(ValidationError):
+            DirectedHypergraph(tuple(order), tuple(edges))
+        return
+    hg = DirectedHypergraph(tuple(order), tuple(edges))
+    assert parse(serialize(hg)) == hg
+    coloring = Coloring({v: i % 3 for i, v in enumerate(order)}, 3)
+    assert parse_coloring(serialize_coloring(hg, coloring), k=3) == coloring
 
 
 @given(hypergraphs())

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -12,12 +13,20 @@ from dhcolor import (
     classify_pair,
     contains_pattern,
     edge,
+    gen_h2_tower,
+    gen_perm_tower,
     gen_random,
+    normalize,
     paper_i,
     paper_r,
     parse,
 )
-from oracles import all_two_one_edges, naive_pair_contains
+from oracles import (
+    all_two_one_edges,
+    naive_condition_witnesses,
+    naive_normalized_edges,
+    naive_pair_contains,
+)
 
 
 def pattern_instance(pattern):
@@ -174,3 +183,63 @@ class TestAgainstNaiveOracle:
                     assert report.avoided == (not report.witnesses)
                 checked += 1
         assert checked == 1 + 30 + 435 + 4060 + 27405
+
+
+def general_instance(seed):
+    """Seeded hypergraph mixing the shapes the pair kernel must handle: tails
+    of 2..5, multi-head and empty-side edges, edges repeating another edge's
+    vertex set under other roles, and edges disjoint from the rest."""
+    rng = random.Random(seed)
+    n = rng.randint(3, 14)
+    names = [f"x{i}" for i in range(n)]
+    edges = []
+    for _ in range(rng.randint(0, 3 * n)):
+        roll = rng.random()
+        if edges and roll < 0.15:
+            vs = sorted(edges[rng.randrange(len(edges))].vertices)
+            cut = rng.randint(0, len(vs))
+            rng.shuffle(vs)
+            edges.append(edge(vs[:cut], vs[cut:]))
+            continue
+        tails = rng.randint(2, min(5, n - 1))
+        heads = 1 if roll < 0.7 else rng.randint(0, n - tails)
+        vs = rng.sample(names, max(tails + heads, 1))
+        edges.append(edge(vs[:tails], vs[tails:]))
+    rng.shuffle(names)
+    return DirectedHypergraph(tuple(names), tuple(edges))
+
+
+KERNEL_INSTANCES = (
+    [general_instance(seed) for seed in range(150)]
+    + [gen_random(n=12, m=30, cond=cond, seed=seed, tail_range=(2, 5))
+       for cond in ("none",) + CONDITION_IDS for seed in range(4)]
+    + [paper_i(), paper_r(), gen_h2_tower(4), gen_perm_tower(3)]
+)
+
+
+class TestPairKernelAgainstAllPairs:
+    """check_condition and normalize against all-pairs scans over vertex sets."""
+
+    def test_condition_witness_rows_and_order(self):
+        for idx, hg in enumerate(KERNEL_INSTANCES):
+            for cond in CONDITION_IDS:
+                report = check_condition(hg, cond)
+                rows = [(w.i, w.j, w.common) for w in report.witnesses]
+                assert rows == naive_condition_witnesses(hg, cond), (idx, cond)
+                assert report.avoided == (not rows)
+
+    def test_normalize_kept_edges(self):
+        for idx, hg in enumerate(KERNEL_INSTANCES):
+            out = normalize(hg)
+            assert out.edges == naive_normalized_edges(hg), idx
+            assert out.vertices == hg.vertices
+
+    def test_instances_cover_the_shapes(self):
+        edges = [e for hg in KERNEL_INSTANCES for e in hg.edges]
+        assert {len(e.tail) for e in edges} >= {2, 3, 4, 5}
+        assert any(len(e.head) > 1 for e in edges)
+        assert any(not e.head for e in edges)
+        assert any(len({e.vertices for e in hg.edges}) < len(hg.edges)
+                   for hg in KERNEL_INSTANCES)
+        assert any(not (e1.vertices & e2.vertices)
+                   for hg in KERNEL_INSTANCES for e1, e2 in combinations(hg.edges, 2))

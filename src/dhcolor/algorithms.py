@@ -324,14 +324,27 @@ def classify_head_star(hg: DirectedHypergraph, u: str, checked: bool = True) -> 
         _require_condition(hg, "i0-free")
     if u not in hg.positions:
         raise ValueError(f"unknown vertex {u!r}")
-    star = [e for e in hg.edges if u in e.head]
+    return _classify_star(hg, u, [e for e in hg.edges if u in e.head])
+
+
+def _head_stars(hg: DirectedHypergraph) -> dict[str, list[DirectedEdge]]:
+    """The edges headed by each vertex, in edge order, from one pass."""
+    stars: dict[str, list[DirectedEdge]] = {v: [] for v in hg.vertices}
+    for e in hg.edges:
+        for v in e.head:
+            stars[v].append(e)
+    return stars
+
+
+def _classify_star(hg: DirectedHypergraph, u: str, star: list[DirectedEdge]) -> HeadStar:
+    """classify_head_star given the edges headed by u."""
     if not star:
         return HeadStar("empty", ())
     pos = hg.positions
-    support = sorted(frozenset().union(*(e.vertices for e in star)) - {u}, key=pos.__getitem__)
-    pivots = [v for v in support if all(v in e.vertices for e in star)]
+    pivots = frozenset.intersection(*(e.vertices for e in star)) - {u}
     if pivots:
-        return HeadStar("pivot", (pivots[0],))
+        return HeadStar("pivot", (min(pivots, key=pos.__getitem__),))
+    support = sorted(frozenset().union(*(e.vertices for e in star)) - {u}, key=pos.__getitem__)
     if len(star) == 3 and len(support) == 3:
         v, w, z = support
         if {e.tail for e in star} == {frozenset((v, w)), frozenset((w, z)), frozenset((v, z))}:
@@ -356,8 +369,8 @@ def augment_i0(hg: DirectedHypergraph, checked: bool = True) -> DirectedHypergra
         _require(len(set(vsets)) == len(vsets), "two edges share a vertex set")
         _require_condition(hg, "i0-free")
     additions: list[DirectedEdge] = []
-    for u in hg.vertices:
-        star = classify_head_star(hg, u, checked=False)
+    for u, star_edges in _head_stars(hg).items():
+        star = _classify_star(hg, u, star_edges)
         if star.kind == "triangle":
             continue
         if star.kind == "empty":
@@ -367,7 +380,7 @@ def augment_i0(hg: DirectedHypergraph, checked: bool = True) -> DirectedHypergra
             pivot = others[0]
         else:
             pivot = star.vertices[0]
-        existing = {e.tail for e in hg.edges if u in e.head}
+        existing = {e.tail for e in star_edges}
         for w in hg.vertices:
             if w == u or w == pivot:
                 continue
@@ -379,14 +392,13 @@ def augment_i0(hg: DirectedHypergraph, checked: bool = True) -> DirectedHypergra
 
 def _full_star_issues(hg: DirectedHypergraph) -> list[str]:
     issues = []
-    for u in hg.vertices:
-        star_edges = [e for e in hg.edges if u in e.head]
+    for u, star_edges in _head_stars(hg).items():
         if not star_edges:
             if hg.n >= 3:
                 issues.append(f"head-star of {u} still empty after augmentation")
             continue
         try:
-            star = classify_head_star(hg, u, checked=False)
+            star = _classify_star(hg, u, star_edges)
         except InvariantViolationError as exc:
             issues.extend(exc.violations)
             continue

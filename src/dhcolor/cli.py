@@ -43,7 +43,7 @@ def _load(path: str) -> DirectedHypergraph:
 
 def _emit(payload: dict, as_json: bool, human: list[str]) -> None:
     if as_json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload, sort_keys=True))
     else:
         for line in human:
             print(line)
@@ -68,12 +68,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
     payload = {
         "check": report.pattern,
         "avoided": report.avoided,
-        "witnesses": [
-            {"edges": [w.i, w.j], "common": [list(row) for row in w.common]}
-            for w in report.witnesses
-        ],
+        "witnesses": [{"edges": (w.i, w.j), "common": w.common} for w in report.witnesses],
     }
-    _emit(payload, args.json, [f"{report.pattern}: {verdict}"] + _witness_lines(report))
+    human = [] if args.json else [f"{report.pattern}: {verdict}"] + _witness_lines(report)
+    _emit(payload, args.json, human)
     return 0 if report.avoided else 1
 
 

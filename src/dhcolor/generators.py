@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import permutations
+from math import comb
 
 from .core import DirectedEdge, DirectedHypergraph
 from .patterns import CONDITION_IDS, VIOLATING_CODES, pair_code
@@ -128,8 +129,9 @@ def gen_random(
     Draws a random edge (tail size from tail_range, default 2 giving a 2->1
     hypergraph), keeps it iff its vertex set is new and the condition still
     holds against every accepted edge.  May return fewer than m edges once the
-    attempt budget (100 per requested edge by default) runs out; identical
-    parameters give identical output.
+    attempt budget (100 per requested edge by default) runs out, or once every
+    vertex set of a drawable size is taken; identical parameters give
+    identical output.
     """
     if n < 3:
         raise ValueError("need at least 3 vertices")
@@ -147,9 +149,11 @@ def gen_random(
     bad = VIOLATING_CODES.get(cond, 0)
     accepted: list[tuple[int, int]] = []  # (head mask, tail mask)
     used_sets: set[int] = set()
+    # Once every vertex set of a drawable size is used, no draw can be kept.
+    capacity = sum(comb(n, size + 1) for size in range(lo, hi + 1))
 
     attempts = 0
-    while len(accepted) < m and attempts < budget:
+    while len(accepted) < m and attempts < budget and len(used_sets) < capacity:
         attempts += 1
         size = rng.randint(lo, hi)
         picks = rng.sample(range(n), size + 1)

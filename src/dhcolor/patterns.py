@@ -18,10 +18,15 @@ Cost model.  Each edge is held as a head bitmask and a tail bitmask over
 vertex positions, and ``pair_code`` classifies a pair from those four masks
 alone; the pattern of a pair and its verdict under each condition are table
 lookups on that code.  Pairs with no shared vertex are never examined: they
-match no pattern and satisfy every condition.  ``later_partners`` walks
-per-vertex incidence lists and yields only the pairs that share a vertex, so
-a check costs the sum of squared vertex degrees rather than m^2.  Witnesses
-come out in ascending (i, j) order.
+match no pattern and satisfy every condition.  Every code also guarantees a
+role class at some shared vertex: head of both edges (I0, I1), tail of both
+(H1, H2), or head of one and tail of the other (R4, R3, E).  Each vertex keeps
+a head-incidence list (edges it heads) and a tail-incidence list, and
+``later_partners`` pairs up only the lists the requested classes need, so a
+check costs the sum over vertices of the products of those list sizes
+(head x head for I0 or i0-free, head x tail for R4 or r4-free, and the
+squared degree when every class is needed) rather than m^2.  Witnesses come
+out in ascending (i, j) order.
 """
 
 from __future__ import annotations
@@ -80,30 +85,44 @@ class PatternReport:
 
 
 # Intersection codes returned by pair_code, one row each: the pattern the
-# pair realizes (for 2->1 edges) and the conditions it violates.  Each
-# condition constrains only one- or two-vertex intersections, so pairs
-# sharing no vertex or three or more are code 0 and pass everything.
-_CODE_TABLE: tuple[tuple[str | None, tuple[str, ...]], ...] = (
-    (None, ()),                                     # 0 shared vertices, or >= 3
-    ("I0", ("i0-free", "i0r4-free", "lovasz")),     # 1: head of both
-    ("H1", ("onehead-h1", "lovasz")),               # 1: tail of both
-    ("R4", ("r4-free", "i0r4-free", "lovasz")),     # 1: head of one, tail of other
-    ("H2", ("h2-two-intersect",)),                  # 2: both tails exactly the pair
-    ("H2", ("h2-two-intersect", "tails-only-2-intersect")),  # 2: in both tails, a tail is wider
-    ("R3", ("tails-only-2-intersect",)),            # 2: in one tail, not the other
-    ("I1", ("tails-only-2-intersect",)),            # 2: neither tail, a common head
-    ("E", ("tails-only-2-intersect",)),             # 2: neither tail, no common head
+# pair realizes (for 2->1 edges), the conditions it violates, and the role
+# class it guarantees at some shared vertex (a head of both edges, a tail of
+# both, or a head of one and a tail of the other; this holds for general
+# edges, not only 2->1 ones).  Each condition constrains only one- or
+# two-vertex intersections, so pairs sharing no vertex or three or more are
+# code 0 and pass everything.
+HEAD_HEAD, TAIL_TAIL, HEAD_TAIL = 1, 2, 4
+ALL_ROLES = HEAD_HEAD | TAIL_TAIL | HEAD_TAIL
+_CODE_TABLE: tuple[tuple[str | None, tuple[str, ...], int], ...] = (
+    (None, (), 0),                                              # 0 shared vertices, or >= 3
+    ("I0", ("i0-free", "i0r4-free", "lovasz"), HEAD_HEAD),      # 1: head of both
+    ("H1", ("onehead-h1", "lovasz"), TAIL_TAIL),                # 1: tail of both
+    ("R4", ("r4-free", "i0r4-free", "lovasz"), HEAD_TAIL),      # 1: head of one, tail of other
+    ("H2", ("h2-two-intersect",), TAIL_TAIL),                   # 2: both tails exactly the pair
+    ("H2", ("h2-two-intersect", "tails-only-2-intersect"), TAIL_TAIL),  # 2: in both tails, a tail is wider
+    ("R3", ("tails-only-2-intersect",), HEAD_TAIL),             # 2: in one tail, not the other
+    ("I1", ("tails-only-2-intersect",), HEAD_HEAD),             # 2: neither tail, a common head
+    ("E", ("tails-only-2-intersect",), HEAD_TAIL),              # 2: neither tail, no common head
 )
 _I0, _H1, _R4, _H2, _H2_WIDE, _R3, _I1, _E = range(1, len(_CODE_TABLE))
-_PATTERN_OF = tuple(pattern for pattern, _ in _CODE_TABLE)
+_PATTERN_OF = tuple(pattern for pattern, _, _ in _CODE_TABLE)
 # Bit c of a mask is set iff code c matches the pattern / violates the condition.
 _PATTERN_CODES = {
-    p: sum(1 << c for c, (q, _) in enumerate(_CODE_TABLE) if q == p) for p in PATTERN_IDS
+    p: sum(1 << c for c, (q, _, _) in enumerate(_CODE_TABLE) if q == p) for p in PATTERN_IDS
 }
 VIOLATING_CODES = {
-    cond: sum(1 << c for c, (_, bad) in enumerate(_CODE_TABLE) if cond in bad)
+    cond: sum(1 << c for c, (_, bad, _) in enumerate(_CODE_TABLE) if cond in bad)
     for cond in CONDITION_IDS
 }
+
+
+def roles_of(codes: int) -> int:
+    """Role classes a pair needs at some shared vertex to have a code in the mask."""
+    roles = 0
+    for c, (_, _, role) in enumerate(_CODE_TABLE):
+        if codes >> c & 1:
+            roles |= role
+    return roles
 
 
 def pair_code(h1: int, t1: int, h2: int, t2: int) -> int:
@@ -140,25 +159,47 @@ def edge_masks(hg: DirectedHypergraph) -> list[tuple[int, int]]:
     return [_masks(e, pos) for e in hg.edges]
 
 
-def later_partners(hg: DirectedHypergraph) -> Iterator[tuple[int, list[int]]]:
-    """(i, [j > i sharing a vertex with edge i, ascending]) for every edge i.
+def _incidence(rows: list[list[int]], n: int) -> list[list[int]]:
+    """For each position 0..n-1, the ascending indices of the rows holding it."""
+    lists: list[list[int]] = [[] for _ in range(n)]
+    for k, row in enumerate(rows):
+        for p in row:
+            lists[p].append(k)
+    return lists
 
-    Walking the lists in order gives each vertex-sharing pair i < j once, in
-    ascending (i, j) order; pairs sharing no vertex never appear.
+
+def later_partners(hg: DirectedHypergraph,
+                   roles: int = ALL_ROLES) -> Iterator[tuple[int, list[int]]]:
+    """(i, [j > i sharing a vertex with edge i in a class of `roles`,
+    ascending]) for every edge i.
+
+    Each vertex keeps the list of edges it heads and the list of edges it is
+    a tail of, and a pair is found only through the lists its role classes
+    need: head/head pairs through the head lists, tail/tail pairs through the
+    tail lists, head/tail pairs by crossing over.  With ALL_ROLES every pair
+    sharing a vertex appears, found through one list per vertex of all its
+    edges.  Walking the lists in order gives each pair i < j once, in
+    ascending (i, j) order.
     """
     pos = hg.positions
-    incident: list[list[int]] = [[] for _ in hg.vertices]
-    rows = []
-    for k, e in enumerate(hg.edges):
-        row = [pos[v] for v in e.vertices]
-        rows.append(row)
-        for p in row:
-            incident[p].append(k)
-    for i, row in enumerate(rows):
+    n = len(hg.vertices)
+    if roles == ALL_ROLES:  # one list of all its edges serves every class at once
+        rows = [[pos[v] for v in e.vertices] for e in hg.edges]
+        sides = [(rows, _incidence(rows, n))]
+    else:
+        head_rows = [[pos[v] for v in e.head] for e in hg.edges]
+        tail_rows = [[pos[v] for v in e.tail] for e in hg.edges]
+        heads, tails = _incidence(head_rows, n), _incidence(tail_rows, n)
+        # (the edge's own vertices in one role, the lists it scans there)
+        classes = ((HEAD_HEAD, head_rows, heads), (TAIL_TAIL, tail_rows, tails),
+                   (HEAD_TAIL, head_rows, tails), (HEAD_TAIL, tail_rows, heads))
+        sides = [(rows, lists) for role, rows, lists in classes if roles & role]
+    for i in range(len(hg.edges)):
         later: set[int] = set()
-        for p in row:
-            edges = incident[p]
-            later.update(edges[bisect_right(edges, i):])
+        for rows, lists in sides:
+            for p in rows[i]:
+                edges = lists[p]
+                later.update(edges[bisect_right(edges, i):])
         yield i, sorted(later)
 
 
@@ -178,13 +219,21 @@ def _profile(hg: DirectedHypergraph, i: int, j: int,
 def _witnesses(hg: DirectedHypergraph, codes: int) -> tuple[IntersectionProfile, ...]:
     """Profiles of the vertex-sharing pairs whose code is in the codes mask."""
     masks = edge_masks(hg)
+    # Witnesses often repeat one shared vertex set with the same roles, so
+    # their rows are built once and shared.
+    rows_of: dict[tuple[int, int, int], tuple[tuple[str, str, str], ...]] = {}
     out = []
-    for i, later in later_partners(hg):
+    for i, later in later_partners(hg, roles_of(codes)):
         h1, t1 = masks[i]
         for j in later:
             h2, t2 = masks[j]
             if codes >> pair_code(h1, t1, h2, t2) & 1:
-                out.append(_profile(hg, i, j, h1, t1, h2, t2))
+                common = (h1 | t1) & (h2 | t2)
+                key = (common, h1 & common, h2 & common)
+                rows = rows_of.get(key)
+                if rows is None:
+                    rows = rows_of[key] = _profile(hg, i, j, h1, t1, h2, t2).common
+                out.append(IntersectionProfile(i, j, rows))
     return tuple(out)
 
 

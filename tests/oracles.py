@@ -9,7 +9,7 @@ implementations under test.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations, permutations, product
 
 from dhcolor import DirectedEdge, DirectedHypergraph, PATTERN_EDGES
@@ -77,20 +77,54 @@ _VIOLATES = {
 }
 
 
-def naive_condition_witnesses(
-    hg: DirectedHypergraph, cond: str
-) -> list[tuple[int, int, tuple[tuple[str, str, str], ...]]]:
-    """(i, j, common) for every violating pair i < j, scanning all m^2 pairs;
-    common lists the shared vertices in vertex order with their roles."""
+WitnessRow = tuple[int, int, tuple[tuple[str, str, str], ...]]
+
+
+def _row(hg: DirectedHypergraph, i: int, j: int) -> WitnessRow:
+    """(i, j, common): the shared vertices in vertex order with their roles."""
+    e1, e2 = hg.edges[i], hg.edges[j]
+    common = (e1.tail | e1.head) & (e2.tail | e2.head)
+    return (i, j, tuple(
+        (v, "head" if v in e1.head else "tail", "head" if v in e2.head else "tail")
+        for v in hg.vertices if v in common
+    ))
+
+
+def naive_condition_witnesses(hg: DirectedHypergraph, cond: str) -> list[WitnessRow]:
+    """(i, j, common) for every violating pair i < j, scanning all m^2 pairs."""
     rows = []
     for (i, e1), (j, e2) in combinations(enumerate(hg.edges), 2):
-        common = (e1.tail | e1.head) & (e2.tail | e2.head)
-        if _VIOLATES[cond](e1, e2, common):
-            rows.append((i, j, tuple(
-                (v, "head" if v in e1.head else "tail", "head" if v in e2.head else "tail")
-                for v in hg.vertices if v in common
-            )))
+        if _VIOLATES[cond](e1, e2, (e1.tail | e1.head) & (e2.tail | e2.head)):
+            rows.append(_row(hg, i, j))
     return rows
+
+
+@cache
+def _renamed_pair_contains(pair: tuple[tuple[frozenset, frozenset], ...], pattern: str) -> bool:
+    e1, e2 = (DirectedEdge(tail, head) for tail, head in pair)
+    return naive_pair_contains(e1, e2, pattern)
+
+
+@lru_cache(maxsize=1)
+def _renamed_pairs(hg: DirectedHypergraph) -> list[tuple[int, int, tuple]]:
+    """Every pair i < j with its vertices renamed to their ranks in the pair."""
+    out = []
+    for (i, e1), (j, e2) in combinations(enumerate(hg.edges), 2):
+        rank = {v: str(k) for k, v in enumerate(sorted(e1.vertices | e2.vertices))}.__getitem__
+        out.append((i, j, ((frozenset(map(rank, e1.tail)), frozenset(map(rank, e1.head))),
+                           (frozenset(map(rank, e2.tail)), frozenset(map(rank, e2.head))))))
+    return out
+
+
+def naive_pattern_witnesses(hg: DirectedHypergraph, pattern: str) -> list[WitnessRow]:
+    """(i, j, common) for every pair i < j of a 2->1 hypergraph that realizes
+    the pattern under an injective map, scanning all m^2 pairs.
+
+    Containment does not depend on vertex names, so the injective-map search
+    runs once per pair with its vertices renamed to their ranks.
+    """
+    return [_row(hg, i, j) for i, j, pair in _renamed_pairs(hg)
+            if _renamed_pair_contains(pair, pattern)]
 
 
 def naive_normalized_edges(hg: DirectedHypergraph) -> tuple[DirectedEdge, ...]:

@@ -2,7 +2,17 @@ import json
 
 import pytest
 
-from dhcolor import parse, parse_coloring, paper_i, is_proper, serialize
+from dhcolor import (
+    CONDITION_IDS,
+    check_condition,
+    gen_h2_tower,
+    is_proper,
+    normalize,
+    paper_i,
+    parse,
+    parse_coloring,
+    serialize,
+)
 from dhcolor.cli import main
 
 
@@ -20,6 +30,13 @@ def r4_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def h4_file(tmp_path):
+    path = tmp_path / "h4.dhg"
+    path.write_text(serialize(gen_h2_tower(4)))
+    return str(path)
+
+
 class TestCheck:
     def test_condition_satisfied(self, i_file, capsys):
         assert main(["check", i_file, "--cond", "i0-free"]) == 0
@@ -34,6 +51,20 @@ class TestCheck:
         assert main(["check", i_file, "--pattern", "I0", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload == {"check": "I0", "avoided": True, "witnesses": []}
+
+    def test_json_is_one_sorted_line_of_kernel_rows(self, h4_file, capsys):
+        hg = gen_h2_tower(4)
+        for cond in CONDITION_IDS:
+            report = check_condition(hg, cond)
+            assert main(["check", h4_file, "--cond", cond, "--json"]) == int(not report.avoided)
+            out = capsys.readouterr().out
+            assert out.endswith("\n") and out.count("\n") == 1, cond
+            payload = json.loads(out)
+            assert list(payload) == sorted(payload)
+            assert all(list(w) == ["common", "edges"] for w in payload["witnesses"])
+            rows = [(*w["edges"], tuple(map(tuple, w["common"]))) for w in payload["witnesses"]]
+            assert rows == [(w.i, w.j, w.common) for w in report.witnesses], cond
+        assert not check_condition(hg, "lovasz").avoided
 
     def test_non_two_one_input_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "big.dhg"
@@ -56,6 +87,20 @@ class TestColor:
     def test_precondition_failure_exit_1(self, r4_file, capsys):
         assert main(["color", r4_file, "--algo", "ht3"]) == 1
         assert "precondition" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", ([], ["--json"]))
+    def test_precondition_failure_lists_every_witness(self, h4_file, extra, capsys):
+        report = check_condition(normalize(gen_h2_tower(4)), "r4-free")
+        assert main(["color", h4_file, "--algo", "ht3", *extra]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == "" and lines[0].startswith("precondition violated: ")
+        assert lines[1:] == [
+            f"edges {w.i} {w.j}  common ["
+            + ", ".join(f"{v}:{r1}/{r2}" for v, r1, r2 in w.common) + "]"
+            for w in report.witnesses
+        ]
+        assert len(lines) > 1
 
     def test_unchecked_runs_anyway(self, r4_file, capsys):
         code = main(["color", r4_file, "--algo", "ht3", "--unchecked"])

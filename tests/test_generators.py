@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from dhcolor import (
@@ -153,6 +155,38 @@ class TestGenRandom:
         for e in hg.edges:
             assert len(e.head) == 1 and 2 <= len(e.tail) <= 5
         assert check_condition(hg, "onehead-h1").avoided
+
+    # sha256 (first 16 hex digits) of the serialized outputs on a seeded grid:
+    # tails (2, 2) then (2, 5), n = 3..9, m in (3, 8, 20), seeds 0 and 1.  The
+    # grid includes n too small to hold m vertex sets, where the sampler stops
+    # early; the digests were recorded before that early stop existed.
+    PINNED = {
+        "none": "e9de6f8c33ba5167",
+        "onehead-h1": "b33808202dd6918e",
+        "i0-free": "74f7f86ea102d3ac",
+        "r4-free": "d4414a61e16fa0a3",
+        "i0r4-free": "02cc224cc54d5ebd",
+        "lovasz": "c81ccc95a059a285",
+        "h2-two-intersect": "1b33f57ff69250e0",
+        "tails-only-2-intersect": "37594954a9e86d90",
+    }
+
+    @pytest.mark.parametrize("cond", ("none",) + CONDITION_IDS)
+    def test_outputs_pinned(self, cond):
+        digest = hashlib.sha256()
+        for tails in ((2, 2), (2, 5)):
+            for n in range(3, 10):
+                for m in (3, 8, 20):
+                    for seed in (0, 1):
+                        hg = gen_random(n, m, cond=cond, seed=seed, tail_range=tails)
+                        digest.update(serialize(hg).encode() + b"\0")
+        assert digest.hexdigest()[:16] == self.PINNED[cond]
+
+    def test_saturated_vertex_sets(self):
+        # n=3 holds one 3-set and n=4 four; a larger budget changes nothing.
+        assert len(gen_random(3, 5, seed=2).edges) == 1
+        assert len(gen_random(4, 9, seed=2, tail_range=(2, 3)).edges) == 5
+        assert gen_random(4, 9, seed=2) == gen_random(4, 9, seed=2, max_attempts=10**6)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):

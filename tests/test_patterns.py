@@ -16,16 +16,29 @@ from dhcolor import (
     gen_h2_tower,
     gen_perm_tower,
     gen_random,
+    is_two_to_one,
     normalize,
     paper_i,
     paper_r,
     parse,
+)
+from dhcolor.patterns import (
+    ALL_ROLES,
+    HEAD_HEAD,
+    HEAD_TAIL,
+    TAIL_TAIL,
+    VIOLATING_CODES,
+    edge_masks,
+    later_partners,
+    pair_code,
+    roles_of,
 )
 from oracles import (
     all_two_one_edges,
     naive_condition_witnesses,
     naive_normalized_edges,
     naive_pair_contains,
+    naive_pattern_witnesses,
 )
 
 
@@ -209,6 +222,12 @@ def general_instance(seed):
     return DirectedHypergraph(tuple(names), tuple(edges))
 
 
+def _role(v, e1, e2):
+    """Role class of a vertex shared by two edges."""
+    h1, h2 = v in e1.head, v in e2.head
+    return HEAD_HEAD if h1 and h2 else HEAD_TAIL if h1 or h2 else TAIL_TAIL
+
+
 KERNEL_INSTANCES = (
     [general_instance(seed) for seed in range(150)]
     + [gen_random(n=12, m=30, cond=cond, seed=seed, tail_range=(2, 5))
@@ -234,6 +253,35 @@ class TestPairKernelAgainstAllPairs:
             assert out.edges == naive_normalized_edges(hg), idx
             assert out.vertices == hg.vertices
 
+    def test_every_code_guarantees_its_role_class(self):
+        seen = set()
+        for hg in KERNEL_INSTANCES:
+            masks = edge_masks(hg)
+            for (i, e1), (j, e2) in combinations(enumerate(hg.edges), 2):
+                code = pair_code(*masks[i], *masks[j])
+                seen.add(code)
+                classes = {_role(v, e1, e2) for v in e1.vertices & e2.vertices}
+                assert roles_of(1 << code) in (classes if code else {0}), (i, j, code)
+        assert seen == set(range(9))
+
+    def test_role_filtered_walk(self):
+        for idx, hg in enumerate(KERNEL_INSTANCES):
+            classes = {
+                (i, j): {_role(v, e1, e2) for v in e1.vertices & e2.vertices}
+                for (i, e1), (j, e2) in combinations(enumerate(hg.edges), 2)
+            }
+            for roles in range(1, ALL_ROLES + 1):  # ALL_ROLES: every vertex-sharing pair
+                walked = [(i, j) for i, later in later_partners(hg, roles) for j in later]
+                assert walked == [p for p, c in classes.items() if any(r & roles for r in c)], (
+                    idx, roles)
+
+    def test_violating_codes_need_their_role_classes(self):
+        assert roles_of(VIOLATING_CODES["i0-free"]) == HEAD_HEAD
+        assert roles_of(VIOLATING_CODES["r4-free"]) == HEAD_TAIL
+        assert roles_of(VIOLATING_CODES["onehead-h1"]) == TAIL_TAIL
+        assert roles_of(VIOLATING_CODES["i0r4-free"]) == HEAD_HEAD | HEAD_TAIL
+        assert roles_of(VIOLATING_CODES["lovasz"]) == ALL_ROLES
+
     def test_instances_cover_the_shapes(self):
         edges = [e for hg in KERNEL_INSTANCES for e in hg.edges]
         assert {len(e.tail) for e in edges} >= {2, 3, 4, 5}
@@ -243,3 +291,27 @@ class TestPairKernelAgainstAllPairs:
                    for hg in KERNEL_INSTANCES)
         assert any(not (e1.vertices & e2.vertices)
                    for hg in KERNEL_INSTANCES for e1, e2 in combinations(hg.edges, 2))
+
+
+PATTERN_INSTANCES = (
+    [hg for hg in KERNEL_INSTANCES if is_two_to_one(hg)]
+    + [gen_h2_tower(5)]
+    + [gen_random(n=12, m=30, cond=cond, seed=seed)
+       for cond in ("none",) + CONDITION_IDS for seed in range(4)]
+)
+
+
+class TestPatternWitnessesAgainstInjectiveMaps:
+    """contains_pattern's witness rows against an all-pairs injective-map scan."""
+
+    def test_witness_rows_and_order(self):
+        for idx, hg in enumerate(PATTERN_INSTANCES):
+            for pattern in PATTERN_IDS:
+                report = contains_pattern(hg, pattern)
+                rows = [(w.i, w.j, w.common) for w in report.witnesses]
+                assert rows == naive_pattern_witnesses(hg, pattern), (idx, pattern)
+
+    def test_instances_realize_every_pattern(self):
+        found = {p for hg in PATTERN_INSTANCES for p in PATTERN_IDS
+                 if not contains_pattern(hg, p).avoided}
+        assert found == set(PATTERN_IDS)

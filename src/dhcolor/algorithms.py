@@ -452,13 +452,17 @@ def color_i0_4(hg: DirectedHypergraph, checked: bool = True) -> tuple[Coloring, 
     m = len(edges)
     incident: dict[str, list[int]] = {v: [] for v in hn.vertices}
     by_head_rank: list[dict[str, list[int]]] = [{}, {}, {}]  # E1, E2, E3
-    rank_of = [0] * m
+    rank_of = [-1] * m  # -1: a headless edge, in no bucket (unchecked runs only)
     for idx, e in enumerate(edges):
         for v in e.vertices:
             incident[v].append(idx)
+        if not e.head:
+            continue
         head = min(e.head)
         ordered = sorted(e.vertices, key=pos.__getitem__)
-        rank = ordered.index(head)  # 0 lowest, 1 middle, 2 highest
+        # 0 lowest, 1 middle, 2 highest; an edge with more than two tails
+        # (unchecked runs only) files a head past its third vertex under 2.
+        rank = min(ordered.index(head), 2)
         rank_of[idx] = rank
         by_head_rank[rank].setdefault(head, []).append(idx)
 
@@ -547,7 +551,8 @@ def color_i0_r4_2(hg: DirectedHypergraph, checked: bool = True) -> tuple[Colorin
     for idx, e in enumerate(edges):
         for v in e.vertices:
             incident[v].append(idx)
-        by_head.setdefault(min(e.head), []).append(idx)
+        if e.head:  # a headless edge (unchecked runs only) heads no bucket
+            by_head.setdefault(min(e.head), []).append(idx)
 
     color = {v: BLUE for v in hn.vertices}
     nonblue = [0] * m

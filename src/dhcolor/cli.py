@@ -2,8 +2,9 @@
 
 Exit codes: 0 for success (avoided / satisfied / proper / determined),
 1 for a semantic negative (pattern found, condition or precondition violated,
-improper coloring, fuzz failures, chromatic bound exceeded), 2 for usage or
-input format errors.  Every subcommand supports --json.
+improper coloring or a run reporting violations, fuzz failures, chromatic
+bound exceeded), 2 for usage or input format errors.  Every subcommand
+supports --json.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ def _cmd_color(args: argparse.Namespace) -> int:
     if trace.violations:
         human += [f"violation: {v}" for v in trace.violations]
     _emit(payload, args.json, human)
-    return 0 if proper else 1
+    return 0 if proper and not trace.violations else 1
 
 
 def _cmd_chromatic(args: argparse.Namespace) -> int:

@@ -107,7 +107,7 @@ def test_criterion_03_constructive_colorings_of_the_examples():
 
 
 def test_criterion_04_h2_tower_sizes_and_lower_bounds():
-    with criterion(4, "h2 towers: sizes 7/11 and 15/71, chi >= 3 and >= 4"):
+    with criterion(4, "h2 towers: sizes 7/11 and 15/71, chi >= 3 and chi = 4"):
         start = time.perf_counter()
         t3 = gen_h2_tower(3)
         t4 = gen_h2_tower(4)
@@ -115,6 +115,8 @@ def test_criterion_04_h2_tower_sizes_and_lower_bounds():
         assert (t4.n, len(t4.edges)) == (15, 71)
         assert find_proper_coloring(t3, 2) is None
         assert find_proper_coloring(t4, 3) is None
+        result = chromatic_number(t4)
+        assert result.chi == 4 and is_proper(t4, result.witness)
         assert time.perf_counter() - start < 120.0
 
 

@@ -16,6 +16,7 @@ from dhcolor import (
     color_i0_4,
     color_i0_r4_2,
     color_one_head,
+    gen_random,
     is_proper,
     normalize,
     paper_i,
@@ -251,6 +252,12 @@ class TestColorI04:
         # machinery must say so.
         assert trace.violations
 
+    def test_unchecked_mode_reports_edges_with_more_than_two_tails(self):
+        for hg in (parse("e a b c > d"), gen_random(8, 10, seed=3, tail_range=(2, 4))):
+            coloring, trace = color_i0_4(hg, checked=False)
+            assert set(coloring.assignment) == set(hg.vertices)
+            assert trace.violations
+
 
 class TestColorI0R42:
     def test_single_edge(self):
@@ -284,6 +291,18 @@ class TestColorI0R42:
         coloring, trace = color_i0_r4_2(hg, checked=False)
         assert not is_proper(hg, coloring)
         assert any("not a proper coloring" in v for v in trace.violations)
+
+
+@pytest.mark.parametrize("algo", [color_i0_4, color_i0_r4_2])
+def test_unchecked_headless_edge_is_reported_not_raised(algo):
+    hg = parse("e a b >\ne b c > d")
+    with pytest.raises(PreconditionError):
+        algo(hg)
+    coloring, trace = algo(parse("e a b >"), checked=False)
+    assert dict(coloring.assignment) == {"a": BLUE, "b": BLUE}
+    assert any("not a proper coloring" in v for v in trace.violations)
+    coloring, _ = algo(hg, checked=False)
+    assert set(coloring.assignment) == set(hg.vertices)
 
 
 class TestOrderingRobustness:

@@ -4,6 +4,7 @@ import pytest
 
 from dhcolor import (
     CONDITION_IDS,
+    Coloring,
     check_condition,
     gen_h2_tower,
     is_proper,
@@ -107,6 +108,18 @@ class TestColor:
         assert code in (0, 1)
         assert "proper=" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("algo, text", [
+        ("i0-4", "e a b c > d\n"),
+        ("i0-4", "e a b >\n"),
+        ("i0r4-2", "e a b >\n"),
+    ])
+    def test_unchecked_off_shape_input_reports_violations(self, tmp_path, capsys, algo, text):
+        path = tmp_path / "x.dhg"
+        path.write_text(text)
+        assert main(["color", str(path), "--algo", algo, "--unchecked"]) == 1
+        captured = capsys.readouterr()
+        assert "\nviolation: " in captured.out and captured.err == ""
+
     def test_stdout_coloring(self, i_file, capsys):
         assert main(["color", i_file, "--algo", "i0-4"]) == 0
         out = capsys.readouterr().out
@@ -134,6 +147,17 @@ class TestChromatic:
     def test_exceeded(self, i_file, capsys):
         assert main(["chromatic", i_file, "--max-k", "2"]) == 1
         assert capsys.readouterr().out.strip() == ">2"
+
+    def test_deep_search_json(self, tmp_path, capsys):
+        # 5,000 vertices on a chain of 2->1 edges: one search level each.
+        text = "".join(f"e v{i} v{i + 1} > v{i + 2}\n" for i in range(0, 4998, 2)) + "v v4999\n"
+        path = tmp_path / "chain.dhg"
+        path.write_text(text)
+        assert main(["chromatic", str(path), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        hg = parse(text)
+        assert payload["chi"] == 2 and len(payload["witness"]) == 5000
+        assert is_proper(hg, Coloring(payload["witness"], 2))
 
 
 class TestGen:

@@ -1,12 +1,17 @@
+import hashlib
 import random
 
 import pytest
 
 from dhcolor import (
+    CONDITION_IDS,
     Coloring,
+    DirectedEdge,
     DirectedHypergraph,
     chromatic_number,
     find_proper_coloring,
+    gen_h2_tower,
+    gen_perm_tower,
     gen_random,
     is_proper,
     paper_i,
@@ -39,6 +44,17 @@ class TestFindProperColoring:
     def test_empty_hypergraph(self):
         hg = DirectedHypergraph((), ())
         assert find_proper_coloring(hg, 1) == Coloring({}, 1)
+
+    def test_search_depth_is_not_bounded_by_recursion_limit(self):
+        # 5,000 vertices on a chain of 2->1 edges, each sharing its head with
+        # the next edge's tail: one search level per vertex.
+        hg = parse("".join(f"e v{i} v{i + 1} > v{i + 2}\n" for i in range(0, 4998, 2)) + "v v4999")
+        assert hg.n == 5000
+        assert find_proper_coloring(hg, 1) is None
+        witness = find_proper_coloring(hg, 2)
+        assert witness is not None and is_proper(hg, witness)
+        result = chromatic_number(hg)
+        assert result.chi == 2 and result.witness == witness
 
 
 class TestChromaticNumber:
@@ -90,6 +106,66 @@ def test_agreement_with_naive_enumeration():
                 assert mine is None, (hg, k)
             else:
                 assert mine is not None and dict(mine.assignment) == naive, (hg, k)
+
+
+def general_instances():
+    # Edges of 2 to 5 vertices with any split into tail and head, so
+    # multi-head, headless, tailless and two-vertex edges all occur, under a
+    # shuffled vertex order.
+    rng = random.Random(2024)
+    instances = []
+    for _ in range(150):
+        n = rng.randint(2, 8)
+        names = [f"x{i}" for i in range(n)]
+        edges = []
+        for _ in range(rng.randint(0, 3 * n)):
+            vs = rng.sample(names, rng.randint(2, min(n, 5)))
+            cut = rng.randint(0, len(vs))
+            edges.append(DirectedEdge(frozenset(vs[:cut]), frozenset(vs[cut:])))
+        rng.shuffle(names)
+        instances.append(DirectedHypergraph(tuple(names), tuple(edges)))
+    return instances
+
+
+def test_agreement_with_naive_enumeration_on_general_edges():
+    for hg in general_instances():
+        for k in (1, 2, 3, 4):
+            naive = naive_first_proper(hg, k)
+            mine = find_proper_coloring(hg, k)
+            if naive is None:
+                assert mine is None, (hg, k)
+            else:
+                assert mine is not None and dict(mine.assignment) == naive, (hg, k)
+
+
+def _witness_digest(instances):
+    digest = hashlib.sha256()
+    for hg in instances:
+        for k in (2, 3, 4):
+            w = find_proper_coloring(hg, k)
+            row = "-" if w is None else " ".join(str(w.assignment[v]) for v in hg.vertices)
+            digest.update(f"{k}: {row}\n".encode())
+    return digest.hexdigest()[:16]
+
+
+# sha256 (first 16 hex digits) of the witnesses, or their absence, for
+# k = 2..4, recorded with the plain backtracking search that forward
+# checking replaced.
+PINNED_WITNESSES = {
+    "random-18": ("2ce1a50702b752aa",
+                  lambda: [gen_random(18, 14 * 18, seed=s) for s in range(16)]),
+    "random-10-14": ("507d0fb5c1fe0fce",
+                     lambda: [gen_random(n, 4 * n, cond=c, seed=n, tail_range=(2, 2 + n % 3))
+                              for n in range(10, 15) for c in ("none", *CONDITION_IDS)]),
+    "examples": ("e30fb7b155a5f1e7",
+                 lambda: [paper_i(), paper_r(), gen_h2_tower(3), gen_h2_tower(4), gen_perm_tower(3)]),
+}
+
+
+@pytest.mark.parametrize("group", sorted(PINNED_WITNESSES))
+def test_pinned_witnesses(group):
+    expected, instances = PINNED_WITNESSES[group]
+    assert _witness_digest(instances()) == expected
 
 
 def test_colorability_is_monotone_in_k():

@@ -3,13 +3,14 @@
 Exit codes: 0 for success (avoided / satisfied / proper / determined),
 1 for a semantic negative (pattern found, condition or precondition violated,
 improper coloring or a run reporting violations, fuzz failures, chromatic
-bound exceeded), 2 for usage or input format errors.  Every subcommand
-supports --json.
+bound exceeded), 2 for usage or input format errors and for files that
+cannot be read or written.  Every subcommand supports --json.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -24,8 +25,6 @@ from .algorithms import (
 from .bounds import RoleConflictError, f_bound, induce_good_coloring, verify_good_coloring
 from .core import (
     DirectedHypergraph,
-    ParseError,
-    ValidationError,
     is_proper,
     parse,
     serialize,
@@ -199,7 +198,14 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then reused.
+
+    ``parse_args`` leaves the parser unchanged, and the handlers it stores
+    look up the library functions at call time, so one parser serves every
+    ``main`` call in a process.
+    """
     parser = argparse.ArgumentParser(
         prog="dhcolor",
         description="Directed hypergraph coloring toolkit",
@@ -267,14 +273,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, FileNotFoundError, IsADirectoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValidationError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # ParseError and ValidationError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -25,7 +25,9 @@ class ValidationError(ValueError):
 
 
 def _check_name(name: str) -> str:
-    if not name or any(ch.isspace() for ch in name) or name == ">" or "#" in name:
+    # str.split and str.isspace share one whitespace predicate, so this is
+    # "empty or contains whitespace", tested at C speed.
+    if name.split() != [name] or name == ">" or "#" in name:
         raise ValidationError(f"invalid vertex name: {name!r}")
     return name
 
@@ -134,11 +136,11 @@ def parse(text: str) -> DirectedHypergraph:
     (the leading ``e`` may be omitted in hand-written files).  ``#`` starts a
     comment, blank lines are skipped.  Vertex order is: explicitly declared
     vertices in declaration order, then edge-line vertices by first
-    appearance, tails before heads within a line.
+    appearance, tails before heads within a line.  One pass, linear in the
+    length of the text.
     """
-    declared: list[str] = []
-    from_edges: list[str] = []
-    seen_edge_names: set[str] = set()
+    declared: dict[str, None] = {}
+    from_edges: dict[str, None] = {}
     edges: list[DirectedEdge] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -152,28 +154,30 @@ def parse(text: str) -> DirectedHypergraph:
             name = _parse_name(tokens[1], lineno)
             if name in declared:
                 raise ParseError(f"line {lineno}: duplicate declaration of {name}")
-            declared.append(name)
+            declared[name] = None
         elif tokens[0] == "e" or ">" in tokens:
             body = tokens[1:] if tokens[0] == "e" else tokens
             if body.count(">") != 1:
                 raise ParseError(f"line {lineno}: edge line needs exactly one '>'")
+            # Edge tokens need no name check: after the '#' cut and split()
+            # a token is non-empty with no whitespace and no '#', and the
+            # only '>' is the cut.  DirectedHypergraph checks every name once.
             cut = body.index(">")
-            tails = [_parse_name(t, lineno) for t in body[:cut]]
-            heads = [_parse_name(t, lineno) for t in body[cut + 1:]]
+            tails, heads = body[:cut], body[cut + 1:]
             if not tails and not heads:
                 raise ParseError(f"line {lineno}: edge has no vertices")
             try:
                 edges.append(DirectedEdge(frozenset(tails), frozenset(heads)))
             except ValidationError as exc:
                 raise ParseError(f"line {lineno}: {exc}") from exc
-            for name in tails + heads:
-                if name not in seen_edge_names:
-                    seen_edge_names.add(name)
-                    from_edges.append(name)
+            for name in body:  # the cut '>' too; it is dropped below
+                from_edges[name] = None
         else:
             raise ParseError(f"line {lineno}: unrecognized line {line!r}")
 
-    order = declared + [v for v in from_edges if v not in declared]
+    # Dict union keeps the declared names first, then adds the rest in order.
+    order = declared | from_edges
+    order.pop(">", None)
     try:
         return DirectedHypergraph(tuple(order), tuple(edges))
     except ValidationError as exc:
@@ -210,7 +214,8 @@ def normalize(hg: DirectedHypergraph) -> DirectedHypergraph:
     result is a proper coloring of the input, because a dropped edge is a
     superset of a kept one and monochromaticity only depends on vertex sets.
     Edges are non-empty, so only pairs sharing a vertex can be nested; those
-    come from the pattern module's incidence walk.
+    come from the pattern module's incidence walk.  When no edge is dropped
+    the result is ``hg`` itself.
     """
     from .patterns import edge_masks, later_partners  # patterns imports this module
 
@@ -223,6 +228,8 @@ def normalize(hg: DirectedHypergraph) -> DirectedHypergraph:
                 redundant[j] = True
             elif both == full[j]:
                 redundant[i] = True
+    if not any(redundant):
+        return hg  # keeps its cached positions; nothing to revalidate
     kept = tuple(e for e, drop in zip(hg.edges, redundant) if not drop)
     return DirectedHypergraph(hg.vertices, kept)
 

@@ -97,6 +97,8 @@ def run_fuzz(
         raise ValueError(f"{algo} requires 2->1 instances; tail_range must be (2, 2)")
     if trials < 0:
         raise ValueError("trials must be non-negative")
+    if n_range[0] > n_range[1]:
+        raise ValueError(f"empty n_range {n_range}: n_min exceeds n_max")
 
     report = FuzzReport(algo, trials)
     for trial in range(trials):

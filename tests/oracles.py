@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive: exhaustive injective maps for pattern
 containment, full k^n enumeration for colorability, top-down recursion for
-the edge bound, and all-pairs scans restating the intersection conditions and
-normalize's subset rule on vertex sets.  None of it shares logic with the
+the edge bound, all-pairs scans restating the intersection conditions and
+normalize's subset rule on vertex sets, and a .dhg reader that checks every
+token and keeps its vertex order in lists.  None of it shares logic with the
 implementations under test.
 """
 
@@ -12,7 +13,7 @@ from __future__ import annotations
 from functools import cache, lru_cache
 from itertools import combinations, permutations, product
 
-from dhcolor import DirectedEdge, DirectedHypergraph, PATTERN_EDGES
+from dhcolor import DirectedEdge, DirectedHypergraph, PATTERN_EDGES, ParseError, ValidationError
 
 EdgeKey = tuple[frozenset[str], str]  # (tail set, head) of a 2->1 edge
 
@@ -145,3 +146,53 @@ def all_two_one_edges(names: tuple[str, ...]) -> list[DirectedEdge]:
             tails = frozenset(set(triple) - {head})
             out.append(DirectedEdge(tails, frozenset((head,))))
     return out
+
+
+def _naive_name(token: str, lineno: int) -> str:
+    """Reject a name that is empty, has a whitespace character or '#', or is '>'."""
+    if not token or any(ch.isspace() for ch in token) or token == ">" or "#" in token:
+        raise ParseError(f"line {lineno}: invalid vertex name: {token!r}")
+    return token
+
+
+def naive_parse(text: str) -> DirectedHypergraph:
+    """The .dhg reader restated token by token: every name is checked where
+    it appears, and the vertex order is built from lists."""
+    declared: list[str] = []
+    from_edges: list[str] = []
+    edges: list[DirectedEdge] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        if tokens[0] == "v":
+            if len(tokens) != 2:
+                raise ParseError(f"line {lineno}: vertex line needs exactly one name")
+            name = _naive_name(tokens[1], lineno)
+            if name in declared:
+                raise ParseError(f"line {lineno}: duplicate declaration of {name}")
+            declared.append(name)
+        elif tokens[0] == "e" or ">" in tokens:
+            body = tokens[1:] if tokens[0] == "e" else tokens
+            if body.count(">") != 1:
+                raise ParseError(f"line {lineno}: edge line needs exactly one '>'")
+            cut = body.index(">")
+            tails = [_naive_name(t, lineno) for t in body[:cut]]
+            heads = [_naive_name(t, lineno) for t in body[cut + 1:]]
+            if not tails and not heads:
+                raise ParseError(f"line {lineno}: edge has no vertices")
+            try:
+                edges.append(DirectedEdge(frozenset(tails), frozenset(heads)))
+            except ValidationError as exc:
+                raise ParseError(f"line {lineno}: {exc}") from exc
+            for name in tails + heads:
+                if name not in from_edges:
+                    from_edges.append(name)
+        else:
+            raise ParseError(f"line {lineno}: unrecognized line {line!r}")
+    order = declared + [v for v in from_edges if v not in declared]
+    try:
+        return DirectedHypergraph(tuple(order), tuple(edges))
+    except ValidationError as exc:
+        raise ParseError(str(exc)) from exc

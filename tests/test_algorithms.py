@@ -353,6 +353,11 @@ def test_fuzz_rejects_bad_tail_range():
         run_fuzz("nope", trials=1)
 
 
+def test_fuzz_rejects_empty_n_range():
+    with pytest.raises(ValueError, match=r"^empty n_range \(9, 3\)"):
+        run_fuzz("ht3", trials=0, n_range=(9, 3))
+
+
 def test_fuzz_zero_trials():
     report = run_fuzz("ht3", trials=0)
     assert report.ok and report.trials == 0

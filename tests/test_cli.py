@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +18,17 @@ from dhcolor import (
     parse_coloring,
     serialize,
 )
+from dhcolor import cli
 from dhcolor.cli import main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_module(*argv: str) -> subprocess.CompletedProcess:
+    """``python -m dhcolor ARGV`` in a fresh interpreter, dhcolor from src/."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    return subprocess.run([sys.executable, "-m", "dhcolor", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
 
 
 @pytest.fixture
@@ -28,6 +42,13 @@ def i_file(tmp_path):
 def r4_file(tmp_path):
     path = tmp_path / "r4.dhg"
     path.write_text("e a b > c\ne c d > e\n")
+    return str(path)
+
+
+@pytest.fixture
+def r4_free_file(tmp_path):
+    path = tmp_path / "t.dhg"
+    path.write_text("e a b > c\n")
     return str(path)
 
 
@@ -213,6 +234,12 @@ class TestFuzzCommand:
     def test_zero_trials(self, capsys):
         assert main(["fuzz", "--algo", "ht3", "--trials", "0"]) == 0
 
+    def test_empty_n_range_exit_2(self, capsys):
+        assert main(["fuzz", "--algo", "ht3", "--n-min", "9", "--n-max", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: empty n_range (9, 3): n_min exceeds n_max\n"
+
 
 class TestErrors:
     def test_parse_error_exit_2(self, tmp_path, capsys):
@@ -224,7 +251,64 @@ class TestErrors:
     def test_missing_file_exit_2(self):
         assert main(["chromatic", "/nonexistent/x.dhg"]) == 2
 
+    @pytest.mark.parametrize("argv", (
+        ["color", "{f}", "--algo", "ht3", "-o", "{f}/x"],
+        ["chromatic", "{f}", "--witness", "{f}/x"],
+    ))
+    def test_unwritable_output_exit_2(self, r4_free_file, argv, capsys):
+        # Writing under a regular file raises NotADirectoryError.
+        assert main([a.format(f=r4_free_file) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "Not a directory" in captured.err
+
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["check", "somefile"])  # neither --pattern nor --cond
         assert exc.value.code == 2
+
+
+class TestRepeatedCalls:
+    """One argument parser serves every ``main`` call in a process, so a call
+    must print what it prints in a fresh interpreter whatever ran before."""
+
+    def test_no_state_leaks_between_calls(self, i_file, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        runs = [
+            ["check", i_file, "--cond", "i0-free", "--json"],
+            ["check", i_file, "--cond", "i0-free"],
+            ["color", i_file, "--algo", "i0-4", "-o", out],
+            ["color", i_file, "--algo", "i0-4"],
+            ["chromatic", i_file, "--witness", out, "--json"],
+            ["chromatic", i_file],
+            ["gen", "--kind", "paper-r", "-o", out],
+            ["gen", "--kind", "paper-r"],
+            ["fuzz", "--algo", "ht3", "--trials", "3", "--random-ties"],
+            ["fuzz", "--algo", "one-head", "--trials", "3"],
+        ]
+        for argv in runs:
+            code = main(argv)
+            captured = capsys.readouterr()
+            fresh = run_module(*argv)
+            assert (code, captured.out, captured.err) == (
+                fresh.returncode, fresh.stdout, fresh.stderr), argv
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_usage_error_then_valid_call(self, i_file, capsys):
+        with pytest.raises(SystemExit):
+            main(["check", i_file])
+        capsys.readouterr()
+        assert main(["check", i_file, "--pattern", "I0"]) == 0
+        assert capsys.readouterr().out == "I0: avoided\n"
+
+
+class TestModuleEntryPoint:
+    def test_bound(self):
+        result = run_module("bound", "--n", "12")
+        assert (result.returncode, result.stdout, result.stderr) == (0, "116\n", "")
+
+    def test_missing_file_exit_2(self, tmp_path):
+        result = run_module("check", str(tmp_path / "missing.dhg"), "--cond", "lovasz")
+        assert result.returncode == 2 and result.stdout == ""
+        assert result.stderr.startswith("error: ")

@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -10,6 +11,7 @@ from dhcolor import (
     ParseError,
     ValidationError,
     edge,
+    gen_h2_tower,
     is_proper,
     normalize,
     paper_i,
@@ -18,6 +20,8 @@ from dhcolor import (
     serialize,
     serialize_coloring,
 )
+from dhcolor.core import _check_name
+from oracles import naive_parse
 
 PAPER_I_TEXT = """\
 e v1 v2 > v3
@@ -85,7 +89,105 @@ class TestSerialize:
         assert parse(serialize(hg)) == hg
 
 
+# Adversarial .dhg text: the format's own tokens as names, '#' inside and
+# around tokens, separators that split() honours but a plain space test does
+# not ('\t', '\xa0'), line breaks that splitlines() honours inside a line
+# ('\x1c', '\x0b', '\u2028'), CRLF, duplicate declarations and vertices
+# declared after the edges that use them.
+_NAMES = ("a", "b", "c", "d", "v", "e")
+_ODD_TOKENS = ("a#b", "x>", ">y", "#", ">", "a\xa0b", "#v a")
+_SEPARATORS = (" ",) * 12 + ("  ", "\t", "\xa0", "\x1c", "\x0b", "\u2028")
+_LINE_ENDS = ("\n", "\n", "\r\n", "\r", "\x1c", "\u2028")
+
+
+def _token(rng: random.Random) -> str:
+    return rng.choice(_ODD_TOKENS if rng.random() < 0.08 else _NAMES)
+
+
+def _adversarial_line(rng: random.Random) -> list[str]:
+    kind = rng.random()
+    if kind < 0.3:
+        return ["v"] + [_token(rng) for _ in range(rng.choice((0, 1, 1, 1, 1, 1, 1, 2)))]
+    if kind < 0.95:
+        tails = [_token(rng) for _ in range(rng.randint(0, 3))]
+        heads = [_token(rng) for _ in range(rng.randint(0, 2))]
+        cuts = [">"] * rng.choice((0, 1, 1, 1, 1, 1, 1, 1, 2))
+        return (["e"] if rng.random() < 0.7 else []) + tails + cuts + heads
+    return [_token(rng) for _ in range(rng.randint(0, 3))]
+
+
+def _adversarial_text(rng: random.Random) -> str:
+    return "".join(
+        rng.choice(("", "", " ", "\t"))
+        + "".join(t + rng.choice(_SEPARATORS) for t in _adversarial_line(rng))
+        + rng.choice(("", "", "", "# note", "#"))
+        + rng.choice(_LINE_ENDS)
+        for _ in range(rng.randint(0, 4))
+    )
+
+
+def _parse_outcome(reader, text):
+    try:
+        return reader(text)
+    except Exception as exc:  # the exception type and message must match too
+        return type(exc), str(exc)
+
+
+class TestParseAgainstNaiveReader:
+    def test_adversarial_grid(self):
+        outcomes = {}
+        for seed in range(3000):
+            text = _adversarial_text(random.Random(seed))
+            got = _parse_outcome(parse, text)
+            assert got == _parse_outcome(naive_parse, text), (seed, text)
+            if isinstance(got, DirectedHypergraph):  # equal vertex order included
+                kind = "parsed"
+            else:  # "line N: <first two words> ..."
+                kind = " ".join(got[1].split(": ", 1)[-1].split()[:2])
+            outcomes[kind] = outcomes.get(kind, 0) + 1
+        # The grid reaches every outcome the reader has.
+        assert set(outcomes) == {
+            "parsed", "vertex line", "invalid vertex", "duplicate declaration",
+            "edge line", "edge has", "head and", "unrecognized line",
+        }, outcomes
+        assert min(outcomes.values()) >= 10, outcomes
+
+    def test_named_cases(self):
+        for text in (
+            "e a b > c\r\nv d\r\nv a\n",  # declared after use, CRLF
+            "v b\nv b\n",  # duplicate declaration
+            "v >\n",  # the cut token as a name
+            "e a#b > c\n",  # the comment cuts the '>' away
+            "e a b#> c\n",
+            "e a\x1cb > c\n",  # \x1c ends a line
+            "e a\xa0b > c\n",  # \xa0 separates tokens
+            "v\ta\ne\ta\t>\tb\n",
+            "e a > b > c\n",
+            "e e > v\nv e\n",
+            "e >\n",
+        ):
+            assert _parse_outcome(parse, text) == _parse_outcome(naive_parse, text), text
+
+    def test_name_check_uses_the_isspace_predicate(self):
+        # A name with any one code point inside is refused exactly when that
+        # code point is whitespace (str.isspace) or '#'.
+        for cp in range(0x110000):
+            ch = chr(cp)
+            try:
+                _check_name("a" + ch + "b")
+                refused = False
+            except ValidationError:
+                refused = True
+            assert refused == (ch.isspace() or ch == "#"), hex(cp)
+
+
 class TestNormalize:
+    def test_nothing_dropped_returns_the_input(self):
+        for hg in (paper_i(), gen_h2_tower(4), parse("e a b > c\nv d\n"), parse("")):
+            positions = hg.positions
+            out = normalize(hg)
+            assert out is hg and out.positions is positions
+
     def test_superset_dropped(self):
         hg = parse("e a b > c\ne a b > c d\n")
         out = normalize(hg)

@@ -32,6 +32,17 @@ def _check_name(name: str) -> str:
     return name
 
 
+def _edge_vertices(tail: frozenset[str], head: frozenset[str]) -> frozenset[str]:
+    """The vertex set of an edge, after checking its sides are disjoint and not both empty."""
+    if tail & head:
+        overlap = ",".join(sorted(tail & head))
+        raise ValidationError(f"head and tail overlap on {{{overlap}}}")
+    vertices = tail | head
+    if not vertices:
+        raise ValidationError("edge has no vertices")
+    return vertices
+
+
 @dataclass(frozen=True)
 class DirectedEdge:
     """One hyperedge: disjoint tail and head vertex sets, union non-empty.
@@ -43,15 +54,20 @@ class DirectedEdge:
     head: frozenset[str]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tail", frozenset(self.tail))
-        object.__setattr__(self, "head", frozenset(self.head))
-        if self.tail & self.head:
-            overlap = ",".join(sorted(self.tail & self.head))
-            raise ValidationError(f"head and tail overlap on {{{overlap}}}")
-        if not (self.tail | self.head):
-            raise ValidationError("edge has no vertices")
+        tail, head = frozenset(self.tail), frozenset(self.head)
+        object.__setattr__(self, "tail", tail)
+        object.__setattr__(self, "head", head)
         # Not a field: equality, hash and repr still see only tail and head.
-        object.__setattr__(self, "vertices", self.tail | self.head)
+        object.__setattr__(self, "vertices", _edge_vertices(tail, head))
+
+    @classmethod
+    def _of(cls, tail: frozenset[str], head: frozenset[str]) -> "DirectedEdge":
+        """The edge ``DirectedEdge(tail, head)`` for sides that are already
+        frozensets, with the same checks, filled in without the frozen
+        dataclass's per-field ``object.__setattr__`` calls."""
+        e = object.__new__(cls)
+        e.__dict__.update(tail=tail, head=head, vertices=_edge_vertices(tail, head))
+        return e
 
     def __len__(self) -> int:
         return len(self.tail) + len(self.head)
@@ -167,7 +183,7 @@ def parse(text: str) -> DirectedHypergraph:
             if not tails and not heads:
                 raise ParseError(f"line {lineno}: edge has no vertices")
             try:
-                edges.append(DirectedEdge(frozenset(tails), frozenset(heads)))
+                edges.append(DirectedEdge._of(frozenset(tails), frozenset(heads)))
             except ValidationError as exc:
                 raise ParseError(f"line {lineno}: {exc}") from exc
             for name in body:  # the cut '>' too; it is dropped below

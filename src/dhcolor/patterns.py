@@ -272,17 +272,6 @@ def contains_pattern(hg: DirectedHypergraph, pattern: str) -> PatternReport:
     return PatternReport(pattern, not witnesses, witnesses)
 
 
-def pair_satisfies(cond: str, e1: DirectedEdge, e2: DirectedEdge) -> bool:
-    """Whether one edge pair meets an intersection condition.
-
-    Each condition constrains only pairs with the relevant intersection size
-    (one vertex, or two for the last two conditions); other pairs pass.
-    """
-    if cond not in CONDITION_IDS:
-        raise ValueError(f"unknown condition {cond!r}; expected one of {CONDITION_IDS}")
-    return not VIOLATING_CODES[cond] >> _two_edge_code(e1, e2) & 1
-
-
 def check_condition(hg: DirectedHypergraph, cond: str) -> PatternReport:
     """Check an intersection condition over all edge pairs of a general hypergraph.
 

@@ -107,7 +107,7 @@ def test_criterion_03_constructive_colorings_of_the_examples():
 
 
 def test_criterion_04_h2_tower_sizes_and_lower_bounds():
-    with criterion(4, "h2 towers: sizes 7/11 and 15/71, chi >= 3 and chi = 4"):
+    with criterion(4, "h2 towers: sizes 7/11, 15/71 and 31/367, chi >= 3, chi = 4 and chi = 5"):
         start = time.perf_counter()
         t3 = gen_h2_tower(3)
         t4 = gen_h2_tower(4)
@@ -117,6 +117,10 @@ def test_criterion_04_h2_tower_sizes_and_lower_bounds():
         assert find_proper_coloring(t4, 3) is None
         result = chromatic_number(t4)
         assert result.chi == 4 and is_proper(t4, result.witness)
+        t5 = gen_h2_tower(5)
+        assert (t5.n, len(t5.edges)) == (31, 367)
+        result = chromatic_number(t5)
+        assert result.chi == 5 and is_proper(t5, result.witness)
         assert time.perf_counter() - start < 120.0
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -179,6 +180,19 @@ class TestChromatic:
         hg = parse(text)
         assert payload["chi"] == 2 and len(payload["witness"]) == 5000
         assert is_proper(hg, Coloring(payload["witness"], 2))
+
+    def test_long_odd_cycle_json(self, tmp_path, capsys):
+        # 5,001 two-vertex edges around a cycle: chi = 3, found in well under 1 s.
+        text = "".join(f"e v{i} > v{(i + 1) % 5001}\n" for i in range(5001))
+        path = tmp_path / "cycle.dhg"
+        path.write_text(text)
+        start = time.perf_counter()
+        assert main(["chromatic", str(path), "--json"]) == 0
+        elapsed = time.perf_counter() - start
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["chi"] == 3
+        assert is_proper(parse(text), Coloring(payload["witness"], 3))
+        assert elapsed < 1.0, elapsed
 
 
 class TestGen:

@@ -246,6 +246,30 @@ class TestValidation:
         with pytest.raises(ValidationError):
             DirectedEdge(frozenset(), frozenset())
 
+    def test_frozenset_constructor_matches_dataclass(self):
+        rng = random.Random(6)
+        names = [f"x{i}" for i in range(6)]
+        refused = set()
+        for _ in range(300):
+            tail = frozenset(rng.sample(names, rng.randint(0, 3)))
+            head = frozenset(rng.sample(names, rng.randint(0, 3)))
+            try:
+                expected = DirectedEdge(tail, head)
+            except ValidationError as exc:
+                with pytest.raises(ValidationError) as got:
+                    DirectedEdge._of(tail, head)
+                assert str(got.value) == str(exc)
+                refused.add(str(exc).split(" on ")[0])
+                continue
+            built = DirectedEdge._of(tail, head)
+            assert built == expected and expected == built
+            assert hash(built) == hash(expected)
+            assert repr(built) == repr(expected)
+            assert built.vertices == expected.vertices == tail | head
+            assert len(built) == len(expected)
+            assert {built, expected} == {expected}
+        assert refused == {"head and tail overlap", "edge has no vertices"}
+
     def test_coloring_index_bound(self):
         with pytest.raises(ValidationError):
             Coloring({"a": 2}, 2)

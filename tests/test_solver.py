@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 
 import pytest
 
@@ -18,6 +19,7 @@ from dhcolor import (
     paper_r,
     parse,
 )
+from dhcolor.solver import _build_index, _colorable
 from oracles import naive_first_proper
 
 
@@ -79,6 +81,17 @@ class TestChromaticNumber:
 
     def test_str(self):
         assert str(chromatic_number(paper_i())) == "3"
+
+    def test_long_odd_cycle(self):
+        # 5,001 vertices: the verdict search refutes k = 2 along the whole
+        # cycle, so each vertex pick must not scan the free vertices.
+        hg = parse("".join(f"e v{i} > v{(i + 1) % 5001}\n" for i in range(5001)))
+        start = time.perf_counter()
+        result = chromatic_number(hg)
+        elapsed = time.perf_counter() - start
+        assert result.chi == 3 and is_proper(hg, result.witness)
+        assert result.witness == find_proper_coloring(hg, 3)
+        assert elapsed < 1.0, elapsed
 
 
 def small_instances():
@@ -166,6 +179,78 @@ PINNED_WITNESSES = {
 def test_pinned_witnesses(group):
     expected, instances = PINNED_WITNESSES[group]
     assert _witness_digest(instances()) == expected
+
+
+def _chromatic_digest(instances):
+    digest = hashlib.sha256()
+    for hg in instances:
+        result = chromatic_number(hg)
+        w = result.witness
+        row = "-" if w is None else " ".join(str(w.assignment[v]) for v in hg.vertices)
+        digest.update(f"{result.chi}: {row}\n".encode())
+    return digest.hexdigest()[:16]
+
+
+# sha256 (first 16 hex digits) of chromatic_number's chi and witness on the
+# PINNED_WITNESSES groups, recorded when it ran the fixed-order search at
+# every k.
+PINNED_CHROMATIC = {
+    "random-18": "87c8c710d0476ac2",
+    "random-10-14": "f6a319c85930ea99",
+    "examples": "85f8cb5d8aade0dc",
+}
+
+
+@pytest.mark.parametrize("group", sorted(PINNED_CHROMATIC))
+def test_pinned_chromatic_numbers(group):
+    _, instances = PINNED_WITNESSES[group]
+    assert _chromatic_digest(instances()) == PINNED_CHROMATIC[group]
+
+
+# Colorable inputs (k = 2 and k = 3) on which the verdict search wrongly
+# answers "no" if a wiped-out vertex's reasons are left out of the conflict
+# set, and the first also if a backjump replaces its target's conflict set
+# instead of extending it.  Found by searching small planted instances, then
+# shrunk edge by edge.
+BACKJUMP_TRAPS = (
+    "e x2 x4 x7 > | e x0 x7 > | e x0 x1 x2 x8 > | e x4 > x0 x6 | e x2 x6 > | e x6 > x0 x1 x3"
+    " | e x0 x1 x7 > x8 | e > x6 x8 | e x8 > x0 x1 x5 | e x4 > x2 x3 x7",
+    "e > x3 x8 | e x2 x6 > x3 | e x1 > x4 | e x2 x8 > | e > x3 x4 | e x2 > x3 x5 x8 | e x1 x6 >"
+    " | e x6 > x4 | e x3 > x1 | e > x2 x5 x8",
+)
+
+
+def verdict_instances():
+    # gen_random draws with n 4..12 and tails 1..3, then general edges.
+    instances = []
+    for seed in range(400):
+        rng = random.Random(seed)
+        n, tails = rng.randint(4, 12), rng.randint(1, 3)
+        instances.append(gen_random(n, rng.randint(0, 4 * n), cond="none", seed=seed,
+                                    tail_range=(tails, tails)))
+    traps = [parse("".join(f"v x{i}\n" for i in range(9)) + text.replace(" | ", "\n"))
+             for text in BACKJUMP_TRAPS]
+    return instances + general_instances() + traps
+
+
+def test_verdict_search_agrees_with_witness_search():
+    verdicts = set()
+    for hg in verdict_instances():
+        index = _build_index(hg)
+        for k in (1, 2, 3, 4):
+            expected = find_proper_coloring(hg, k) is not None
+            assert (index is not None and _colorable(index, k)) == expected, (hg, k)
+            verdicts.add((k, expected))
+    assert verdicts == {(k, v) for k in (1, 2, 3, 4) for v in (False, True)}
+
+
+def test_chromatic_number_is_first_k_with_a_witness():
+    for hg in verdict_instances():
+        result = chromatic_number(hg, max_k=4)
+        witnesses = [find_proper_coloring(hg, k) for k in (1, 2, 3, 4)]
+        first = next((k for k, w in zip((1, 2, 3, 4), witnesses) if w is not None), None)
+        assert result.chi == first, hg
+        assert result.witness == (None if first is None else witnesses[first - 1]), hg
 
 
 def test_colorability_is_monotone_in_k():

@@ -41,8 +41,9 @@ coloring extends, so the verdict is exact.
 
 The witness is unchanged by this split: it still comes from the fixed-order
 search, now run only at chi.  When k^(n-1), the witness search's largest
-possible number of leaves, is small, that search alone gives the verdict at
-k, because running the verdict search first would cost more than it saves.
+possible number of leaves, is at most 2^16 (n <= 17 at k = 2, n <= 11 at
+k = 3), that search alone gives the verdict at k: measured on random inputs,
+running the verdict search first costs more than it saves below that size.
 
 Cost: the index is one pass over the edges; the verdict search's per-vertex
 incidence is built from it on first use.  A node of either search costs one
@@ -55,15 +56,31 @@ bounded by Python's recursion limit.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 from .core import Coloring, DirectedHypergraph
 
 DEFAULT_MAX_K = 8
-# The witness search has at most k^(n-1) leaves.  Up to this many, its own
-# verdict costs less than a verdict search followed by the witness search.
-_SMALL_TREE = 256
+# The witness search has at most k^(n-1) leaves.  Up to this many it settles
+# k alone: measured per (n, k) on random inputs, its own verdict cost less
+# than a verdict search followed by it at every (n, k) with at most 2^16
+# leaves, and the verdict search first paid off at n = 18, k = 2 (2^17).
+# The cut also bounds what skipping the verdict search can cost on an
+# adversarial input to a search of at most 2^16 leaves.
+_SMALL_TREE = 2 ** 16
+
+
+def _small_tree_n(k: int) -> int:
+    """The largest n with k^(n-1) <= _SMALL_TREE, found without big powers."""
+    if k == 1:
+        return sys.maxsize  # one leaf at every n
+    n, leaves = 1, k
+    while leaves <= _SMALL_TREE:
+        n += 1
+        leaves *= k
+    return n
 
 
 @dataclass(frozen=True)
@@ -335,7 +352,7 @@ def chromatic_number(hg: DirectedHypergraph, max_k: int = DEFAULT_MAX_K) -> Chro
     if index is not None:
         for k in range(2 if hg.edges else 1, max_k + 1):
             # Edges are non-empty, so k = 1 is proper only without edges.
-            if k ** (hg.n - 1) > _SMALL_TREE and not _colorable(index, k):
+            if hg.n > _small_tree_n(k) and not _colorable(index, k):
                 continue
             witness = find_proper_coloring(hg, k, _index=index)
             if witness is not None:

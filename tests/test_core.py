@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import random
 from itertools import product
 
@@ -246,29 +248,46 @@ class TestValidation:
         with pytest.raises(ValidationError):
             DirectedEdge(frozenset(), frozenset())
 
-    def test_frozenset_constructor_matches_dataclass(self):
+    def test_edge_constructor_semantics(self):
+        # DirectedEdge writes its own __init__; it must keep the dataclass
+        # value semantics: sides frozen from any iterable, vertices their
+        # union, the overlap check before the empty check, and equality,
+        # hash and repr over tail and head only.
         rng = random.Random(6)
         names = [f"x{i}" for i in range(6)]
+        wraps = (list, tuple, set, frozenset, iter)
         refused = set()
         for _ in range(300):
-            tail = frozenset(rng.sample(names, rng.randint(0, 3)))
-            head = frozenset(rng.sample(names, rng.randint(0, 3)))
-            try:
-                expected = DirectedEdge(tail, head)
-            except ValidationError as exc:
-                with pytest.raises(ValidationError) as got:
-                    DirectedEdge._of(tail, head)
-                assert str(got.value) == str(exc)
-                refused.add(str(exc).split(" on ")[0])
+            tail = rng.sample(names, rng.randint(0, 3))
+            head = rng.sample(names, rng.randint(0, 3))
+            tset, hset = frozenset(tail), frozenset(head)
+            built = [DirectedEdge(wrap(tail), wrap(head)) for wrap in wraps
+                     if not (tset & hset or not tset | hset)]
+            if tset & hset:
+                message = "head and tail overlap on {%s}" % ",".join(sorted(tset & hset))
+            elif not tset | hset:
+                message = "edge has no vertices"
+            else:
+                message = None
+            if message is not None:
+                for wrap in wraps:
+                    with pytest.raises(ValidationError) as got:
+                        DirectedEdge(wrap(tail), wrap(head))
+                    assert str(got.value) == message
+                refused.add(message.split(" on ")[0])
                 continue
-            built = DirectedEdge._of(tail, head)
-            assert built == expected and expected == built
-            assert hash(built) == hash(expected)
-            assert repr(built) == repr(expected)
-            assert built.vertices == expected.vertices == tail | head
-            assert len(built) == len(expected)
-            assert {built, expected} == {expected}
+            for e in built:
+                assert type(e.tail) is frozenset and type(e.head) is frozenset
+                assert (e.tail, e.head, e.vertices) == (tset, hset, tset | hset)
+                assert e == built[0] and hash(e) == hash(built[0])
+                assert repr(e) == f"DirectedEdge(tail={e.tail!r}, head={e.head!r})"
+                assert len(e) == len(tail) + len(head)
+                assert e == dataclasses.replace(e) and pickle.loads(pickle.dumps(e)) == e
+                assert pickle.loads(pickle.dumps(e)).vertices == e.vertices
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    e.tail = frozenset()
         assert refused == {"head and tail overlap", "edge has no vertices"}
+        assert [f.name for f in dataclasses.fields(DirectedEdge)] == ["tail", "head"]
 
     def test_coloring_index_bound(self):
         with pytest.raises(ValidationError):

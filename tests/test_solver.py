@@ -19,6 +19,7 @@ from dhcolor import (
     paper_r,
     parse,
 )
+from dhcolor import solver
 from dhcolor.solver import _build_index, _colorable
 from oracles import naive_first_proper
 
@@ -66,6 +67,12 @@ class TestChromaticNumber:
 
     def test_single_edge(self):
         assert chromatic_number(parse("e a b > c")).chi == 2
+
+    def test_edgeless_one_color(self):
+        for names in ((), ("a",), tuple(f"v{i}" for i in range(12))):
+            result = chromatic_number(DirectedHypergraph(names, ()))
+            assert result.chi == 1
+            assert result.witness == Coloring(dict.fromkeys(names, 0), 1)
 
     def test_witness_uses_exactly_chi_colors(self):
         for hg in (paper_i(), paper_r(), parse("e a b > c")):
@@ -201,8 +208,16 @@ PINNED_CHROMATIC = {
 }
 
 
+# chromatic_number takes the witness search's own verdict at k when that
+# search has at most _SMALL_TREE leaves; a cut of 0 sends every k >= 2
+# through the verdict search instead.  Both routes must give the same result.
+BOTH_ROUTES = pytest.mark.parametrize("cut", [0, solver._SMALL_TREE], ids=["verdict", "default"])
+
+
+@BOTH_ROUTES
 @pytest.mark.parametrize("group", sorted(PINNED_CHROMATIC))
-def test_pinned_chromatic_numbers(group):
+def test_pinned_chromatic_numbers(group, cut, monkeypatch):
+    monkeypatch.setattr(solver, "_SMALL_TREE", cut)
     _, instances = PINNED_WITNESSES[group]
     assert _chromatic_digest(instances()) == PINNED_CHROMATIC[group]
 
@@ -244,7 +259,9 @@ def test_verdict_search_agrees_with_witness_search():
     assert verdicts == {(k, v) for k in (1, 2, 3, 4) for v in (False, True)}
 
 
-def test_chromatic_number_is_first_k_with_a_witness():
+@BOTH_ROUTES
+def test_chromatic_number_is_first_k_with_a_witness(cut, monkeypatch):
+    monkeypatch.setattr(solver, "_SMALL_TREE", cut)
     for hg in verdict_instances():
         result = chromatic_number(hg, max_k=4)
         witnesses = [find_proper_coloring(hg, k) for k in (1, 2, 3, 4)]

@@ -469,6 +469,7 @@ def color_i0_4(hg: DirectedHypergraph, checked: bool = True) -> tuple[Coloring, 
     color = {v: BLUE for v in hn.vertices}
     nonblue = [0] * m
     greencnt = [0] * m
+    sizes = [len(e) for e in edges]
 
     def recolor(v: str, new: int) -> None:
         if color[v] != BLUE:
@@ -482,7 +483,11 @@ def color_i0_4(hg: DirectedHypergraph, checked: bool = True) -> tuple[Coloring, 
                 greencnt[idx] += 1
 
     def mono(idx: int, c: int) -> bool:
-        return all(color[u] == c for u in edges[idx].vertices)
+        # Vertices never return to blue and nonblue counts each vertex once,
+        # so it is exact: 0 means all blue, the edge size means none blue.
+        if c == BLUE:
+            return nonblue[idx] == 0
+        return nonblue[idx] == sizes[idx] and all(color[u] == c for u in edges[idx].vertices)
 
     for v in hn.vertices:
         trigger = next((i for i in by_head_rank[2].get(v, ()) if nonblue[i] == 0), None)
@@ -524,11 +529,9 @@ def color_i0_4(hg: DirectedHypergraph, checked: bool = True) -> tuple[Coloring, 
             recolor(v, YELLOW)
             trace.add(v, "colored-yellow", edge=trigger)
 
-    for idx in range(m):
-        for c in (BLUE, RED, GREEN, YELLOW):
-            if mono(idx, c):
-                trace.violate(f"edge {idx} monochromatic at termination")
-                break
+    for idx, e in enumerate(edges):
+        if len({color[u] for u in e.vertices}) == 1:
+            trace.violate(f"edge {idx} monochromatic at termination")
 
     coloring = _finish(hg, color, 4, trace, checked)
     return coloring, trace

@@ -50,11 +50,34 @@ def _emit(payload: dict, as_json: bool, human: list[str]) -> None:
 
 
 def _witness_lines(report) -> list[str]:
+    # Witnesses share a few distinct common rows, so each row's text is built once.
+    texts: dict[tuple, str] = {}
     lines = []
     for w in report.witnesses:
-        roles = ", ".join(f"{v}:{r1}/{r2}" for v, r1, r2 in w.common)
+        roles = texts.get(w.common)
+        if roles is None:
+            roles = texts[w.common] = ", ".join(f"{v}:{r1}/{r2}" for v, r1, r2 in w.common)
         lines.append(f"edges {w.i} {w.j}  common [{roles}]")
     return lines
+
+
+def _check_json(report) -> str:
+    """``json.dumps(payload, sort_keys=True)`` of a check's payload, where
+    payload is ``{"check", "avoided", "witnesses": [{"edges", "common"}]}``.
+
+    Each distinct common row goes through json.dumps once and the witness
+    entries are assembled around it, in sorted key order with json's
+    default separators.
+    """
+    texts: dict[tuple, str] = {}
+    entries = []
+    for w in report.witnesses:
+        common = texts.get(w.common)
+        if common is None:
+            common = texts[w.common] = json.dumps(w.common)
+        entries.append(f'{{"common": {common}, "edges": [{w.i}, {w.j}]}}')
+    return (f'{{"avoided": {json.dumps(report.avoided)}, "check": {json.dumps(report.pattern)}, '
+            f'"witnesses": [{", ".join(entries)}]}}')
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -65,13 +88,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
     else:
         report = check_condition(hg, args.cond)
         verdict = "satisfied" if report.avoided else "violated"
-    payload = {
-        "check": report.pattern,
-        "avoided": report.avoided,
-        "witnesses": [{"edges": (w.i, w.j), "common": w.common} for w in report.witnesses],
-    }
-    human = [] if args.json else [f"{report.pattern}: {verdict}"] + _witness_lines(report)
-    _emit(payload, args.json, human)
+    if args.json:
+        print(_check_json(report))
+    else:
+        print("\n".join([f"{report.pattern}: {verdict}"] + _witness_lines(report)))
     return 0 if report.avoided else 1
 
 
@@ -90,10 +110,10 @@ def _cmd_color(args: argparse.Namespace) -> int:
     try:
         coloring, trace = algo(hg, checked)
     except PreconditionError as exc:
-        print(f"precondition violated: {exc}", file=sys.stderr)
+        lines = [f"precondition violated: {exc}"]
         if exc.report is not None:
-            for line in _witness_lines(exc.report):
-                print(line, file=sys.stderr)
+            lines += _witness_lines(exc.report)
+        sys.stderr.write("\n".join(lines) + "\n")
         return 1
     proper = is_proper(hg, coloring)
     text = serialize_coloring(hg, coloring)

@@ -223,24 +223,36 @@ def normalize(hg: DirectedHypergraph) -> DirectedHypergraph:
     identical vertex sets the first survives.  Any proper coloring of the
     result is a proper coloring of the input, because a dropped edge is a
     superset of a kept one and monochromaticity only depends on vertex sets.
-    Edges are non-empty, so only pairs sharing a vertex can be nested; those
-    come from the pattern module's incidence walk.  When no edge is dropped
-    the result is ``hg`` itself.
-    """
-    from .patterns import edge_masks, later_partners  # patterns imports this module
+    When no edge is dropped the result is ``hg`` itself.
 
-    full = [h | t for h, t in edge_masks(hg)]
-    redundant = [False] * len(full)
-    for i, later in later_partners(hg):
-        for j in later:
-            both = full[i] & full[j]
-            if both == full[i]:  # i is a subset of j, or equal and first
-                redundant[j] = True
-            elif both == full[j]:
-                redundant[i] = True
-    if not any(redundant):
+    Each vertex position holds a bitset of the edges containing it, so the
+    edges whose vertex set contains edge i's are the AND of its vertices'
+    bitsets: |e| big-int ANDs per edge, with no walk over edge pairs.  Edges
+    are visited in order and each one not yet dropped drops all its other
+    supersets.  That is the rule above: an edge i still standing has no equal
+    copy before it (that copy, or whatever dropped it, would have dropped i),
+    and an edge that should go has a kept edge inside it, which drops it.
+    """
+    pos = hg.positions
+    incidence = [0] * len(hg.vertices)  # bit k: edge k contains the vertex
+    rows = []
+    for k, e in enumerate(hg.edges):
+        bit = 1 << k
+        row = [pos[v] for v in e.vertices]
+        for p in row:
+            incidence[p] |= bit
+        rows.append(row)
+    dropped = 0
+    for i, row in enumerate(rows):
+        if dropped >> i & 1:
+            continue
+        supersets = incidence[row[0]]
+        for p in row[1:]:
+            supersets &= incidence[p]
+        dropped |= supersets ^ (1 << i)
+    if not dropped:
         return hg  # keeps its cached positions; nothing to revalidate
-    kept = tuple(e for e, drop in zip(hg.edges, redundant) if not drop)
+    kept = tuple(e for k, e in enumerate(hg.edges) if not dropped >> k & 1)
     return DirectedHypergraph(hg.vertices, kept)
 
 

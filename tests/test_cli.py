@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -9,8 +10,10 @@ import pytest
 
 from dhcolor import (
     CONDITION_IDS,
+    PATTERN_IDS,
     Coloring,
     check_condition,
+    contains_pattern,
     gen_h2_tower,
     is_proper,
     normalize,
@@ -93,6 +96,97 @@ class TestCheck:
         path = tmp_path / "big.dhg"
         path.write_text("e a b c > d\n")
         assert main(["check", str(path), "--pattern", "H2"]) == 2
+
+
+# sha256 of the exact bytes printed by the plain encoders the CLI used before
+# it encoded each distinct witness row once: json.dumps(payload,
+# sort_keys=True) of the whole check payload, and one print per witness line.
+H5_CHECK_DIGESTS = {  # (check, --json) -> stdout digest
+    ("onehead-h1", False): "7ee82f21bf9836ee3f4d39eab2d5906341c03439a45c9e1fd2287714a1e3b3d3",
+    ("onehead-h1", True): "fb1b5dbbdcddacc2df2a475a3ca23cb5580f87dc6b5cc6f28b09ccbda5d65066",
+    ("i0-free", False): "76ab58efa8c82faab7acbdccb4688a71ac0622c29bb7e86279a77c70227dc3f6",
+    ("i0-free", True): "952b9696c539aee0d14a5984e4b0cf84e1bef41bbb9bf7adb578d31fe8cad004",
+    ("r4-free", False): "b5d1bf535806c7746b7d5e1fc95b4840528849acd12bf20401c5139a293f4508",
+    ("r4-free", True): "fb5aeb698240bf87c931b317495b7a9981304d11ed6c9a31e37173d54c6bd89c",
+    ("i0r4-free", False): "8cc4bed6dbd046cc7f8d4bc81c8fe936604627ef7d6ada4c67e6844fd5f4d7b5",
+    ("i0r4-free", True): "65151e9d88b15cc0e854cbecc24455b843b9bf322912e2a8f61b5d6887e99e5d",
+    ("lovasz", False): "d2e70abf41fc7098aa52fe1d4d01c08c647379fc503edb840e053a8b19ae4270",
+    ("lovasz", True): "3ec8ba9e04a14a3b594ff1d43143d81db49d6aec60ea6aedf96de4e3c7875818",
+    ("h2-two-intersect", False): "6ad03aec27d02d08bf97365e880b59735f86af392c47913b63297c8096a69004",
+    ("h2-two-intersect", True): "77d6dd0d7851b9f9f7f566fe240953dd5c907a10b4c4c50a6167a02c68526ead",
+    ("tails-only-2-intersect", False): "c64393e796569ffeac20153dad652b7cf818b2084e993e0cb454e5321ae57509",
+    ("tails-only-2-intersect", True): "c478795cc1fc046ea7eaee57944b2ea5bba7ac6a0a1eb6e04a939288cb79c99b",
+    ("H2", False): "8a469a72a1c5d87b0cb1cd6bf3d441af7db8dbe690dbd87fc2fe3f5cf710dca3",
+    ("H2", True): "2df42e5acfcc5dc76a95f3f08bcf61158831b24f9a199dec5056620dafc0904f",
+    ("I1", False): "eedbf7c367c06732f6b7907ae05c1bb4cfe84f62511a157119ca656a9c7ec5c2",
+    ("I1", True): "c4f692099512124d2d7d4fd6a931d81e2c5bf6e5d4468300f123dbcdf419ddc2",
+    ("R3", False): "217b1b4bc2fc175e47994d2490516438a706beb0eecab40db68a09d41ae83de8",
+    ("R3", True): "5de2bcc22992cb61617021d012bdd06173e0b225248d037cc4135dfe5302fa3a",
+    ("E", False): "d814d1dac27bfebdd162835614a2e2f6a5860d6b5b1a520002d54f96ab2fee53",
+    ("E", True): "3cfb0cc33fad07ee54e59ee8402ae6d5ace879f1b96cb96d6e5ae36c8c2313b0",
+    ("I0", False): "59d2a0f4e8cadb923247a59a30434dbaf269518f250d3d56fa1829efe82a5f16",
+    ("I0", True): "878390bc8d4008d1de5cc2adc60049940c19c3fa13351995ecff84b34945e664",
+    ("H1", False): "7474b1078710f5bbbb970789576a4a962bc0ad8840646153931b8352d803676b",
+    ("H1", True): "2d1ce822dd7cfa8d8caf2cf935382ea7544816e30dfcae122db5643684b6303f",
+    ("R4", False): "7909a34c6a11e5160755ebb4219c52054fcb09172eabe302e3b624aaed90b639",
+    ("R4", True): "e85612a9361ea6af0ffc3986c2bffbff3c1bc46d431d6225dd8ffa1793c05c74",
+}
+H6_HT3_STDERR_DIGEST = "e7647c70494a3a28199f0109989b3416d2501f3ca88736babab082205bda00c5"
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+class TestGoldenOutput:
+    """Witness output is byte-identical to the plain encoders' output."""
+
+    def test_check_stdout_on_h2_tower_5(self, tmp_path, capsys):
+        path = tmp_path / "h5.dhg"
+        path.write_text(serialize(gen_h2_tower(5)))
+        for check in CONDITION_IDS + PATTERN_IDS:
+            flag = "--pattern" if check in PATTERN_IDS else "--cond"
+            for as_json in (False, True):
+                main(["check", str(path), flag, check] + ["--json"] * as_json)
+                captured = capsys.readouterr()
+                assert captured.err == ""
+                assert _sha256(captured.out) == H5_CHECK_DIGESTS[check, as_json], (check, as_json)
+
+    def test_ht3_rejection_stderr_on_h2_tower_6(self, tmp_path, capsys):
+        path = tmp_path / "h6.dhg"
+        path.write_text(serialize(gen_h2_tower(6)))
+        assert main(["color", str(path), "--algo", "ht3", "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") > 27_000
+        assert _sha256(captured.err) == H6_HT3_STDERR_DIGEST
+
+    @pytest.mark.parametrize("flag, check", [
+        ("--cond", "lovasz"), ("--cond", "i0-free"), ("--cond", "h2-two-intersect"),
+        ("--pattern", "R4"), ("--pattern", "I0"), ("--pattern", "E"),
+    ])
+    def test_json_escapes_vertex_names_like_json_dumps(self, tmp_path, capsys, flag, check):
+        # Names that json must escape: a quote, a backslash, a non-ASCII
+        # letter and a control character.
+        text = '\n'.join([
+            'e "q \\b > \u00e9',
+            'e \u00e9 \x01 > z',
+            'e "q \x01 > \u00e9',
+            'e z w > \\b',
+            'e w y > \u00e9',
+            'e "q \\b > y',
+        ]) + '\n'
+        path = tmp_path / "names.dhg"
+        path.write_text(text, encoding="utf-8")
+        hg = parse(text)
+        assert {'"q', "\\b", "\u00e9", "\x01"} <= set(hg.vertices)
+        report = (contains_pattern if flag == "--pattern" else check_condition)(hg, check)
+        payload = {
+            "check": report.pattern,
+            "avoided": report.avoided,
+            "witnesses": [{"edges": [w.i, w.j], "common": w.common} for w in report.witnesses],
+        }
+        assert main(["check", str(path), flag, check, "--json"]) == int(not report.avoided)
+        assert capsys.readouterr().out == json.dumps(payload, sort_keys=True) + "\n"
 
 
 class TestColor:

@@ -1,7 +1,7 @@
 import dataclasses
 import pickle
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -23,7 +23,7 @@ from dhcolor import (
     serialize_coloring,
 )
 from dhcolor.core import _check_name
-from oracles import naive_parse
+from oracles import naive_normalized_edges, naive_parse
 
 PAPER_I_TEXT = """\
 e v1 v2 > v3
@@ -207,6 +207,113 @@ class TestNormalize:
         sets = [e.vertices for e in hg.edges]
         assert not any(a <= b for i, a in enumerate(sets) for j, b in enumerate(sets) if i != j)
         assert normalize(hg) == hg
+
+
+def _roles(vertices, rng):
+    """An edge on exactly these vertices with a random head/tail split."""
+    vs = list(vertices)
+    rng.shuffle(vs)
+    cut = rng.randint(0, len(vs))
+    return edge(vs[:cut], vs[cut:])
+
+
+def nested_instance(seed):
+    """Seeded input of 70..200 edges, so the incidence bitsets span several
+    machine words, full of nesting: chains A < B < C, copies of earlier vertex
+    sets under other roles, subsets and supersets of earlier edges, and
+    single-vertex edges, in shuffled order."""
+    rng = random.Random(seed)
+    names = [f"u{i}" for i in range(rng.randint(8, 30))]
+    sets = []
+    while len(sets) < rng.randint(70, 200):
+        roll = rng.random()
+        if sets and roll < 0.25:  # same vertex set as an earlier edge
+            sets.append(rng.choice(sets))
+        elif sets and roll < 0.4:  # a superset of an earlier edge
+            extra = rng.sample(names, rng.randint(1, 3))
+            sets.append(rng.choice(sets) | frozenset(extra))
+        elif sets and roll < 0.5:  # a non-empty subset of an earlier edge
+            base = sorted(rng.choice(sets))
+            sets.append(frozenset(rng.sample(base, rng.randint(1, len(base)))))
+        elif roll < 0.55:
+            sets.append(frozenset([rng.choice(names)]))
+        elif roll < 0.65:  # a chain A < B < C
+            chain = rng.sample(names, 5)
+            sets += [frozenset(chain[:k]) for k in (2, 3, 5)]
+        else:
+            sets.append(frozenset(rng.sample(names, rng.randint(2, 6))))
+    rng.shuffle(sets)
+    return DirectedHypergraph(tuple(names), tuple(_roles(s, rng) for s in sets))
+
+
+class TestNormalizeAgainstNaive:
+    """normalize against the all-pairs subset rule on inputs with m > 64."""
+
+    def test_seeded_nested_inputs(self):
+        dropped = 0
+        for seed in range(60):
+            hg = nested_instance(seed)
+            assert len(hg.edges) > 64
+            out = normalize(hg)
+            assert out.edges == naive_normalized_edges(hg), seed
+            assert out.vertices == hg.vertices
+            dropped += len(hg.edges) - len(out.edges)
+        assert dropped > 0
+
+    def test_chains_and_role_copies(self):
+        rng = random.Random(5)
+        # 30 chains A < B < C on their own vertices, each set also repeated
+        # under other roles; the copies come before and after the original.
+        edges = []
+        for c in range(30):
+            vs = [f"c{c}_{k}" for k in range(4)]
+            for k in (4, 3, 2):
+                edges += [_roles(vs[:k], rng), _roles(vs[:k], rng)]
+        rng.shuffle(edges)
+        hg = DirectedHypergraph(tuple(sorted({v for e in edges for v in e.vertices})),
+                                tuple(edges))
+        out = normalize(hg)
+        assert len(hg.edges) == 180
+        assert out.edges == naive_normalized_edges(hg)
+        assert len(out.edges) == 30 and all(len(e) == 2 for e in out.edges)
+
+    def test_earlier_copy_is_superset_of_a_third_edge(self):
+        # Edge 0 and edge 80 share a vertex set; edge 100 lies inside both,
+        # so both go, and edge 0 must not save 80 by being first.
+        filler = [edge([f"f{i}", f"g{i}"], [f"h{i}"]) for i in range(1, 100)]
+        edges = [edge(["a", "b"], ["c", "d"])] + filler
+        edges[80] = edge(["c"], ["a", "b", "d"])
+        edges.append(edge(["a"], ["b"]))
+        hg = DirectedHypergraph(
+            tuple(sorted({v for e in edges for v in e.vertices})), tuple(edges))
+        out = normalize(hg)
+        assert out.edges == naive_normalized_edges(hg)
+        assert edges[0] not in out.edges and edges[80] not in out.edges
+        assert out.edges[-1] == edge(["a"], ["b"]) and len(out.edges) == 99
+
+    def test_single_vertex_edges(self):
+        # A one-vertex edge drops every other edge through its vertex,
+        # including a later one-vertex edge on the same vertex.
+        names = tuple(f"s{i}" for i in range(12))
+        edges = [edge(t, [h]) for t, h in zip(
+            [(names[i], names[(i + 1) % 12]) for i in range(12)] * 6,
+            [names[(i + 5) % 12] for i in range(12)] * 6)]
+        edges.insert(40, edge([], ["s3"]))
+        edges.insert(70, edge(["s3"], []))
+        hg = DirectedHypergraph(names, tuple(edges))
+        out = normalize(hg)
+        assert len(hg.edges) == 74
+        assert out.edges == naive_normalized_edges(hg)
+        assert edge([], ["s3"]) in out.edges and edge(["s3"], []) not in out.edges
+        assert all(e == edge([], ["s3"]) or "s3" not in e.vertices for e in out.edges)
+
+    def test_nothing_dropped_with_many_edges(self):
+        # All 84 3-sets of nine vertices: none holds another.
+        names = tuple(f"t{i}" for i in range(9))
+        hg = DirectedHypergraph(names, tuple(
+            edge([a, b], [c]) for a, b, c in combinations(names, 3)))
+        assert len(hg.edges) == 84
+        assert normalize(hg) is hg
 
 
 class TestIsProper:

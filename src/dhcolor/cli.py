@@ -53,11 +53,11 @@ def _witness_lines(report) -> list[str]:
     # Witnesses share a few distinct common rows, so each row's text is built once.
     texts: dict[tuple, str] = {}
     lines = []
-    for w in report.witnesses:
-        roles = texts.get(w.common)
+    for i, j, common in report.witnesses:
+        roles = texts.get(common)
         if roles is None:
-            roles = texts[w.common] = ", ".join(f"{v}:{r1}/{r2}" for v, r1, r2 in w.common)
-        lines.append(f"edges {w.i} {w.j}  common [{roles}]")
+            roles = texts[common] = ", ".join(f"{v}:{r1}/{r2}" for v, r1, r2 in common)
+        lines.append(f"edges {i} {j}  common [{roles}]")
     return lines
 
 
@@ -71,11 +71,11 @@ def _check_json(report) -> str:
     """
     texts: dict[tuple, str] = {}
     entries = []
-    for w in report.witnesses:
-        common = texts.get(w.common)
-        if common is None:
-            common = texts[w.common] = json.dumps(w.common)
-        entries.append(f'{{"common": {common}, "edges": [{w.i}, {w.j}]}}')
+    for i, j, common in report.witnesses:
+        text = texts.get(common)
+        if text is None:
+            text = texts[common] = json.dumps(common)
+        entries.append(f'{{"common": {text}, "edges": [{i}, {j}]}}')
     return (f'{{"avoided": {json.dumps(report.avoided)}, "check": {json.dumps(report.pattern)}, '
             f'"witnesses": [{", ".join(entries)}]}}')
 

@@ -13,12 +13,16 @@ from itertools import permutations
 from math import comb
 
 from .core import DirectedEdge, DirectedHypergraph
-from .patterns import CONDITION_IDS, VIOLATING_CODES, pair_code
+from .patterns import CONDITION_IDS, VIOLATING_CODES, matching_partners
 
 GENERATOR_KINDS = ("paper-i", "paper-r", "h2-tower", "perm-tower", "random")
 H2_TOWER_MAX_LEVEL = 6
 PERM_TOWER_MAX_LEVEL = 3
 REJECTION_ATTEMPTS_PER_EDGE = 100
+# gen_random keeps per-vertex lists of its accepted edges only when asked for
+# more edges than this; below it, testing a draw against every accepted edge
+# costs less (the two cost the same near 150 edges at n = 50..200).
+INCIDENCE_MIN_EDGES = 128
 
 
 def _edge21(t1: str, t2: str, h: str) -> DirectedEdge:
@@ -147,13 +151,23 @@ def gen_random(
     rng = random.Random(seed)
     budget = REJECTION_ATTEMPTS_PER_EDGE * m if max_attempts is None else max_attempts
     bad = VIOLATING_CODES.get(cond, 0)
-    accepted: list[tuple[int, int]] = []  # (head mask, tail mask)
+    heads: list[int] = []  # head mask of each accepted edge
+    tails: list[int] = []
+    # A draw is tested against the accepted edges in one pair-kernel call,
+    # which stops at the first violation.  Only edges sharing a vertex with
+    # the draw can violate, so on large requests each vertex keeps the
+    # accepted edges holding it and the draw meets those alone.
+    holding = [[] for _ in range(n)] if bad and m > INCIDENCE_MIN_EDGES else None
     used_sets: set[int] = set()
     # Once every vertex set of a drawable size is used, no draw can be kept.
     capacity = sum(comb(n, size + 1) for size in range(lo, hi + 1))
+    # Draws repeat when the attempts outnumber the vertex sets.  Then a
+    # refused draw is remembered and refused again without a test, as the
+    # accepted edges only grow.
+    refused: set[int] | None = set() if bad and capacity < budget else None
 
     attempts = 0
-    while len(accepted) < m and attempts < budget and len(used_sets) < capacity:
+    while len(heads) < m and attempts < budget and len(used_sets) < capacity:
         attempts += 1
         size = rng.randint(lo, hi)
         picks = rng.sample(range(n), size + 1)
@@ -164,9 +178,24 @@ def gen_random(
         full_mask = tail_mask | head_mask
         if full_mask in used_sets:
             continue
-        if bad and any(bad >> pair_code(head_mask, tail_mask, h, t) & 1 for h, t in accepted):
-            continue
-        accepted.append((head_mask, tail_mask))
+        if bad:
+            if refused is not None:
+                draw = tail_mask << n | head_mask
+                if draw in refused:
+                    continue
+            if holding is None:
+                near = range(len(heads))
+            else:
+                near = [k for p in picks for k in holding[p]]
+            if next(matching_partners(head_mask, tail_mask, near, heads, tails, bad), None):
+                if refused is not None:
+                    refused.add(draw)
+                continue
+            if holding is not None:
+                for p in picks:
+                    holding[p].append(len(heads))
+        heads.append(head_mask)
+        tails.append(tail_mask)
         used_sets.add(full_mask)
 
     names = tuple(f"v{i + 1}" for i in range(n))
@@ -175,7 +204,7 @@ def gen_random(
             frozenset(names[i] for i in range(n) if tmask & (1 << i)),
             frozenset((names[hmask.bit_length() - 1],)),
         )
-        for hmask, tmask in accepted
+        for hmask, tmask in zip(heads, tails)
     )
     return DirectedHypergraph(names, edges)
 

@@ -15,25 +15,29 @@ Because every pattern has exactly two edges, containment reduces to
 classifying each edge pair; no general subhypergraph isomorphism is needed.
 
 Cost model.  Each edge is held as a head bitmask and a tail bitmask over
-vertex positions, and ``pair_code`` classifies a pair from those four masks
-alone; the pattern of a pair and its verdict under each condition are table
-lookups on that code.  Pairs with no shared vertex are never examined: they
-match no pattern and satisfy every condition.  Every code also guarantees a
-role class at some shared vertex: head of both edges (I0, I1), tail of both
-(H1, H2), or head of one and tail of the other (R4, R3, E).  Each vertex keeps
-a head-incidence list (edges it heads) and a tail-incidence list, and
-``later_partners`` pairs up only the lists the requested classes need, so a
-check costs the sum over vertices of the products of those list sizes
-(head x head for I0 or i0-free, head x tail for R4 or r4-free, and the
-squared degree when every class is needed) rather than m^2.  Witnesses come
-out in ascending (i, j) order.
+vertex positions, and ``matching_partners`` classifies pairs from those
+masks alone; the pattern of a pair and its verdict under each condition are
+table lookups on its code.  Pairs with no shared vertex are never examined:
+they match no pattern and satisfy every condition.  Every code also
+guarantees a role class at some shared vertex: head of both edges (I0, I1),
+tail of both (H1, H2), or head of one and tail of the other (R4, R3, E).
+Each vertex keeps a head-incidence list (edges it heads) and a
+tail-incidence list, and ``later_partners`` pairs up only the lists the
+requested classes need, so a check costs the sum over vertices of the
+products of those list sizes (head x head for I0 or i0-free, head x tail for
+R4 or r4-free, and the squared degree when every class is needed) rather
+than m^2.  Each edge's whole partner list goes to the kernel in one call,
+which yields only the matching partners, so no pair costs a function call.
+A witness is a named tuple, and each distinct shared-vertex row is built
+once and shared by every witness that has it.  Witnesses come out in
+ascending (i, j) order.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .core import DirectedEdge, DirectedHypergraph, is_two_to_one
 
@@ -62,9 +66,11 @@ CONDITION_IDS = (
 )
 
 
-@dataclass(frozen=True)
-class IntersectionProfile:
-    """Shared vertices of the edge pair (i, j) with their role in each edge."""
+class IntersectionProfile(NamedTuple):
+    """Shared vertices of the edge pair (i, j) with their role in each edge.
+
+    A named tuple: it unpacks as ``i, j, common`` and equals ``(i, j, common)``.
+    """
 
     i: int
     j: int
@@ -84,11 +90,11 @@ class PatternReport:
             raise ValueError("avoided flag inconsistent with witness list")
 
 
-# Intersection codes returned by pair_code, one row each: the pattern the
-# pair realizes (for 2->1 edges), the conditions it violates, and the role
-# class it guarantees at some shared vertex (a head of both edges, a tail of
-# both, or a head of one and a tail of the other; this holds for general
-# edges, not only 2->1 ones).  Each condition constrains only one- or
+# Intersection codes of matching_partners and pair_code, one row each: the
+# pattern the pair realizes (for 2->1 edges), the conditions it violates, and
+# the role class it guarantees at some shared vertex (a head of both edges, a
+# tail of both, or a head of one and a tail of the other; this holds for
+# general edges, not only 2->1 ones).  Each condition constrains only one- or
 # two-vertex intersections, so pairs sharing no vertex or three or more are
 # code 0 and pass everything.
 HEAD_HEAD, TAIL_TAIL, HEAD_TAIL = 1, 2, 4
@@ -125,22 +131,50 @@ def roles_of(codes: int) -> int:
     return roles
 
 
+def matching_partners(h1: int, t1: int, partners: Iterable[int], heads: Sequence[int],
+                      tails: Sequence[int], codes: int) -> Iterator[tuple[int, int, int]]:
+    """(j, code, common mask) for each j in partners whose pair with the edge
+    (h1, t1) has an intersection code in the codes mask, in partner order.
+
+    heads[j] and tails[j] are edge j's head and tail bitmasks.  Code 0 (no
+    shared vertex, or three or more) never matches.  This is the one place
+    pairs are classified: a check makes one call per edge over its whole
+    partner list, so no pair costs a function call, and a caller that needs
+    only the first match stops there.
+    """
+    v1 = h1 | t1
+    for j in partners:
+        h2 = heads[j]
+        t2 = tails[j]
+        common = v1 & (h2 | t2)
+        size = common.bit_count()
+        if size == 1:
+            if common & h1:
+                code = _I0 if common & h2 else _R4
+            else:
+                code = _R4 if common & h2 else _H1
+        elif size == 2:
+            in_t1 = common & t1 == common
+            in_t2 = common & t2 == common
+            if in_t1 and in_t2:
+                code = _H2 if t1 == common == t2 else _H2_WIDE
+            elif in_t1 or in_t2:
+                code = _R3
+            else:
+                code = _I1 if h1 & h2 & common else _E
+        else:
+            continue
+        if codes >> code & 1:
+            yield j, code, common
+
+
+_ANY_CODE = (1 << len(_CODE_TABLE)) - 2  # every code but 0
+
+
 def pair_code(h1: int, t1: int, h2: int, t2: int) -> int:
     """Intersection code of two edges given as head/tail vertex bitmasks."""
-    common = (h1 | t1) & (h2 | t2)
-    size = common.bit_count()
-    if size == 1:
-        if common & h1:
-            return _I0 if common & h2 else _R4
-        return _R4 if common & h2 else _H1
-    if size == 2:
-        in_t1 = common & t1 == common
-        in_t2 = common & t2 == common
-        if in_t1 and in_t2:
-            return _H2 if t1 == common == t2 else _H2_WIDE
-        if in_t1 or in_t2:
-            return _R3
-        return _I1 if h1 & h2 & common else _E
+    for _, code, _ in matching_partners(h1, t1, (0,), (h2,), (t2,), _ANY_CODE):
+        return code
     return 0
 
 
@@ -203,37 +237,40 @@ def later_partners(hg: DirectedHypergraph,
         yield i, sorted(later)
 
 
-def _profile(hg: DirectedHypergraph, i: int, j: int,
-             h1: int, t1: int, h2: int, t2: int) -> IntersectionProfile:
-    common = (h1 | t1) & (h2 | t2)
-    names = hg.vertices
+def _rows(names: tuple[str, ...], common: int,
+          h1: int, h2: int) -> tuple[tuple[str, str, str], ...]:
+    """(vertex, role in edge 1, role in edge 2) for each vertex in the common mask."""
     rows = []
     while common:
         low = common & -common
         rows.append((names[low.bit_length() - 1],
                      "head" if h1 & low else "tail", "head" if h2 & low else "tail"))
         common ^= low
-    return IntersectionProfile(i, j, tuple(rows))
+    return tuple(rows)
 
 
 def _witnesses(hg: DirectedHypergraph, codes: int) -> tuple[IntersectionProfile, ...]:
     """Profiles of the vertex-sharing pairs whose code is in the codes mask."""
     masks = edge_masks(hg)
+    heads = [h for h, _ in masks]
+    tails = [t for _, t in masks]
+    names = hg.vertices
     # Witnesses often repeat one shared vertex set with the same roles, so
     # their rows are built once and shared.
     rows_of: dict[tuple[int, int, int], tuple[tuple[str, str, str], ...]] = {}
     out = []
+    new = tuple.__new__  # IntersectionProfile(i, j, rows) without the generated __new__'s frame
     for i, later in later_partners(hg, roles_of(codes)):
-        h1, t1 = masks[i]
-        for j in later:
-            h2, t2 = masks[j]
-            if codes >> pair_code(h1, t1, h2, t2) & 1:
-                common = (h1 | t1) & (h2 | t2)
-                key = (common, h1 & common, h2 & common)
-                rows = rows_of.get(key)
-                if rows is None:
-                    rows = rows_of[key] = _profile(hg, i, j, h1, t1, h2, t2).common
-                out.append(IntersectionProfile(i, j, rows))
+        if not later:  # most edges of a sparse input: skip the kernel call
+            continue
+        h1 = heads[i]
+        for j, _, common in matching_partners(h1, tails[i], later, heads, tails, codes):
+            h2 = heads[j]
+            key = (common, h1 & common, h2 & common)
+            rows = rows_of.get(key)
+            if rows is None:
+                rows = rows_of[key] = _rows(names, common, h1, h2)
+            out.append(new(IntersectionProfile, (i, j, rows)))
     return tuple(out)
 
 
@@ -247,7 +284,8 @@ def classify_intersection(hg: DirectedHypergraph, i: int, j: int) -> Intersectio
     if not 0 <= i < j < len(hg.edges):
         raise IndexError(f"edge pair ({i}, {j}) out of range")
     pos = hg.positions
-    return _profile(hg, i, j, *_masks(hg.edges[i], pos), *_masks(hg.edges[j], pos))
+    (h1, t1), (h2, t2) = _masks(hg.edges[i], pos), _masks(hg.edges[j], pos)
+    return IntersectionProfile(i, j, _rows(hg.vertices, (h1 | t1) & (h2 | t2), h1, h2))
 
 
 def classify_pair(e1: DirectedEdge, e2: DirectedEdge) -> str | None:

@@ -78,6 +78,11 @@ _VIOLATES = {
 }
 
 
+def naive_pair_violates(e1: DirectedEdge, e2: DirectedEdge, cond: str) -> bool:
+    """Whether the pair (e1, e2) violates the condition, from its shared vertex set."""
+    return _VIOLATES[cond](e1, e2, (e1.tail | e1.head) & (e2.tail | e2.head))
+
+
 WitnessRow = tuple[int, int, tuple[tuple[str, str, str], ...]]
 
 
@@ -95,7 +100,7 @@ def naive_condition_witnesses(hg: DirectedHypergraph, cond: str) -> list[Witness
     """(i, j, common) for every violating pair i < j, scanning all m^2 pairs."""
     rows = []
     for (i, e1), (j, e2) in combinations(enumerate(hg.edges), 2):
-        if _VIOLATES[cond](e1, e2, (e1.tail | e1.head) & (e2.tail | e2.head)):
+        if naive_pair_violates(e1, e2, cond):
             rows.append(_row(hg, i, j))
     return rows
 

@@ -16,6 +16,7 @@ from dhcolor import (
     parse,
     serialize,
 )
+from dhcolor.generators import INCIDENCE_MIN_EDGES
 
 
 class TestGenSpec:
@@ -181,6 +182,44 @@ class TestGenRandom:
                         hg = gen_random(n, m, cond=cond, seed=seed, tail_range=tails)
                         digest.update(serialize(hg).encode() + b"\0")
         assert digest.hexdigest()[:16] == self.PINNED[cond]
+
+    # sha256 (first 16 hex digits) of single large draws, recorded before
+    # gen_random tested draws through per-vertex lists of its accepted edges
+    # (used only above INCIDENCE_MIN_EDGES requested edges, which the grid
+    # above never reaches) or remembered refused draws (which it does only
+    # on the small grid): (n, m, cond, seed, tails) -> digest.
+    LARGE_PINNED = {
+        (100, 200, "onehead-h1", 1000, (2, 2)): "2ca37d20d7cfad2a",
+        (100, 400, "r4-free", 1001, (2, 2)): "b40174a081638069",
+        (200, 800, "r4-free", 1002, (2, 2)): "0b55365352440989",
+        (100, 200, "i0r4-free", 1003, (2, 2)): "cb2feeae86a51cb0",
+        (200, 800, "tails-only-2-intersect", 1101, (2, 2)): "6476560dac8d1068",
+        (100, 200, "onehead-h1", 1000, (2, 5)): "ee7e6db545f61cf4",
+        (100, 400, "r4-free", 1001, (2, 5)): "7f1f49beeb5b39a3",
+        (200, 800, "r4-free", 1002, (2, 5)): "7dc5fa858317a3c6",
+        (100, 200, "i0r4-free", 1003, (2, 5)): "493b4cb83520075e",
+        (200, 800, "tails-only-2-intersect", 1101, (2, 5)): "40135028093bbaa4",
+    }
+
+    @pytest.mark.parametrize("params", LARGE_PINNED)
+    def test_large_outputs_pinned(self, params):
+        n, m, cond, seed, tails = params
+        hg = gen_random(n, m, cond=cond, seed=seed, tail_range=tails)
+        assert m > INCIDENCE_MIN_EDGES
+        assert hashlib.sha256(serialize(hg).encode()).hexdigest()[:16] == self.LARGE_PINNED[params]
+        assert check_condition(hg, cond).avoided
+
+    def test_vertex_lists_do_not_change_draws(self, monkeypatch):
+        # Both ways of finding the accepted edges a draw meets keep the same
+        # draws, on small inputs that saturate and on larger ones that do not.
+        import dhcolor.generators as generators
+
+        grid = [(n, m, cond, seed, tails) for cond in CONDITION_IDS for seed in range(3)
+                for n, m in ((5, 9), (9, 18), (30, 60)) for tails in ((2, 2), (2, 5))]
+        scanned = [gen_random(n, m, cond=c, seed=s, tail_range=t) for n, m, c, s, t in grid]
+        monkeypatch.setattr(generators, "INCIDENCE_MIN_EDGES", 0)
+        assert [gen_random(n, m, cond=c, seed=s, tail_range=t)
+                for n, m, c, s, t in grid] == scanned
 
     def test_saturated_vertex_sets(self):
         # n=3 holds one 3-set and n=4 four; a larger budget changes nothing.

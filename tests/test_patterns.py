@@ -1,5 +1,7 @@
+import pickle
 import random
-from itertools import combinations
+from dataclasses import dataclass
+from itertools import combinations, product
 
 import pytest
 
@@ -23,13 +25,16 @@ from dhcolor import (
     parse,
 )
 from dhcolor.patterns import (
+    _PATTERN_CODES,
     ALL_ROLES,
     HEAD_HEAD,
     HEAD_TAIL,
     TAIL_TAIL,
     VIOLATING_CODES,
+    IntersectionProfile,
     edge_masks,
     later_partners,
+    matching_partners,
     pair_code,
     roles_of,
 )
@@ -38,6 +43,7 @@ from oracles import (
     naive_condition_witnesses,
     naive_normalized_edges,
     naive_pair_contains,
+    naive_pair_violates,
     naive_pattern_witnesses,
 )
 
@@ -315,3 +321,148 @@ class TestPatternWitnessesAgainstInjectiveMaps:
         found = {p for hg in PATTERN_INSTANCES for p in PATTERN_IDS
                  if not contains_pattern(hg, p).avoided}
         assert found == set(PATTERN_IDS)
+
+
+def shared_count_instance():
+    """Three base edges (2->1, 3->1 and 2->2) each followed by partners that
+    share 0..4 of its vertices, every shared vertex a head or a tail of the
+    partner, topped up with fresh tails (and a fresh head when none is
+    shared)."""
+    names = tuple("abcdwxyz")
+    base = (edge("ab", "c"), edge("abc", "d"), edge("ab", "cd"))
+    edges = []
+    for b in base:
+        edges.append(b)
+        vs = sorted(b.vertices)
+        for k in range(len(vs) + 1):
+            for shared in combinations(vs, k):
+                for as_head in product((False, True), repeat=k):
+                    heads = [v for v, h in zip(shared, as_head) if h] or ["z"]
+                    tails = [v for v, h in zip(shared, as_head) if not h]
+                    tails += ["w", "x"][:max(0, 3 - k)]
+                    edges.append(edge(tails, heads))
+    return DirectedHypergraph(names, tuple(edges))
+
+
+CODE_MASKS = {**VIOLATING_CODES, **_PATTERN_CODES}
+
+
+class TestMatchingPartners:
+    """The kernel against pair_code, one pair at a time, and against the
+    naive per-pair condition oracle."""
+
+    INSTANCES = KERNEL_INSTANCES + [shared_count_instance()]
+
+    def test_yields_exactly_the_partners_in_the_mask(self):
+        rng = random.Random(8)
+        for idx, hg in enumerate(self.INSTANCES):
+            masks = edge_masks(hg)
+            heads = [h for h, _ in masks]
+            tails = [t for _, t in masks]
+            m = len(masks)
+            codes = [[pair_code(*masks[i], *masks[j]) for j in range(m)] for i in range(m)]
+            for i in range(m):
+                h1, t1 = masks[i]
+                partners = [j for j in range(m) if j != i]
+                rng.shuffle(partners)  # any order, kept as given
+                for name, mask in CODE_MASKS.items():
+                    got = list(matching_partners(h1, t1, partners, heads, tails, mask))
+                    want = [(j, codes[i][j], (h1 | t1) & (heads[j] | tails[j]))
+                            for j in partners if mask >> codes[i][j] & 1]
+                    assert got == want, (idx, i, name)
+
+    def test_condition_verdicts_match_the_naive_oracle(self):
+        for idx, hg in enumerate(self.INSTANCES):
+            masks = edge_masks(hg)
+            heads = [h for h, _ in masks]
+            tails = [t for _, t in masks]
+            for i, e1 in enumerate(hg.edges):
+                for cond in CONDITION_IDS:
+                    hits = {j for j, _, _ in matching_partners(
+                        *masks[i], range(len(masks)), heads, tails, VIOLATING_CODES[cond])}
+                    want = {j for j, e2 in enumerate(hg.edges)
+                            if j != i and naive_pair_violates(e1, e2, cond)}
+                    assert hits - {i} == want, (idx, i, cond)
+
+    def test_pattern_verdicts_match_injective_maps(self):
+        edges = all_two_one_edges(tuple("abcde"))
+        pos = {v: p for p, v in enumerate("abcde")}
+        heads = [sum(1 << pos[v] for v in e.head) for e in edges]
+        tails = [sum(1 << pos[v] for v in e.tail) for e in edges]
+        for i, e1 in enumerate(edges):
+            for pattern in PATTERN_IDS:
+                hits = [j for j, _, _ in matching_partners(
+                    heads[i], tails[i], range(len(edges)), heads, tails, _PATTERN_CODES[pattern])]
+                want = [j for j, e2 in enumerate(edges)
+                        if j != i and naive_pair_contains(e1, e2, pattern)]
+                assert hits == want, (i, pattern)
+
+    def test_shared_counts_covered(self):
+        hg = shared_count_instance()
+        sizes = {len(e1.vertices & e2.vertices) for e1, e2 in combinations(hg.edges, 2)}
+        assert sizes >= {0, 1, 2, 3, 4}
+        assert any(len(e.head) > 1 for e in hg.edges)
+
+    def test_stops_where_the_caller_stops(self):
+        hg = pattern_instance("I0")
+        masks = edge_masks(hg)
+        heads = [h for h, _ in masks]
+        tails = [t for _, t in masks]
+        found = matching_partners(*masks[0], [1, 1, 1], heads, tails, VIOLATING_CODES["i0-free"])
+        assert next(found)[0] == 1
+        assert len(list(found)) == 2
+        assert list(matching_partners(*masks[0], [], heads, tails, VIOLATING_CODES["lovasz"])) == []
+
+
+@dataclass(frozen=True)
+class DataclassProfile:
+    """The witness record as it was defined before it became a named tuple."""
+
+    i: int
+    j: int
+    common: tuple[tuple[str, str, str], ...]
+
+
+class TestIntersectionProfile:
+    SAMPLES = [w for cond in ("lovasz", "tails-only-2-intersect")
+               for w in check_condition(gen_h2_tower(4), cond).witnesses[:40]]
+
+    def test_fields_and_unpacking(self):
+        w = check_condition(pattern_instance("H1"), "onehead-h1").witnesses[0]
+        assert (w.i, w.j, w.common) == (0, 1, (("a", "tail", "tail"),))
+        i, j, common = w
+        assert (i, j, common) == (w.i, w.j, w.common)
+        assert w == (0, 1, (("a", "tail", "tail"),))
+        assert w._fields == ("i", "j", "common")
+
+    def test_repr_equality_and_hash_as_the_dataclass(self):
+        assert len(self.SAMPLES) == 80
+        old = [DataclassProfile(*w) for w in self.SAMPLES]
+        for w, o in zip(self.SAMPLES, old):
+            assert repr(w) == repr(o).replace("DataclassProfile", "IntersectionProfile")
+            assert hash(w) == hash(o)
+        for (a, oa), (b, ob) in combinations(zip(self.SAMPLES, old), 2):
+            assert (a == b) == (oa == ob)
+            assert (a != b) == (oa != ob)
+
+    def test_immutable(self):
+        w = self.SAMPLES[0]
+        for field in ("i", "j", "common"):
+            with pytest.raises(AttributeError):
+                setattr(w, field, 0)
+        with pytest.raises(AttributeError):
+            w.extra = 1
+
+    def test_pickles(self):
+        for w in self.SAMPLES[:5]:
+            back = pickle.loads(pickle.dumps(w))
+            assert back == w and type(back) is IntersectionProfile
+
+    def test_equal_rows_share_one_object(self):
+        for hg, cond in ((gen_h2_tower(5), "lovasz"), (gen_h2_tower(4), "tails-only-2-intersect"),
+                         (paper_i(), "onehead-h1")):
+            witnesses = check_condition(hg, cond).witnesses
+            assert witnesses
+            assert len({id(w.common) for w in witnesses}) == len({w.common for w in witnesses})
+        report = contains_pattern(gen_h2_tower(5), "I0")
+        assert len({id(w.common) for w in report.witnesses}) < len(report.witnesses)

@@ -19,10 +19,6 @@ GENERATOR_KINDS = ("paper-i", "paper-r", "h2-tower", "perm-tower", "random")
 H2_TOWER_MAX_LEVEL = 6
 PERM_TOWER_MAX_LEVEL = 3
 REJECTION_ATTEMPTS_PER_EDGE = 100
-# gen_random keeps per-vertex lists of its accepted edges only when asked for
-# more edges than this; below it, testing a draw against every accepted edge
-# costs less (the two cost the same near 150 edges at n = 50..200).
-INCIDENCE_MIN_EDGES = 128
 
 
 def _edge21(t1: str, t2: str, h: str) -> DirectedEdge:
@@ -153,18 +149,19 @@ def gen_random(
     bad = VIOLATING_CODES.get(cond, 0)
     heads: list[int] = []  # head mask of each accepted edge
     tails: list[int] = []
-    # A draw is tested against the accepted edges in one pair-kernel call,
-    # which stops at the first violation.  Only edges sharing a vertex with
-    # the draw can violate, so on large requests each vertex keeps the
-    # accepted edges holding it and the draw meets those alone.
-    holding = [[] for _ in range(n)] if bad and m > INCIDENCE_MIN_EDGES else None
     used_sets: set[int] = set()
     # Once every vertex set of a drawable size is used, no draw can be kept.
     capacity = sum(comb(n, size + 1) for size in range(lo, hi + 1))
-    # Draws repeat when the attempts outnumber the vertex sets.  Then a
-    # refused draw is remembered and refused again without a test, as the
-    # accepted edges only grow.
-    refused: set[int] | None = set() if bad and capacity < budget else None
+    # A draw is tested through the pair kernel, which stops at the first
+    # violation.  When the attempts outnumber the vertex sets, draws repeat
+    # and each vertex lies in a large share of the accepted edges: a draw is
+    # tested against every accepted edge, and a refused draw is remembered
+    # and refused again without a test, as the accepted edges only grow.
+    # Otherwise each vertex keeps the accepted edges holding it, and a draw is
+    # tested only against those sharing a vertex with it.
+    small = capacity < budget
+    refused: set[int] = set()
+    holding: list[list[int]] = [[] for _ in range(n)] if bad and not small else []
 
     attempts = 0
     while len(heads) < m and attempts < budget and len(used_sets) < capacity:
@@ -178,22 +175,20 @@ def gen_random(
         full_mask = tail_mask | head_mask
         if full_mask in used_sets:
             continue
-        if bad:
-            if refused is not None:
-                draw = tail_mask << n | head_mask
-                if draw in refused:
-                    continue
-            if holding is None:
-                near = range(len(heads))
-            else:
-                near = [k for p in picks for k in holding[p]]
-            if next(matching_partners(head_mask, tail_mask, near, heads, tails, bad), None):
-                if refused is not None:
-                    refused.add(draw)
+        if bad and small:
+            draw = tail_mask << n | head_mask
+            if draw in refused:
                 continue
-            if holding is not None:
-                for p in picks:
-                    holding[p].append(len(heads))
+            if next(matching_partners(head_mask, tail_mask, range(len(heads)), heads, tails,
+                                      bad), None):
+                refused.add(draw)
+                continue
+        elif bad:
+            near = [k for p in picks for k in holding[p]]
+            if next(matching_partners(head_mask, tail_mask, near, heads, tails, bad), None):
+                continue
+            for p in picks:
+                holding[p].append(len(heads))
         heads.append(head_mask)
         tails.append(tail_mask)
         used_sets.add(full_mask)

@@ -4,13 +4,21 @@ A good coloring colors the shadow graph (all vertex pairs covered by some
 hyperedge) red/blue and orients the red edges so that every hyperedge looks
 like an oriented apex: two red edges u->v, u->w and a blue edge vw.  Such a
 coloring exists exactly when the hyperedges can be directed 2->1 avoiding the
-R3 and E patterns, and it caps the edge count at f(n) where
+R3 and E patterns (each hyperedge directed with its apex as the head), and it
+caps the edge count at f(n) where
 
     f(0) = 1,   f(n) = max over k in 1..n-1 of C(k,2) * (n - k) + f(n - k).
 
 f(1) is taken to be 1: the max ranges over an empty set there, and a
 3-uniform hypergraph on one vertex has no edges, so the value keeps the bound
 valid and the recursion total.
+
+Cost.  ``induce_good_coloring`` runs the R3 and E checks, which walk only
+the edge pairs sharing a vertex pair (see ``patterns``), then builds each
+edge's three shadow pairs once and looks each up in the color table before
+storing it: O(m) set and dict operations past the checks.
+``verify_good_coloring`` builds each edge's three pairs once and decides the
+apex shape from their three colors, reading the orientation of the red pairs.
 """
 
 from __future__ import annotations
@@ -64,24 +72,27 @@ def verify_good_coloring(gc: GoodColoring) -> bool:
         verts = sorted(e.vertices)
         if len(verts) != 3:
             raise ValueError("good colorings are defined for 3-uniform hypergraphs")
-        for x, y in ((0, 1), (0, 2), (1, 2)):
-            pair = frozenset((verts[x], verts[y]))
+        a, b, c = verts
+        ab, ac, bc = pairs = (frozenset((a, b)), frozenset((a, c)), frozenset((b, c)))
+        for pair in pairs:
             if pair not in colors:
                 raise ValueError(f"shadow edge {set(pair)} is uncolored")
             if colors[pair] == RED_PAIR and pair not in orient:
                 raise ValueError(f"red shadow edge {set(pair)} has no orientation")
-        if not any(_is_apex(colors, orient, apex, verts) for apex in verts):
+        # An apex shape has exactly one blue pair, and the apex is the vertex
+        # off it; its two red pairs must point away from the apex.
+        cab, cac, cbc = colors[ab], colors[ac], colors[bc]
+        if cbc == BLUE_PAIR:
+            ok = (cab == cac == RED_PAIR and orient[ab] == (a, b) and orient[ac] == (a, c))
+        elif cac == BLUE_PAIR:
+            ok = (cab == cbc == RED_PAIR and orient[ab] == (b, a) and orient[bc] == (b, c))
+        elif cab == BLUE_PAIR:
+            ok = (cac == cbc == RED_PAIR and orient[ac] == (c, a) and orient[bc] == (c, b))
+        else:
+            ok = False
+        if not ok:
             return False
     return True
-
-
-def _is_apex(colors, orient, apex: str, verts: list[str]) -> bool:
-    others = [v for v in verts if v != apex]
-    for v in others:
-        pair = frozenset((apex, v))
-        if colors[pair] != RED_PAIR or orient[pair] != (apex, v):
-            return False
-    return colors[frozenset(others)] == BLUE_PAIR
 
 
 def induce_good_coloring(hg: DirectedHypergraph) -> GoodColoring:
@@ -100,20 +111,26 @@ def induce_good_coloring(hg: DirectedHypergraph) -> GoodColoring:
 
     colors: dict[frozenset[str], str] = {}
     orientation: dict[frozenset[str], tuple[str, str]] = {}
-
-    def put(pair: frozenset[str], color: str, arrow: tuple[str, str] | None) -> None:
-        if pair in colors and (colors[pair] != color or orientation.get(pair) != arrow):
-            raise RoleConflictError(
-                f"shadow edge {set(pair)} already {colors[pair]}, conflicting assignment"
-            )
-        colors[pair] = color
-        if arrow is not None:
-            orientation[pair] = arrow
-
     for e in hg.edges:
         head = min(e.head)
         t1, t2 = sorted(e.tail)
-        put(frozenset((head, t1)), RED_PAIR, (head, t1))
-        put(frozenset((head, t2)), RED_PAIR, (head, t2))
-        put(frozenset((t1, t2)), BLUE_PAIR, None)
+        # A pair met again must get its first color, and a red pair its first
+        # arrow; a blue pair has no arrow.  (A membership test and a store
+        # run faster here than one dict.setdefault call.)
+        for t in (t1, t2):
+            pair = frozenset((head, t))
+            if pair not in colors:
+                colors[pair] = RED_PAIR
+                orientation[pair] = (head, t)
+            elif colors[pair] != RED_PAIR or orientation[pair] != (head, t):
+                raise _conflict(pair, colors[pair])
+        pair = frozenset((t1, t2))
+        if pair not in colors:
+            colors[pair] = BLUE_PAIR
+        elif colors[pair] != BLUE_PAIR:
+            raise _conflict(pair, colors[pair])
     return GoodColoring(hg, colors, orientation)
+
+
+def _conflict(pair: frozenset[str], old: str) -> RoleConflictError:
+    return RoleConflictError(f"shadow edge {set(pair)} already {old}, conflicting assignment")

@@ -18,25 +18,47 @@ Cost model.  Each edge is held as a head bitmask and a tail bitmask over
 vertex positions, and ``matching_partners`` classifies pairs from those
 masks alone; the pattern of a pair and its verdict under each condition are
 table lookups on its code.  Pairs with no shared vertex are never examined:
-they match no pattern and satisfy every condition.  Every code also
-guarantees a role class at some shared vertex: head of both edges (I0, I1),
-tail of both (H1, H2), or head of one and tail of the other (R4, R3, E).
-Each vertex keeps a head-incidence list (edges it heads) and a
-tail-incidence list, and ``later_partners`` pairs up only the lists the
-requested classes need, so a check costs the sum over vertices of the
-products of those list sizes (head x head for I0 or i0-free, head x tail for
-R4 or r4-free, and the squared degree when every class is needed) rather
-than m^2.  Each edge's whole partner list goes to the kernel in one call,
-which yields only the matching partners, so no pair costs a function call.
-A witness is a named tuple, and each distinct shared-vertex row is built
-once and shared by every witness that has it.  Witnesses come out in
-ascending (i, j) order.
+they match no pattern and satisfy every condition.  Candidate pairs are
+found through shared keys: each edge is filed under each of its keys, with
+the role it gives the key (tail, or head), and edges are paired up only
+inside a key's lists, in the role combinations the requested codes need.
+
+Vertex keys.  Every code guarantees a role class at some shared vertex:
+head of both edges (I0, I1), tail of both (H1, H2), or head of one and tail
+of the other (R4, R3, E).  Each vertex keeps a head-incidence list (edges it
+heads) and a tail-incidence list, and ``later_partners`` pairs up only the
+lists the requested classes need, so a check costs the sum over vertices of
+the products of those list sizes (head x head for I0 or i0-free, head x tail
+for R4 or r4-free, and the squared degree when every class is needed)
+rather than m^2.
+
+Pair keys.  H2, I1, R3 and E (and so ``h2-two-intersect`` and
+``tails-only-2-intersect``) need exactly two shared vertices.  A check
+asking only for such codes files each edge under each of its C(|e|, 2)
+vertex pairs instead, as a tail pair (both vertices tails) or a headed pair
+(it holds a head), and the codes again guarantee a class at the shared
+pair: tail pair of both edges (H2), tail pair of one and headed pair of the
+other (R3), headed pair of both (I1, E).  Such a check costs the sum of
+C(|e|, 2) over the edges to file the keys plus the candidate pairs met in
+the lists it needs: at most the pairs sharing two or more vertices, rather
+than every vertex-sharing pair.  On a 2->1 input with n = 200 and m = 800
+avoiding R3 and E, the R3 and E checks meet no candidate where the vertex
+walk hands each 6,383 pairs to the kernel, and ``tails-only-2-intersect``
+meets 15 where it would hand 14,185.  Which keys a check walks follows from
+its codes alone.
+
+Each edge's whole partner list goes to the kernel in one call, which yields
+only the matching partners, so no pair costs a function call.  A witness is
+a named tuple, and each distinct shared-vertex row is built once and shared
+by every witness that has it.  Witnesses come out in ascending (i, j) order.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import defaultdict
+from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .core import DirectedEdge, DirectedHypergraph, is_two_to_one
@@ -84,6 +106,9 @@ class PatternReport:
     pattern: str
     avoided: bool
     witnesses: tuple[IntersectionProfile, ...]
+    # Candidate pairs the check handed to the pair kernel; a measure of its
+    # cost, not of its outcome, so it takes no part in equality or repr.
+    pairs_examined: int = field(default=0, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.avoided != (not self.witnesses):
@@ -91,43 +116,58 @@ class PatternReport:
 
 
 # Intersection codes of matching_partners and pair_code, one row each: the
-# pattern the pair realizes (for 2->1 edges), the conditions it violates, and
-# the role class it guarantees at some shared vertex (a head of both edges, a
+# pattern the pair realizes (for 2->1 edges), the conditions it violates, the
+# role class it guarantees at some shared vertex (a head of both edges, a
 # tail of both, or a head of one and a tail of the other; this holds for
-# general edges, not only 2->1 ones).  Each condition constrains only one- or
-# two-vertex intersections, so pairs sharing no vertex or three or more are
-# code 0 and pass everything.
+# general edges, not only 2->1 ones), and for a two-vertex code the class it
+# guarantees at the shared pair, read with a pair of two tails as a tail and
+# a pair holding a head as a head (0 for one-vertex codes).  Each condition
+# constrains only one- or two-vertex intersections, so pairs sharing no
+# vertex or three or more are code 0 and pass everything.
 HEAD_HEAD, TAIL_TAIL, HEAD_TAIL = 1, 2, 4
 ALL_ROLES = HEAD_HEAD | TAIL_TAIL | HEAD_TAIL
-_CODE_TABLE: tuple[tuple[str | None, tuple[str, ...], int], ...] = (
-    (None, (), 0),                                              # 0 shared vertices, or >= 3
-    ("I0", ("i0-free", "i0r4-free", "lovasz"), HEAD_HEAD),      # 1: head of both
-    ("H1", ("onehead-h1", "lovasz"), TAIL_TAIL),                # 1: tail of both
-    ("R4", ("r4-free", "i0r4-free", "lovasz"), HEAD_TAIL),      # 1: head of one, tail of other
-    ("H2", ("h2-two-intersect",), TAIL_TAIL),                   # 2: both tails exactly the pair
-    ("H2", ("h2-two-intersect", "tails-only-2-intersect"), TAIL_TAIL),  # 2: in both tails, a tail is wider
-    ("R3", ("tails-only-2-intersect",), HEAD_TAIL),             # 2: in one tail, not the other
-    ("I1", ("tails-only-2-intersect",), HEAD_HEAD),             # 2: neither tail, a common head
-    ("E", ("tails-only-2-intersect",), HEAD_TAIL),              # 2: neither tail, no common head
+_CODE_TABLE: tuple[tuple[str | None, tuple[str, ...], int, int], ...] = (
+    (None, (), 0, 0),                                              # 0 shared vertices, or >= 3
+    ("I0", ("i0-free", "i0r4-free", "lovasz"), HEAD_HEAD, 0),      # 1: head of both
+    ("H1", ("onehead-h1", "lovasz"), TAIL_TAIL, 0),                # 1: tail of both
+    ("R4", ("r4-free", "i0r4-free", "lovasz"), HEAD_TAIL, 0),      # 1: head of one, tail of other
+    ("H2", ("h2-two-intersect",), TAIL_TAIL, TAIL_TAIL),           # 2: both tails exactly the pair
+    ("H2", ("h2-two-intersect", "tails-only-2-intersect"), TAIL_TAIL, TAIL_TAIL),  # 2: in both tails, a tail is wider
+    ("R3", ("tails-only-2-intersect",), HEAD_TAIL, HEAD_TAIL),     # 2: in one tail, not the other
+    ("I1", ("tails-only-2-intersect",), HEAD_HEAD, HEAD_HEAD),     # 2: neither tail, a common head
+    ("E", ("tails-only-2-intersect",), HEAD_TAIL, HEAD_HEAD),      # 2: neither tail, no common head
 )
 _I0, _H1, _R4, _H2, _H2_WIDE, _R3, _I1, _E = range(1, len(_CODE_TABLE))
-_PATTERN_OF = tuple(pattern for pattern, _, _ in _CODE_TABLE)
+_ONE_VERTEX_CODES = 1 << _I0 | 1 << _H1 | 1 << _R4
+_PATTERN_OF = tuple(row[0] for row in _CODE_TABLE)
 # Bit c of a mask is set iff code c matches the pattern / violates the condition.
 _PATTERN_CODES = {
-    p: sum(1 << c for c, (q, _, _) in enumerate(_CODE_TABLE) if q == p) for p in PATTERN_IDS
+    p: sum(1 << c for c, row in enumerate(_CODE_TABLE) if row[0] == p) for p in PATTERN_IDS
 }
 VIOLATING_CODES = {
-    cond: sum(1 << c for c, (_, bad, _) in enumerate(_CODE_TABLE) if cond in bad)
+    cond: sum(1 << c for c, row in enumerate(_CODE_TABLE) if cond in row[1])
     for cond in CONDITION_IDS
 }
 
 
 def roles_of(codes: int) -> int:
     """Role classes a pair needs at some shared vertex to have a code in the mask."""
+    return _column_union(codes, 2)
+
+
+def pair_roles_of(codes: int) -> int:
+    """Role classes a pair needs at its shared vertex pair to have a code in
+    the mask, or 0 when a code in the mask shares a single vertex."""
+    if codes & _ONE_VERTEX_CODES:
+        return 0
+    return _column_union(codes, 3)
+
+
+def _column_union(codes: int, column: int) -> int:
     roles = 0
-    for c, (_, _, role) in enumerate(_CODE_TABLE):
+    for c, row in enumerate(_CODE_TABLE):
         if codes >> c & 1:
-            roles |= role
+            roles |= row[column]
     return roles
 
 
@@ -193,48 +233,88 @@ def edge_masks(hg: DirectedHypergraph) -> list[tuple[int, int]]:
     return [_masks(e, pos) for e in hg.edges]
 
 
-def _incidence(rows: list[list[int]], n: int) -> list[list[int]]:
-    """For each position 0..n-1, the ascending indices of the rows holding it."""
-    lists: list[list[int]] = [[] for _ in range(n)]
+def _incidence(rows: list[list[int]]) -> defaultdict[int, list[int]]:
+    """For each key, the ascending indices of the rows holding it."""
+    lists: defaultdict[int, list[int]] = defaultdict(list)
     for k, row in enumerate(rows):
-        for p in row:
-            lists[p].append(k)
+        for key in row:
+            lists[key].append(k)
     return lists
+
+
+def _partners(head_rows: list[list[int]], tail_rows: list[list[int]],
+              roles: int) -> Iterator[tuple[int, list[int]]]:
+    """(i, [j > i sharing a key with edge i in a class of `roles`, ascending])
+    for every edge i, given the keys each edge holds as a head and as a tail.
+
+    Each key keeps the list of edges holding it as a head and the list of
+    edges holding it as a tail, and a pair is found only through the lists
+    its role classes need: head/head pairs through the head lists, tail/tail
+    pairs through the tail lists, head/tail pairs by crossing over.  With
+    ALL_ROLES every pair sharing a key appears, found through one list per
+    key of all its edges.  Walking the lists in order gives each pair i < j
+    once, in ascending (i, j) order, however many keys it shares.
+    """
+    if roles == ALL_ROLES:  # one list of all its edges serves every class at once
+        rows = [h + t for h, t in zip(head_rows, tail_rows)]
+        sides = [(rows, _incidence(rows))]
+    else:
+        # only the lists some class scans are built
+        heads = _incidence(head_rows) if roles & (HEAD_HEAD | HEAD_TAIL) else None
+        tails = _incidence(tail_rows) if roles & (TAIL_TAIL | HEAD_TAIL) else None
+        # (the edge's own keys in one role, the lists it scans there)
+        classes = ((HEAD_HEAD, head_rows, heads), (TAIL_TAIL, tail_rows, tails),
+                   (HEAD_TAIL, head_rows, tails), (HEAD_TAIL, tail_rows, heads))
+        sides = [(rows, lists) for role, rows, lists in classes if roles & role]
+    for i in range(len(head_rows)):
+        later: list[int] = []
+        for rows, lists in sides:
+            for key in rows[i]:
+                edges = lists.get(key)
+                if edges and edges[-1] > i:  # most keys of a sparse input end at i or before
+                    later += edges[bisect_right(edges, i):]
+        yield i, sorted(set(later)) if later else later
+
+
+def _vertex_keys(hg: DirectedHypergraph) -> tuple[list[list[int]], list[list[int]]]:
+    """The positions of every edge's heads and of its tails."""
+    get = hg.positions.__getitem__
+    return ([list(map(get, e.head)) for e in hg.edges],
+            [list(map(get, e.tail)) for e in hg.edges])
+
+
+def _pair_keys(head_rows: list[list[int]], tail_rows: list[list[int]],
+               n: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Every edge's vertex pairs as keys p * n + q (positions p < q), from its
+    head and tail positions: each pair of its tails as a tail, and each pair
+    holding a head as a head."""
+    pair_heads, pair_tails = [], []
+    for hs, ts in zip(head_rows, tail_rows):
+        pair_tails.append([p * n + q for p, q in combinations(sorted(ts), 2)])
+        row = [p * n + q for p, q in combinations(sorted(hs), 2)] if len(hs) > 1 else []
+        for h in hs:
+            for t in ts:
+                row.append(h * n + t if h < t else t * n + h)
+        pair_heads.append(row)
+    return pair_heads, pair_tails
 
 
 def later_partners(hg: DirectedHypergraph,
                    roles: int = ALL_ROLES) -> Iterator[tuple[int, list[int]]]:
     """(i, [j > i sharing a vertex with edge i in a class of `roles`,
-    ascending]) for every edge i.
+    ascending]) for every edge i: the partner walk over vertex keys."""
+    return _partners(*_vertex_keys(hg), roles)
 
-    Each vertex keeps the list of edges it heads and the list of edges it is
-    a tail of, and a pair is found only through the lists its role classes
-    need: head/head pairs through the head lists, tail/tail pairs through the
-    tail lists, head/tail pairs by crossing over.  With ALL_ROLES every pair
-    sharing a vertex appears, found through one list per vertex of all its
-    edges.  Walking the lists in order gives each pair i < j once, in
-    ascending (i, j) order.
-    """
-    pos = hg.positions
-    n = len(hg.vertices)
-    if roles == ALL_ROLES:  # one list of all its edges serves every class at once
-        rows = [[pos[v] for v in e.vertices] for e in hg.edges]
-        sides = [(rows, _incidence(rows, n))]
-    else:
-        head_rows = [[pos[v] for v in e.head] for e in hg.edges]
-        tail_rows = [[pos[v] for v in e.tail] for e in hg.edges]
-        heads, tails = _incidence(head_rows, n), _incidence(tail_rows, n)
-        # (the edge's own vertices in one role, the lists it scans there)
-        classes = ((HEAD_HEAD, head_rows, heads), (TAIL_TAIL, tail_rows, tails),
-                   (HEAD_TAIL, head_rows, tails), (HEAD_TAIL, tail_rows, heads))
-        sides = [(rows, lists) for role, rows, lists in classes if roles & role]
-    for i in range(len(hg.edges)):
-        later: set[int] = set()
-        for rows, lists in sides:
-            for p in rows[i]:
-                edges = lists[p]
-                later.update(edges[bisect_right(edges, i):])
-        yield i, sorted(later)
+
+def _bitmasks(rows: list[list[int]]) -> list[int]:
+    """The bitmask of each row's positions."""
+    masks = []
+    for row in rows:
+        mask = 0
+        for p in row:
+            mask |= 1 << p
+        masks.append(mask)
+    return masks
 
 
 def _rows(names: tuple[str, ...], common: int,
@@ -249,20 +329,36 @@ def _rows(names: tuple[str, ...], common: int,
     return tuple(rows)
 
 
-def _witnesses(hg: DirectedHypergraph, codes: int) -> tuple[IntersectionProfile, ...]:
-    """Profiles of the vertex-sharing pairs whose code is in the codes mask."""
-    masks = edge_masks(hg)
-    heads = [h for h, _ in masks]
-    tails = [t for _, t in masks]
+def _witnesses(hg: DirectedHypergraph,
+               codes: int) -> tuple[tuple[IntersectionProfile, ...], int]:
+    """Profiles of the vertex-sharing pairs whose code is in the codes mask,
+    and the number of candidate pairs handed to the kernel.
+
+    When every code in the mask needs two shared vertices the candidates come
+    from the walk over vertex-pair keys, otherwise from the walk over vertex
+    keys.
+    """
+    head_rows, tail_rows = _vertex_keys(hg)
+    pair_roles = pair_roles_of(codes)
+    if pair_roles:
+        walk = _partners(*_pair_keys(head_rows, tail_rows, len(hg.vertices)), pair_roles)
+    else:
+        walk = _partners(head_rows, tail_rows, roles_of(codes))
+    heads: list[int] = []
+    tails: list[int] = []
     names = hg.vertices
     # Witnesses often repeat one shared vertex set with the same roles, so
     # their rows are built once and shared.
     rows_of: dict[tuple[int, int, int], tuple[tuple[str, str, str], ...]] = {}
     out = []
+    examined = 0
     new = tuple.__new__  # IntersectionProfile(i, j, rows) without the generated __new__'s frame
-    for i, later in later_partners(hg, roles_of(codes)):
+    for i, later in walk:
         if not later:  # most edges of a sparse input: skip the kernel call
             continue
+        if not heads:  # built at the first candidate: a pair walk often meets none
+            heads, tails = _bitmasks(head_rows), _bitmasks(tail_rows)
+        examined += len(later)
         h1 = heads[i]
         for j, _, common in matching_partners(h1, tails[i], later, heads, tails, codes):
             h2 = heads[j]
@@ -271,7 +367,7 @@ def _witnesses(hg: DirectedHypergraph, codes: int) -> tuple[IntersectionProfile,
             if rows is None:
                 rows = rows_of[key] = _rows(names, common, h1, h2)
             out.append(new(IntersectionProfile, (i, j, rows)))
-    return tuple(out)
+    return tuple(out), examined
 
 
 def _two_edge_code(e1: DirectedEdge, e2: DirectedEdge) -> int:
@@ -306,8 +402,8 @@ def contains_pattern(hg: DirectedHypergraph, pattern: str) -> PatternReport:
         raise ValueError(f"unknown pattern {pattern!r}; expected one of {PATTERN_IDS}")
     if not is_two_to_one(hg):
         raise ValueError("pattern containment is defined for 2->1 hypergraphs only")
-    witnesses = _witnesses(hg, _PATTERN_CODES[pattern])
-    return PatternReport(pattern, not witnesses, witnesses)
+    witnesses, examined = _witnesses(hg, _PATTERN_CODES[pattern])
+    return PatternReport(pattern, not witnesses, witnesses, examined)
 
 
 def check_condition(hg: DirectedHypergraph, cond: str) -> PatternReport:
@@ -318,5 +414,5 @@ def check_condition(hg: DirectedHypergraph, cond: str) -> PatternReport:
     """
     if cond not in CONDITION_IDS:
         raise ValueError(f"unknown condition {cond!r}; expected one of {CONDITION_IDS}")
-    witnesses = _witnesses(hg, VIOLATING_CODES[cond])
-    return PatternReport(cond, not witnesses, witnesses)
+    witnesses, examined = _witnesses(hg, VIOLATING_CODES[cond])
+    return PatternReport(cond, not witnesses, witnesses, examined)

@@ -113,9 +113,16 @@ def _renamed_pair_contains(pair: tuple[tuple[frozenset, frozenset], ...], patter
 
 @lru_cache(maxsize=1)
 def _renamed_pairs(hg: DirectedHypergraph) -> list[tuple[int, int, tuple]]:
-    """Every pair i < j with its vertices renamed to their ranks in the pair."""
+    """Every pair i < j sharing a vertex, with its vertices renamed to their
+    ranks in the pair.
+
+    Two disjoint 2->1 edges span six vertices, and no pattern has more than
+    five, so only pairs sharing a vertex can realize one.
+    """
     out = []
     for (i, e1), (j, e2) in combinations(enumerate(hg.edges), 2):
+        if e1.vertices.isdisjoint(e2.vertices):
+            continue
         rank = {v: str(k) for k, v in enumerate(sorted(e1.vertices | e2.vertices))}.__getitem__
         out.append((i, j, ((frozenset(map(rank, e1.tail)), frozenset(map(rank, e1.head))),
                            (frozenset(map(rank, e2.tail)), frozenset(map(rank, e2.head))))))

@@ -32,10 +32,15 @@ from dhcolor.patterns import (
     TAIL_TAIL,
     VIOLATING_CODES,
     IntersectionProfile,
+    PatternReport,
+    _pair_keys,
+    _partners,
+    _vertex_keys,
     edge_masks,
     later_partners,
     matching_partners,
     pair_code,
+    pair_roles_of,
     roles_of,
 )
 from oracles import (
@@ -466,3 +471,179 @@ class TestIntersectionProfile:
             assert len({id(w.common) for w in witnesses}) == len({w.common for w in witnesses})
         report = contains_pattern(gen_h2_tower(5), "I0")
         assert len({id(w.common) for w in report.witnesses}) < len(report.witnesses)
+
+
+TWO_VERTEX_PATTERNS = ("H2", "I1", "R3", "E")
+TWO_VERTEX_CONDITIONS = ("h2-two-intersect", "tails-only-2-intersect")
+# The seven inputs of the ladder-sparse benchmark at seed 1: (cond, n, m, seed).
+LADDER_DRAWS = (
+    ("onehead-h1", 100, 200, 1000), ("r4-free", 100, 400, 1001), ("r4-free", 200, 800, 1002),
+    ("i0r4-free", 100, 200, 1003), ("i0-free", 24, 96, 1004),
+    ("tails-only-2-intersect", 100, 400, 1100), ("tails-only-2-intersect", 200, 800, 1101),
+)
+
+
+def two_vertex_instance(seed):
+    """Seeded hypergraph on few vertices, so that many pairs share two or
+    more: edges of 1..6 vertices with any split into heads and tails, edges
+    repeating an earlier edge's vertex set under other roles, and edges
+    holding an earlier edge's vertex set and more."""
+    rng = random.Random(seed)
+    n = rng.randint(3, 9)
+    names = [f"v{i}" for i in range(n)]
+    edges = []
+    for _ in range(rng.randint(0, 2 * n)):
+        roll = rng.random()
+        if edges and roll < 0.2:
+            vs = list(rng.choice(edges).vertices)
+        elif edges and roll < 0.35 and len(base := rng.choice(edges).vertices) < min(6, n):
+            rest = [v for v in names if v not in base]
+            vs = list(base) + rng.sample(rest, rng.randint(1, min(len(rest), 6 - len(base))))
+        else:
+            vs = rng.sample(names, rng.randint(1, min(6, n)))
+        rng.shuffle(vs)
+        cut = rng.randint(0, len(vs))
+        edges.append(edge(vs[:cut], vs[cut:]))
+    rng.shuffle(names)
+    return DirectedHypergraph(tuple(names), tuple(edges))
+
+
+def two_one_instance(seed):
+    """Seeded 2->1 hypergraph drawn from every 2->1 edge on 4..7 vertices, so
+    that one triple often comes with two or three heads."""
+    rng = random.Random(seed)
+    names = tuple(f"w{i}" for i in range(rng.randint(4, 7)))
+    pool = all_two_one_edges(names)
+    return DirectedHypergraph(names, tuple(rng.sample(pool, rng.randint(2, min(14, len(pool))))))
+
+
+def pair_walk(hg, roles):
+    """The partner walk over vertex-pair keys, as _witnesses runs it."""
+    return _partners(*_pair_keys(*_vertex_keys(hg), hg.n), roles)
+
+
+def _pair_role(pair, e1, e2):
+    """Role class of a vertex pair shared by two edges: a pair of two tails
+    counts as a tail, a pair holding a head as a head."""
+    t1, t2 = pair <= e1.tail, pair <= e2.tail
+    return TAIL_TAIL if t1 and t2 else HEAD_TAIL if t1 or t2 else HEAD_HEAD
+
+
+GENERAL_TWO_VERTEX = [two_vertex_instance(seed) for seed in range(600)]
+TWO_ONE_TWO_VERTEX = (
+    [gen_h2_tower(k) for k in (3, 4, 5)] + [gen_perm_tower(3), paper_i(), paper_r()]
+    + [two_one_instance(seed) for seed in range(300)]
+)
+
+
+class TestPairWalk:
+    """The six checks that need two shared vertices walk shared vertex pairs;
+    their witnesses must equal the all-pairs oracles', in order."""
+
+    def test_only_the_two_vertex_checks_take_the_pair_walk(self):
+        assert {p: pair_roles_of(_PATTERN_CODES[p]) for p in PATTERN_IDS} == {
+            "H2": TAIL_TAIL, "I1": HEAD_HEAD, "R3": HEAD_TAIL, "E": HEAD_HEAD,
+            "I0": 0, "H1": 0, "R4": 0}
+        assert {c: pair_roles_of(VIOLATING_CODES[c]) for c in CONDITION_IDS} == {
+            "h2-two-intersect": TAIL_TAIL, "tails-only-2-intersect": ALL_ROLES,
+            "onehead-h1": 0, "i0-free": 0, "r4-free": 0, "i0r4-free": 0, "lovasz": 0}
+
+    def test_conditions_on_general_instances(self):
+        for idx, hg in enumerate(GENERAL_TWO_VERTEX + TWO_ONE_TWO_VERTEX):
+            for cond in TWO_VERTEX_CONDITIONS:
+                rows = list(check_condition(hg, cond).witnesses)
+                assert rows == naive_condition_witnesses(hg, cond), (idx, cond)
+
+    def test_patterns_on_two_one_instances(self):
+        for idx, hg in enumerate(TWO_ONE_TWO_VERTEX):
+            for pattern in TWO_VERTEX_PATTERNS:
+                rows = list(contains_pattern(hg, pattern).witnesses)
+                assert rows == naive_pattern_witnesses(hg, pattern), (idx, pattern)
+
+    def test_ladder_draws(self):
+        for cond, n, m, seed in LADDER_DRAWS:
+            hg = gen_random(n, m, cond=cond, seed=seed)
+            for check in TWO_VERTEX_CONDITIONS:
+                rows = list(check_condition(hg, check).witnesses)
+                assert rows == naive_condition_witnesses(hg, check), (n, seed, check)
+            for pattern in TWO_VERTEX_PATTERNS:
+                rows = list(contains_pattern(hg, pattern).witnesses)
+                assert rows == naive_pattern_witnesses(hg, pattern), (n, seed, pattern)
+
+    def test_walk_meets_the_pairs_sharing_a_vertex_pair_in_its_classes(self):
+        for idx, hg in enumerate(GENERAL_TWO_VERTEX[:200] + TWO_ONE_TWO_VERTEX[:20]):
+            classes = {
+                (i, j): {_pair_role(frozenset(q), e1, e2)
+                         for q in combinations(e1.vertices & e2.vertices, 2)}
+                for (i, e1), (j, e2) in combinations(enumerate(hg.edges), 2)
+            }
+            for roles in range(1, ALL_ROLES + 1):
+                walked = [(i, j) for i, later in pair_walk(hg, roles) for j in later]
+                assert walked == [p for p, c in classes.items() if any(r & roles for r in c)], (
+                    idx, roles)
+
+    def test_every_two_vertex_code_guarantees_its_pair_class(self):
+        seen = set()
+        for hg in GENERAL_TWO_VERTEX + TWO_ONE_TWO_VERTEX:
+            masks = edge_masks(hg)
+            for (i, e1), (j, e2) in combinations(enumerate(hg.edges), 2):
+                shared = e1.vertices & e2.vertices
+                code = pair_code(*masks[i], *masks[j])
+                if len(shared) == 2:
+                    seen.add(code)
+                    assert pair_roles_of(1 << code) == _pair_role(shared, e1, e2), (i, j, code)
+        assert seen == {4, 5, 6, 7, 8}
+
+    def test_instances_cover_the_shapes(self):
+        edges = [e for hg in GENERAL_TWO_VERTEX for e in hg.edges]
+        assert {len(e.vertices) for e in edges} == {1, 2, 3, 4, 5, 6}
+        assert any(len(e.head) > 1 for e in edges) and any(not e.head for e in edges)
+        shared = {len(e1.vertices & e2.vertices)
+                  for hg in GENERAL_TWO_VERTEX for e1, e2 in combinations(hg.edges, 2)}
+        assert shared >= {0, 1, 2, 3, 4, 5}
+        assert any(e1.vertices == e2.vertices and e1 != e2
+                   for hg in TWO_ONE_TWO_VERTEX for e1, e2 in combinations(hg.edges, 2))
+        assert any(e1.vertices < e2.vertices
+                   for hg in GENERAL_TWO_VERTEX for e1, e2 in combinations(hg.edges, 2))
+        for check in TWO_VERTEX_CONDITIONS:
+            assert any(check_condition(hg, check).witnesses for hg in GENERAL_TWO_VERTEX)
+        for pattern in TWO_VERTEX_PATTERNS:
+            assert any(contains_pattern(hg, pattern).witnesses for hg in TWO_ONE_TWO_VERTEX)
+
+
+class TestPairsExamined:
+    """PatternReport.pairs_examined counts the candidate pairs handed to the
+    kernel: the pair walk's on the two-vertex checks, the vertex walk's on
+    the rest."""
+
+    @staticmethod
+    def vertex_walk_count(hg, codes):
+        return sum(len(later) for _, later in later_partners(hg, roles_of(codes)))
+
+    def test_goodcheck_input(self):
+        # ladder-sparse's n=200 goodcheck input: every pair sharing two
+        # vertices shares them as both edges' tails, so R3 (tail pair of one
+        # edge, headed pair of the other) and E (headed in both) meet none.
+        hg = gen_random(200, 800, cond="tails-only-2-intersect", seed=1101)
+        assert self.vertex_walk_count(hg, _PATTERN_CODES["R3"]) == 6383
+        assert contains_pattern(hg, "R3").pairs_examined == 0
+        assert contains_pattern(hg, "E").pairs_examined == 0
+        assert contains_pattern(hg, "H2").pairs_examined == 15
+        assert check_condition(hg, "tails-only-2-intersect").pairs_examined == 15
+
+    def test_h2_tower_5(self):
+        hg = gen_h2_tower(5)
+        codes = VIOLATING_CODES["tails-only-2-intersect"]
+        assert self.vertex_walk_count(hg, codes) == 35082
+        report = check_condition(hg, "tails-only-2-intersect")
+        assert report.pairs_examined == len(report.witnesses) == 3810
+        assert contains_pattern(hg, "R3").pairs_examined == 0
+        assert check_condition(hg, "lovasz").pairs_examined == self.vertex_walk_count(
+            hg, VIOLATING_CODES["lovasz"])
+
+    def test_left_out_of_equality_and_repr(self):
+        report = contains_pattern(gen_h2_tower(4), "I1")
+        assert report.pairs_examined > 0
+        bare = PatternReport(report.pattern, report.avoided, report.witnesses)
+        assert bare.pairs_examined == 0
+        assert report == bare and repr(report) == repr(bare)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -6,6 +7,8 @@ from dhcolor import (
     BLUE,
     GREEN,
     RED,
+    DirectedEdge,
+    DirectedHypergraph,
     HeadStar,
     InvariantViolationError,
     PreconditionError,
@@ -16,6 +19,8 @@ from dhcolor import (
     color_i0_4,
     color_i0_r4_2,
     color_one_head,
+    gen_h2_tower,
+    gen_perm_tower,
     gen_random,
     is_proper,
     normalize,
@@ -24,6 +29,7 @@ from dhcolor import (
     parse,
     run_fuzz,
 )
+from dhcolor.fuzzing import fuzz_instance
 
 # Four one-head edges arranged so that processing runs x,y,c,d,e,z, the edge
 # cd>e goes all red when e is processed, and the algorithm must flip d back.
@@ -369,3 +375,65 @@ def test_algorithms_see_normalized_input_but_color_everything():
     coloring, _, _ = color_one_head(hg)
     assert set(coloring.assignment) == {"a", "b", "c", "d", "q"}
     assert is_proper(hg, coloring)
+
+
+def _general_instance(seed):
+    """A seeded instance with edge sizes 2..5 and any head/tail split,
+    headless and tailless edges included."""
+    rng = random.Random(seed)
+    n = rng.randint(3, 9)
+    names = [f"v{i}" for i in range(n)]
+    rng.shuffle(names)
+    edges = []
+    for _ in range(rng.randint(0, 2 * n)):
+        vs = rng.sample(names, rng.randint(2, min(5, n)))
+        heads = rng.randint(0, len(vs))
+        edges.append(DirectedEdge(vs[heads:], vs[:heads]))
+    return DirectedHypergraph(names, edges)
+
+
+def _pin_corpus():
+    yield from (paper_i(), paper_r(), gen_h2_tower(3), gen_h2_tower(4), gen_h2_tower(5),
+                gen_perm_tower(3))
+    for algo, cond in (("one-head", "onehead-h1"), ("ht3", "r4-free"),
+                       ("i0-4", "i0-free"), ("i0r4-2", "i0r4-free")):
+        tails = (2, 5) if algo in ("one-head", "ht3") else (2, 2)
+        for trial in range(200):
+            yield fuzz_instance(algo, 1, trial, tail_range=tails)
+        yield gen_random(24, 96, cond=cond, seed=1)
+        yield gen_random(60, 240, cond=cond, seed=1)
+    for seed in range(300):
+        yield _general_instance(seed)
+    for seed in range(100):
+        yield gen_random(5 + seed % 8, 10 + seed % 13, cond="none", seed=seed, tail_range=(1, 4))
+
+
+def _outcome(fn, hg, checked):
+    """Text of one run: trace, violations and coloring, or the exception."""
+    try:
+        result = fn(hg, checked=checked)
+    except Exception as exc:  # the pin covers every way a run can end
+        report = getattr(exc, "report", None)
+        witnesses = [] if report is None else [tuple(w) for w in report.witnesses]
+        return f"{type(exc).__name__}\n{exc}\n{witnesses!r}\n"
+    coloring, trace = result[:2]
+    extra = f"{result[2]!r}\n" if len(result) == 3 else ""
+    return (f"{trace.to_text()}{trace.violations!r}\n{coloring.k} "
+            f"{sorted(coloring.assignment.items())!r}\n{extra}")
+
+
+# sha256 of the outcomes of every run of the pin corpus, recorded before the
+# algorithms shared one registry and one closing-vertex sweep.
+PINNED_RUNS_DIGEST = "afd1214fe1d324eb72bc6bb1f62e7e1364db88675632250286af13671f4eeb9e"
+
+
+def test_pinned_runs():
+    digest = hashlib.sha256()
+    runs = 0
+    for hg in _pin_corpus():
+        for fn in (color_one_head, color_head_tail_3, color_i0_4, color_i0_r4_2):
+            for checked in (True, False):
+                digest.update(_outcome(fn, hg, checked).encode())
+                runs += 1
+    assert runs == 8 * (6 + 4 * 202 + 300 + 100)
+    assert digest.hexdigest() == PINNED_RUNS_DIGEST

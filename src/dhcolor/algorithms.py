@@ -10,15 +10,24 @@ inspection.
 All algorithms normalize their input first (drop edges whose vertex set
 contains another edge's vertex set) and return a coloring of the full
 original vertex set; properness is verified against the original hypergraph.
+
+``ALGORITHMS`` is the one list of the algorithms.  Every pass of ht3, i0-4
+and i0r4-2 is one ``_Run.sweep``: paint ``v`` when it closes an edge filed
+under it whose blank count (non-blue, or green, vertices) is still 0.  One
+``paint`` serves them all, because a pass gated on the non-blue count only
+fires on an edge through ``v`` with no non-blue vertex, so ``v`` is blue.
+Only i0-4's step 2, gated on the green count, can meet a red ``v``.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from .core import (
     BLUE,
+    COLOR_NAMES,
     GREEN,
     RED,
     YELLOW,
@@ -29,8 +38,6 @@ from .core import (
     normalize,
 )
 from .patterns import PatternReport, check_condition
-
-ALGORITHM_IDS = ("one-head", "ht3", "i0-4", "i0r4-2")
 
 
 class PreconditionError(ValueError):
@@ -83,21 +90,41 @@ class RunTrace:
         return "".join(ev.line() + "\n" for ev in self.events)
 
 
-def _require(condition_ok: bool, message: str, report: PatternReport | None = None) -> None:
-    if not condition_ok:
-        raise PreconditionError(message, report)
-
-
 def _require_condition(hg: DirectedHypergraph, cond: str) -> None:
     report = check_condition(hg, cond)
     if not report.avoided:
         pairs = ", ".join(f"({w.i},{w.j})" for w in report.witnesses[:5])
-        _require(False, f"condition {cond} violated by edge pairs {pairs}", report)
+        raise PreconditionError(f"condition {cond} violated by edge pairs {pairs}", report)
 
 
-def _require_two_to_one(hg: DirectedHypergraph) -> None:
-    bad = [i for i, e in enumerate(hg.edges) if len(e.tail) != 2 or len(e.head) != 1]
-    _require(not bad, f"edges {bad} are not of 2->1 shape")
+# Each edge shape a hypothesis names: its predicate and its rejection text.
+_SHAPES = {
+    "one-head": (lambda e: len(e.head) == 1 and len(e.tail) >= 2,
+                 "lack the one-head, tails>=2 shape"),
+    "head-tail": (lambda e: bool(e.head and e.tail), "lack a head or a tail"),
+    "2->1": (lambda e: len(e.tail) == 2 and len(e.head) == 1, "are not of 2->1 shape"),
+}
+
+
+def _require_shape(hg: DirectedHypergraph, shape: str) -> None:
+    fits, text = _SHAPES[shape]
+    bad = [i for i, e in enumerate(hg.edges) if not fits(e)]
+    if bad:
+        raise PreconditionError(f"edges {bad} {text}")
+
+
+def _require_hypothesis(hg: DirectedHypergraph, spec: Algorithm) -> None:
+    _require_shape(hg, spec.shape)
+    _require_condition(hg, spec.condition)
+
+
+def _start(hg: DirectedHypergraph, name: str, checked: bool):
+    """Entry `name`, the normalized input (checked if asked) and a new trace."""
+    spec = ALGORITHMS[name]
+    hn = normalize(hg)
+    if checked:
+        _require_hypothesis(hn, spec)
+    return spec, hn, RunTrace()
 
 
 def _finish(hg: DirectedHypergraph, color: dict[str, int], k: int,
@@ -108,6 +135,46 @@ def _finish(hg: DirectedHypergraph, color: dict[str, int], k: int,
     if checked and trace.violations:
         raise InvariantViolationError(trace.violations)
     return coloring
+
+
+class _Run:
+    """One run's state: the colors (all blue at first), each vertex's
+    incident edges, and per-edge counts of non-blue and of green vertices."""
+
+    def __init__(self, hg: DirectedHypergraph, edges, trace: RunTrace) -> None:
+        self.trace = trace
+        self.color = dict.fromkeys(hg.vertices, BLUE)
+        self.incident: dict[str, list[int]] = {v: [] for v in hg.vertices}
+        for idx, e in enumerate(edges):
+            for v in e.vertices:
+                self.incident[v].append(idx)
+        self.nonblue = [0] * len(edges)
+        self.green = [0] * len(edges)
+
+    def paint(self, v: str, c: int) -> None:
+        """Give v color c (a vertex already colored is a violation)."""
+        if self.color[v] != BLUE:
+            self.trace.violate(f"recolored non-blue vertex {v}")
+        else:
+            for idx in self.incident[v]:
+                self.nonblue[idx] += 1
+        self.color[v] = c
+        if c == GREEN:
+            for idx in self.incident[v]:
+                self.green[idx] += 1
+
+    def sweep(self, order, closing: dict[str, list[int]], blank: list[int], c: int) -> None:
+        """Paint each v of order c when it closes an edge of closing[v] whose
+        blank count is still 0 (the first is the trigger); else keep it."""
+        add = self.trace.add
+        action = f"colored-{COLOR_NAMES[c]}"
+        for v in order:
+            trigger = next((i for i in closing.get(v, ()) if blank[i] == 0), None)
+            if trigger is None:
+                add(v, "kept")
+            else:
+                self.paint(v, c)
+                add(v, action, edge=trigger)
 
 
 def color_one_head(
@@ -130,30 +197,21 @@ def color_one_head(
     successor, and which qualifying edge is followed) without leaving the
     algorithm's allowed freedom.
     """
-    hn = normalize(hg)
-    trace = RunTrace()
-    if checked:
-        bad = [i for i, e in enumerate(hn.edges) if len(e.head) != 1 or len(e.tail) < 2]
-        _require(not bad, f"edges {bad} lack the one-head, tails>=2 shape")
-        _require_condition(hn, "onehead-h1")
-
+    spec, hn, trace = _start(hg, "one-head", checked)
     edges = hn.edges
-    m = len(edges)
     sizes = [len(e) for e in edges]
     tail_sizes = [len(e.tail) for e in edges]
     heads = [min(e.head, default=None) for e in edges]  # single head when well-formed
-    incident: dict[str, list[int]] = {v: [] for v in hn.vertices}
     tail_member: dict[str, list[int]] = {v: [] for v in hn.vertices}
     for idx, e in enumerate(edges):
-        for v in e.vertices:
-            incident[v].append(idx)
         for v in e.tail:
             tail_member[v].append(idx)
 
-    color = {v: BLUE for v in hn.vertices}
-    nonblue = [0] * m
-    redcnt = [0] * m
-    tails_done = [0] * m
+    # Red is the only color besides blue here, so the non-blue count of an
+    # edge is its red count.
+    run = _Run(hn, edges, trace)
+    color, incident, nonblue = run.color, run.incident, run.nonblue
+    tails_done = [0] * len(edges)
     changes = {v: 0 for v in hn.vertices}
     pos: dict[str, int] = {}
     order: list[str] = []
@@ -164,8 +222,7 @@ def color_one_head(
         if changes[v] > 2:
             trace.violate(f"vertex {v} changed color more than twice")
 
-    n = hn.n
-    for i in range(1, n + 1):
+    for i in range(1, hn.n + 1):
         if forced is not None:
             v, forced = forced, None
         else:
@@ -190,14 +247,11 @@ def color_one_head(
         if preferred:
             forced = heads[chosen]
 
-        color[v] = RED
+        # v is not processed yet, so it is blue, and an edge through it that
+        # is all red now became so in this step.
+        run.paint(v, RED)
         note_change(v)
-        newly_mono: list[int] = []
-        for idx in incident[v]:
-            nonblue[idx] += 1
-            redcnt[idx] += 1
-            if redcnt[idx] == sizes[idx]:
-                newly_mono.append(idx)
+        newly_mono = [idx for idx in incident[v] if nonblue[idx] == sizes[idx]]
         trace.add(v, "colored-red", edge=chosen, next_vertex=forced)
 
         if len(newly_mono) > 1:
@@ -221,10 +275,9 @@ def color_one_head(
                     note_change(prev)
                     for idx in incident[prev]:
                         nonblue[idx] -= 1
-                        redcnt[idx] -= 1
                 trace.add(prev, "recolored-previous-blue", edge=newly_mono[0])
 
-    coloring = _finish(hg, color, 2, trace, checked)
+    coloring = _finish(hg, color, spec.palette, trace, checked)
     return coloring, trace, tuple(order)
 
 
@@ -239,44 +292,21 @@ def color_head_tail_3(
     (ascending) greens the last vertex of any still-all-blue edge that ends in
     a head vertex.
     """
-    hn = normalize(hg)
-    trace = RunTrace()
-    if checked:
-        bad = [i for i, e in enumerate(hn.edges) if not e.head or not e.tail]
-        _require(not bad, f"edges {bad} lack a head or a tail")
-        _require_condition(hn, "r4-free")
-
+    spec, hn, trace = _start(hg, "ht3", checked)
     pos = hn.positions
     edges = hn.edges
     m = len(edges)
-    incident: dict[str, list[int]] = {v: [] for v in hn.vertices}
     tail_closing: dict[str, list[int]] = {}
     head_closing: dict[str, list[int]] = {}
     ends_in_tail = [False] * m
     for idx, e in enumerate(edges):
-        for v in e.vertices:
-            incident[v].append(idx)
         last = max(e.vertices, key=pos.__getitem__)
         ends_in_tail[idx] = last in e.tail
         (tail_closing if ends_in_tail[idx] else head_closing).setdefault(last, []).append(idx)
 
-    color = {v: BLUE for v in hn.vertices}
-    nonblue = [0] * m
-
-    def recolor(v: str, new: int) -> None:
-        if color[v] != BLUE:
-            trace.violate(f"recolored non-blue vertex {v}")
-        color[v] = new
-        for idx in incident[v]:
-            nonblue[idx] += 1
-
-    for v in hn.vertices:
-        trigger = next((i for i in tail_closing.get(v, ()) if nonblue[i] == 0), None)
-        if trigger is None:
-            trace.add(v, "kept")
-        else:
-            recolor(v, RED)
-            trace.add(v, "colored-red", edge=trigger)
+    run = _Run(hn, edges, trace)
+    color = run.color
+    run.sweep(hn.vertices, tail_closing, run.nonblue, RED)
 
     for idx in range(m):
         vcolors = [color[u] for u in edges[idx].vertices]
@@ -285,13 +315,7 @@ def color_head_tail_3(
         if all(c == RED for c in vcolors):
             trace.violate(f"edge {idx} is monochromatic red after pass 1")
 
-    for v in hn.vertices:
-        trigger = next((i for i in head_closing.get(v, ()) if nonblue[i] == 0), None)
-        if trigger is None:
-            trace.add(v, "kept")
-        else:
-            recolor(v, GREEN)
-            trace.add(v, "colored-green", edge=trigger)
+    run.sweep(hn.vertices, head_closing, run.nonblue, GREEN)
 
     for idx in range(m):
         vcolors = {color[u] for u in edges[idx].vertices}
@@ -299,7 +323,7 @@ def color_head_tail_3(
             # Covers all-blue head-ending edges as well as mono red/green.
             trace.violate(f"edge {idx} is monochromatic at termination")
 
-    coloring = _finish(hg, color, 3, trace, checked)
+    coloring = _finish(hg, color, spec.palette, trace, checked)
     return coloring, trace
 
 
@@ -320,8 +344,7 @@ def classify_head_star(hg: DirectedHypergraph, u: str, checked: bool = True) -> 
     classify means the input was not i0-free.
     """
     if checked:
-        _require_two_to_one(hg)
-        _require_condition(hg, "i0-free")
+        _require_hypothesis(hg, ALGORITHMS["i0-4"])
     if u not in hg.positions:
         raise ValueError(f"unknown vertex {u!r}")
     return _classify_star(hg, u, [e for e in hg.edges if u in e.head])
@@ -364,9 +387,10 @@ def augment_i0(hg: DirectedHypergraph, checked: bool = True) -> DirectedHypergra
     for the input.
     """
     if checked:
-        _require_two_to_one(hg)
+        _require_shape(hg, "2->1")
         vsets = [e.vertices for e in hg.edges]
-        _require(len(set(vsets)) == len(vsets), "two edges share a vertex set")
+        if len(set(vsets)) != len(vsets):
+            raise PreconditionError("two edges share a vertex set")
         _require_condition(hg, "i0-free")
     additions: list[DirectedEdge] = []
     for u, star_edges in _head_stars(hg).items():
@@ -422,15 +446,11 @@ def color_i0_4(hg: DirectedHypergraph, checked: bool = True) -> tuple[Coloring, 
     step 3 (ascending) yellows heads of all-blue E2 edges.  Trace edge indices
     refer to the augmented edge list.
     """
-    hn = normalize(hg)
-    trace = RunTrace()
-    if checked:
-        _require_two_to_one(hn)
-        _require_condition(hn, "i0-free")
+    spec, hn, trace = _start(hg, "i0-4", checked)
     if not hn.edges:
         for v in hn.vertices:
             trace.add(v, "kept")
-        return _finish(hg, {v: BLUE for v in hn.vertices}, 4, trace, checked), trace
+        return _finish(hg, {v: BLUE for v in hn.vertices}, spec.palette, trace, checked), trace
 
     try:
         ha = augment_i0(hn, checked=False)
@@ -441,8 +461,7 @@ def color_i0_4(hg: DirectedHypergraph, checked: bool = True) -> tuple[Coloring, 
             raise
         trace.violations.extend(exc.violations)
         ha = hn
-    post = check_condition(ha, "i0-free")
-    if not post.avoided:
+    if not check_condition(ha, "i0-free").avoided:
         trace.violate("augmentation broke i0-freeness")
     for issue in _full_star_issues(ha):
         trace.violate(issue)
@@ -450,12 +469,9 @@ def color_i0_4(hg: DirectedHypergraph, checked: bool = True) -> tuple[Coloring, 
     pos = hn.positions
     edges = ha.edges
     m = len(edges)
-    incident: dict[str, list[int]] = {v: [] for v in hn.vertices}
     by_head_rank: list[dict[str, list[int]]] = [{}, {}, {}]  # E1, E2, E3
     rank_of = [-1] * m  # -1: a headless edge, in no bucket (unchecked runs only)
     for idx, e in enumerate(edges):
-        for v in e.vertices:
-            incident[v].append(idx)
         if not e.head:
             continue
         head = min(e.head)
@@ -466,21 +482,9 @@ def color_i0_4(hg: DirectedHypergraph, checked: bool = True) -> tuple[Coloring, 
         rank_of[idx] = rank
         by_head_rank[rank].setdefault(head, []).append(idx)
 
-    color = {v: BLUE for v in hn.vertices}
-    nonblue = [0] * m
-    greencnt = [0] * m
+    run = _Run(hn, edges, trace)
+    color, nonblue, greencnt = run.color, run.nonblue, run.green
     sizes = [len(e) for e in edges]
-
-    def recolor(v: str, new: int) -> None:
-        if color[v] != BLUE:
-            trace.violate(f"recolored non-blue vertex {v}")
-        else:
-            for idx in incident[v]:
-                nonblue[idx] += 1
-        color[v] = new
-        if new == GREEN:
-            for idx in incident[v]:
-                greencnt[idx] += 1
 
     def mono(idx: int, c: int) -> bool:
         # Vertices never return to blue and nonblue counts each vertex once,
@@ -489,13 +493,7 @@ def color_i0_4(hg: DirectedHypergraph, checked: bool = True) -> tuple[Coloring, 
             return nonblue[idx] == 0
         return nonblue[idx] == sizes[idx] and all(color[u] == c for u in edges[idx].vertices)
 
-    for v in hn.vertices:
-        trigger = next((i for i in by_head_rank[2].get(v, ()) if nonblue[i] == 0), None)
-        if trigger is None:
-            trace.add(v, "kept")
-        else:
-            recolor(v, RED)
-            trace.add(v, "colored-red", edge=trigger)
+    run.sweep(hn.vertices, by_head_rank[2], nonblue, RED)
 
     for idx in range(m):
         if rank_of[idx] == 2 and mono(idx, BLUE):
@@ -503,13 +501,7 @@ def color_i0_4(hg: DirectedHypergraph, checked: bool = True) -> tuple[Coloring, 
         if mono(idx, RED):
             trace.violate(f"edge {idx} monochromatic red after step 1")
 
-    for v in reversed(hn.vertices):
-        trigger = next((i for i in by_head_rank[0].get(v, ()) if greencnt[i] == 0), None)
-        if trigger is None:
-            trace.add(v, "kept")
-        else:
-            recolor(v, GREEN)
-            trace.add(v, "colored-green", edge=trigger)
+    run.sweep(reversed(hn.vertices), by_head_rank[0], greencnt, GREEN)
 
     for idx in range(m):
         if rank_of[idx] == 0 and greencnt[idx] == 0:
@@ -521,19 +513,13 @@ def color_i0_4(hg: DirectedHypergraph, checked: bool = True) -> tuple[Coloring, 
         if mono(idx, RED):
             trace.violate(f"edge {idx} monochromatic red after step 2")
 
-    for v in hn.vertices:
-        trigger = next((i for i in by_head_rank[1].get(v, ()) if nonblue[i] == 0), None)
-        if trigger is None:
-            trace.add(v, "kept")
-        else:
-            recolor(v, YELLOW)
-            trace.add(v, "colored-yellow", edge=trigger)
+    run.sweep(hn.vertices, by_head_rank[1], nonblue, YELLOW)
 
     for idx, e in enumerate(edges):
         if len({color[u] for u in e.vertices}) == 1:
             trace.violate(f"edge {idx} monochromatic at termination")
 
-    coloring = _finish(hg, color, 4, trace, checked)
+    coloring = _finish(hg, color, spec.palette, trace, checked)
     return coloring, trace
 
 
@@ -541,40 +527,62 @@ def color_i0_r4_2(hg: DirectedHypergraph, checked: bool = True) -> tuple[Colorin
     """Proper 2-coloring for 2->1 hypergraphs whose one-vertex intersections
     are tails on both sides: one ascending pass that reds every vertex heading
     a still-all-blue edge."""
-    hn = normalize(hg)
-    trace = RunTrace()
-    if checked:
-        _require_two_to_one(hn)
-        _require_condition(hn, "i0r4-free")
-
+    spec, hn, trace = _start(hg, "i0r4-2", checked)
     edges = hn.edges
-    m = len(edges)
-    incident: dict[str, list[int]] = {v: [] for v in hn.vertices}
     by_head: dict[str, list[int]] = {}
     for idx, e in enumerate(edges):
-        for v in e.vertices:
-            incident[v].append(idx)
         if e.head:  # a headless edge (unchecked runs only) heads no bucket
             by_head.setdefault(min(e.head), []).append(idx)
 
-    color = {v: BLUE for v in hn.vertices}
-    nonblue = [0] * m
-    for v in hn.vertices:
-        trigger = next((i for i in by_head.get(v, ()) if nonblue[i] == 0), None)
-        if trigger is None:
-            trace.add(v, "kept")
-        else:
-            color[v] = RED
-            for idx in incident[v]:
-                nonblue[idx] += 1
-            trace.add(v, "colored-red", edge=trigger)
+    run = _Run(hn, edges, trace)
+    run.sweep(hn.vertices, by_head, run.nonblue, RED)
 
-    for idx in range(m):
-        vcolors = {color[u] for u in edges[idx].vertices}
+    for idx, e in enumerate(edges):
+        vcolors = {run.color[u] for u in e.vertices}
         if RED not in vcolors:
             trace.violate(f"edge {idx} ended with no red vertex")
         if len(vcolors) == 1:
             trace.violate(f"edge {idx} monochromatic at termination")
 
-    coloring = _finish(hg, color, 2, trace, checked)
+    coloring = _finish(hg, run.color, spec.palette, trace, checked)
     return coloring, trace
+
+
+class Algorithm(NamedTuple):
+    """One constructive coloring and the hypothesis it is proved under."""
+
+    run: Callable[..., tuple[Coloring, RunTrace]]  # (hg, checked=True) -> (coloring, trace)
+    shape: str  # a key of _SHAPES: the shape every normalized edge must have
+    condition: str  # the pair condition (a patterns.CONDITION_IDS entry)
+    palette: int  # number of colors
+
+
+def _run_one_head(hg, checked=True, tie_rng=None):
+    """color_one_head without the processing order."""
+    return color_one_head(hg, checked, tie_rng)[:2]
+
+
+ALGORITHMS: dict[str, Algorithm] = {
+    "one-head": Algorithm(_run_one_head, "one-head", "onehead-h1", 2),
+    "ht3": Algorithm(color_head_tail_3, "head-tail", "r4-free", 3),
+    "i0-4": Algorithm(color_i0_4, "2->1", "i0-free", 4),
+    "i0r4-2": Algorithm(color_i0_r4_2, "2->1", "i0r4-free", 2),
+}
+
+# The runners by id.  The CLI and fuzzing.run_fuzz both call through this
+# dict, so replacing an item (as the benchmark's span tracer does) reaches both.
+RUNNERS = {name: spec.run for name, spec in ALGORITHMS.items()}
+
+
+def applicable(hg: DirectedHypergraph) -> list[str]:
+    """Ids of the algorithms whose checked run accepts hg (raises no
+    PreconditionError), in registry order."""
+    hn = normalize(hg)
+    out = []
+    for name, spec in ALGORITHMS.items():
+        try:
+            _require_hypothesis(hn, spec)
+        except PreconditionError:
+            continue
+        out.append(name)
+    return out

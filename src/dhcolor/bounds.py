@@ -37,12 +37,16 @@ class RoleConflictError(ValueError):
     """Two hyperedges demand incompatible colors/orientations of a shadow edge."""
 
 
+_F_TABLE = [1, 1]  # f(0), f(1), ...: the values computed so far
+
+
 def f_bound(n: int) -> int:
-    """Evaluate the edge-count recurrence by dynamic programming."""
+    """Evaluate the edge-count recurrence by dynamic programming, computing
+    each f(m) once per process."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    table = [1, 1]
-    for m in range(2, n + 1):
+    table = _F_TABLE
+    for m in range(len(table), n + 1):
         table.append(max(k * (k - 1) // 2 * (m - k) + table[m - k] for k in range(1, m)))
     return table[n]
 

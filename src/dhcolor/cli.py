@@ -15,13 +15,7 @@ import json
 import sys
 
 from . import __version__
-from .algorithms import (
-    PreconditionError,
-    color_head_tail_3,
-    color_i0_4,
-    color_i0_r4_2,
-    color_one_head,
-)
+from .algorithms import ALGORITHMS, RUNNERS, PreconditionError
 from .bounds import RoleConflictError, f_bound, induce_good_coloring, verify_good_coloring
 from .core import (
     DirectedHypergraph,
@@ -30,7 +24,7 @@ from .core import (
     serialize,
     serialize_coloring,
 )
-from .fuzzing import ALGO_CONDITIONS, run_fuzz
+from .fuzzing import run_fuzz
 from .generators import GENERATOR_KINDS, GenSpec
 from .patterns import CONDITION_IDS, PATTERN_IDS, check_condition, contains_pattern
 from .solver import DEFAULT_MAX_K, chromatic_number
@@ -95,12 +89,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0 if report.avoided else 1
 
 
-_ALGOS = {
-    "one-head": lambda hg, checked: color_one_head(hg, checked=checked)[:2],
-    "ht3": color_head_tail_3,
-    "i0-4": color_i0_4,
-    "i0r4-2": color_i0_r4_2,
-}
+# The runners by algorithm id: the registry's own dict, not a copy.
+_ALGOS = RUNNERS
 
 
 def _cmd_color(args: argparse.Namespace) -> int:
@@ -242,7 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("color", help="run a constructive coloring algorithm")
     p.add_argument("file")
-    p.add_argument("--algo", choices=tuple(_ALGOS), required=True)
+    p.add_argument("--algo", choices=tuple(ALGORITHMS), required=True)
     p.add_argument("--trace", metavar="PATH")
     p.add_argument("--unchecked", action="store_true",
                    help="skip precondition checks; just report properness")
@@ -276,7 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_goodcheck)
 
     p = sub.add_parser("fuzz", help="randomized soundness trials")
-    p.add_argument("--algo", choices=tuple(ALGO_CONDITIONS), required=True)
+    p.add_argument("--algo", choices=tuple(ALGORITHMS), required=True)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--n-min", type=int, default=3)
     p.add_argument("--n-max", type=int, default=9)

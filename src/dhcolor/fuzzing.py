@@ -14,7 +14,9 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .algorithms import (
+from .algorithms import (  # noqa: F401 -- the color_* names, see below
+    ALGORITHMS,
+    RUNNERS,
     InvariantViolationError,
     PreconditionError,
     color_head_tail_3,
@@ -26,12 +28,8 @@ from .core import DirectedHypergraph, is_proper
 from .generators import gen_random
 from .solver import chromatic_number
 
-ALGO_CONDITIONS = {
-    "one-head": "onehead-h1",
-    "ht3": "r4-free",
-    "i0-4": "i0-free",
-    "i0r4-2": "i0r4-free",
-}
+# Trials run through RUNNERS.  The color_* names are unused here; they stay
+# because the benchmark's span tracer (perfbench/tracing.py) patches them.
 
 
 @dataclass(frozen=True)
@@ -76,7 +74,7 @@ def fuzz_instance(
     rng = random.Random(_instance_seed(seed, trial))
     n = rng.randint(*n_range)
     m = rng.randint(0, 2 * n)
-    return gen_random(n, m, cond=ALGO_CONDITIONS[algo], seed=rng.randrange(2**62),
+    return gen_random(n, m, cond=ALGORITHMS[algo].condition, seed=rng.randrange(2**62),
                       tail_range=tail_range)
 
 
@@ -91,19 +89,20 @@ def run_fuzz(
     on_instance: Callable[[DirectedHypergraph], None] | None = None,
 ) -> FuzzReport:
     """Run seeded trials of one algorithm; see the module docstring."""
-    if algo not in ALGO_CONDITIONS:
-        raise ValueError(f"unknown algorithm {algo!r}; expected one of {tuple(ALGO_CONDITIONS)}")
-    if algo in ("i0-4", "i0r4-2") and tail_range != (2, 2):
+    if algo not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algo!r}; expected one of {tuple(ALGORITHMS)}")
+    if ALGORITHMS[algo].shape == "2->1" and tail_range != (2, 2):
         raise ValueError(f"{algo} requires 2->1 instances; tail_range must be (2, 2)")
     if trials < 0:
         raise ValueError("trials must be non-negative")
     if n_range[0] > n_range[1]:
         raise ValueError(f"empty n_range {n_range}: n_min exceeds n_max")
 
+    run = RUNNERS[algo]
+    random_ties = random_ties and algo == "one-head"  # the only free choices
     report = FuzzReport(algo, trials)
     for trial in range(trials):
         inst_seed = _instance_seed(seed, trial)
-        rng = random.Random(inst_seed)
         hg = fuzz_instance(algo, seed, trial, n_range=n_range, tail_range=tail_range)
         n = hg.n
         if on_instance is not None:
@@ -113,15 +112,11 @@ def run_fuzz(
             report.failures.append(FuzzFailure(inst_seed, n, len(hg.edges), reason))
 
         try:
-            if algo == "one-head":
-                tie_rng = random.Random(rng.randrange(2**62)) if random_ties else None
-                coloring, trace, _ = color_one_head(hg, tie_rng=tie_rng)
-            elif algo == "ht3":
-                coloring, trace = color_head_tail_3(hg)
-            elif algo == "i0-4":
-                coloring, trace = color_i0_4(hg)
+            if random_ties:
+                tie_rng = random.Random(random.Random(inst_seed).randrange(2**62))
+                coloring, trace = run(hg, tie_rng=tie_rng)
             else:
-                coloring, trace = color_i0_r4_2(hg)
+                coloring, trace = run(hg)
         except PreconditionError as exc:
             fail(f"generated instance rejected by precondition check: {exc}")
             continue

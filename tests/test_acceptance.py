@@ -13,20 +13,18 @@ from itertools import combinations
 import pytest
 
 from dhcolor import (
+    ALGORITHMS,
+    applicable,
     check_condition,
     chromatic_number,
     color_head_tail_3,
     color_i0_4,
-    color_i0_r4_2,
-    color_one_head,
     contains_pattern,
     f_bound,
     find_proper_coloring,
     gen_h2_tower,
     gen_perm_tower,
     is_proper,
-    is_two_to_one,
-    normalize,
     paper_i,
     paper_r,
     DirectedHypergraph,
@@ -181,44 +179,20 @@ def test_criterion_09_edge_bound(fuzz_suites):
             assert edges <= f_bound(n), (n, edges)
 
 
-def _applicable_algorithms(hg):
-    hn = normalize(hg)
-    out = []
-    if all(len(e.head) == 1 and len(e.tail) >= 2 for e in hn.edges) \
-            and check_condition(hn, "onehead-h1").avoided:
-        out.append("one-head")
-    if all(e.head and e.tail for e in hn.edges) and check_condition(hn, "r4-free").avoided:
-        out.append("ht3")
-    if is_two_to_one(hn):
-        if check_condition(hn, "i0-free").avoided:
-            out.append("i0-4")
-        if check_condition(hn, "i0r4-free").avoided:
-            out.append("i0r4-2")
-    return out
-
-
-_RUNNERS = {
-    "one-head": lambda hg: color_one_head(hg)[:2],
-    "ht3": color_head_tail_3,
-    "i0-4": color_i0_4,
-    "i0r4-2": color_i0_r4_2,
-}
-
-
 def test_criterion_10_ordering_robustness():
     with criterion(10, "50 random vertex orders of paper-I/paper-R stay proper"):
         cases = {"paper-I": paper_i(), "paper-R": paper_r()}
         # Sanity: exactly one algorithm applies to each example hypergraph.
-        assert _applicable_algorithms(cases["paper-I"]) == ["i0-4"]
-        assert _applicable_algorithms(cases["paper-R"]) == ["ht3"]
+        assert applicable(cases["paper-I"]) == ["i0-4"]
+        assert applicable(cases["paper-R"]) == ["ht3"]
         rng = random.Random(2024)
         for name, hg in cases.items():
-            algos = _applicable_algorithms(hg)
+            algos = applicable(hg)
             for _ in range(50):
                 order = list(hg.vertices)
                 rng.shuffle(order)
                 permuted = hg.with_vertex_order(order)
                 for algo in algos:
-                    coloring, trace = _RUNNERS[algo](permuted)
+                    coloring, trace = ALGORITHMS[algo].run(permuted)
                     assert is_proper(permuted, coloring), (name, algo, order)
                     assert not trace.violations, (name, algo, order)

@@ -1,10 +1,13 @@
+import functools
 import hashlib
 import random
 
 import pytest
 
 from dhcolor import (
+    ALGORITHMS,
     BLUE,
+    CONDITION_IDS,
     GREEN,
     RED,
     DirectedEdge,
@@ -12,6 +15,7 @@ from dhcolor import (
     HeadStar,
     InvariantViolationError,
     PreconditionError,
+    applicable,
     augment_i0,
     check_condition,
     classify_head_star,
@@ -353,10 +357,15 @@ def test_fuzz_smoke_ht3_single_tail_edges():
 
 
 def test_fuzz_rejects_bad_tail_range():
-    with pytest.raises(ValueError):
-        run_fuzz("i0-4", trials=1, tail_range=(2, 4))
-    with pytest.raises(ValueError):
+    for algo in ("i0-4", "i0r4-2"):
+        for tails in ((2, 4), (1, 2), (3, 3)):
+            with pytest.raises(ValueError) as err:
+                run_fuzz(algo, trials=1, tail_range=tails)
+            assert str(err.value) == f"{algo} requires 2->1 instances; tail_range must be (2, 2)"
+    with pytest.raises(ValueError) as err:
         run_fuzz("nope", trials=1)
+    assert str(err.value) == ("unknown algorithm 'nope'; "
+                              "expected one of ('one-head', 'ht3', 'i0-4', 'i0r4-2')")
 
 
 def test_fuzz_rejects_empty_n_range():
@@ -392,7 +401,12 @@ def _general_instance(seed):
     return DirectedHypergraph(names, edges)
 
 
+@functools.cache
 def _pin_corpus():
+    return tuple(_pin_instances())
+
+
+def _pin_instances():
     yield from (paper_i(), paper_r(), gen_h2_tower(3), gen_h2_tower(4), gen_h2_tower(5),
                 gen_perm_tower(3))
     for algo, cond in (("one-head", "onehead-h1"), ("ht3", "r4-free"),
@@ -437,3 +451,27 @@ def test_pinned_runs():
                 runs += 1
     assert runs == 8 * (6 + 4 * 202 + 300 + 100)
     assert digest.hexdigest() == PINNED_RUNS_DIGEST
+
+
+def test_applicable_matches_the_checked_runs():
+    for hg in _pin_corpus():
+        accepted = []
+        for name, spec in ALGORITHMS.items():
+            try:
+                spec.run(hg)
+            except PreconditionError:
+                continue
+            accepted.append(name)
+        assert applicable(hg) == accepted, hg
+
+
+def test_registry_entries():
+    assert tuple(ALGORITHMS) == ("one-head", "ht3", "i0-4", "i0r4-2")
+    hg = parse("e a b > c")
+    for name, spec in ALGORITHMS.items():
+        assert spec.condition in CONDITION_IDS, name
+        coloring, trace = spec.run(hg, True)
+        assert coloring.k == spec.palette and not trace.violations, name
+    assert applicable(hg) == list(ALGORITHMS)
+    assert applicable(parse("e a > b")) == ["ht3"]
+    assert applicable(parse("e a b >")) == []

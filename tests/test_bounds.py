@@ -29,16 +29,23 @@ class TestFBound:
         assert f_bound(3) == 2  # best split: a pair against one vertex
         assert f_bound(4) == 4  # best split: a triple against one vertex
 
-    def test_matches_plain_recursion(self):
-        for n in range(17):
+    def test_matches_plain_recursion(self, monkeypatch):
+        # f_bound keeps its table between calls: on a fresh table, one large
+        # call read downwards, then reads upwards that extend it one value at
+        # a time past its end.
+        monkeypatch.setattr(bounds, "_F_TABLE", [1, 1])
+        for n in range(60, -1, -1):
             assert f_bound(n) == f_recursive(n), n
+        for n in range(90):
+            assert f_bound(n) == f_recursive(n), n
+        assert len(bounds._F_TABLE) == 90
 
     def test_nondecreasing(self):
         values = [f_bound(n) for n in range(1, 40)]
         assert all(a <= b for a, b in zip(values, values[1:]))
 
     def test_negative(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^n must be non-negative$"):
             f_bound(-1)
 
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from dhcolor import (
+    ALGORITHMS,
     CONDITION_IDS,
     PATTERN_IDS,
     Coloring,
@@ -400,6 +401,18 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(["check", "somefile"])  # neither --pattern nor --cond
         assert exc.value.code == 2
+
+
+class TestAlgorithmChoices:
+    @pytest.mark.parametrize("command", ["color", "fuzz"])
+    def test_algo_choices_come_from_the_registry(self, command):
+        subparsers = cli._build_parser()._subparsers._group_actions[0]
+        algo = subparsers.choices[command]._option_string_actions["--algo"]
+        assert tuple(algo.choices) == tuple(ALGORITHMS)
+
+    def test_dispatch_table_is_the_registry_runners(self):
+        assert cli._ALGOS is cli.RUNNERS
+        assert cli._ALGOS == {name: spec.run for name, spec in ALGORITHMS.items()}
 
 
 class TestRepeatedCalls:

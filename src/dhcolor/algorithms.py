@@ -16,7 +16,9 @@ and i0r4-2 is one ``_Run.sweep``: paint ``v`` when it closes an edge filed
 under it whose blank count (non-blue, or green, vertices) is still 0.  One
 ``paint`` serves them all, because a pass gated on the non-blue count only
 fires on an edge through ``v`` with no non-blue vertex, so ``v`` is blue.
-Only i0-4's step 2, gated on the green count, can meet a red ``v``.
+Only i0-4's step 2, gated on the green count, can meet a red ``v``.  Each
+vertex's edges and the masks that give ht3 an edge's last vertex and i0-4
+its head's rank come from ``hg.index``, built once per hypergraph.
 """
 
 from __future__ import annotations
@@ -141,15 +143,12 @@ class _Run:
     """One run's state: the colors (all blue at first), each vertex's
     incident edges, and per-edge counts of non-blue and of green vertices."""
 
-    def __init__(self, hg: DirectedHypergraph, edges, trace: RunTrace) -> None:
+    def __init__(self, hg: DirectedHypergraph, trace: RunTrace) -> None:
         self.trace = trace
         self.color = dict.fromkeys(hg.vertices, BLUE)
-        self.incident: dict[str, list[int]] = {v: [] for v in hg.vertices}
-        for idx, e in enumerate(edges):
-            for v in e.vertices:
-                self.incident[v].append(idx)
-        self.nonblue = [0] * len(edges)
-        self.green = [0] * len(edges)
+        self.incident = dict(zip(hg.vertices, hg.index.edges_at))
+        self.nonblue = [0] * len(hg.edges)
+        self.green = [0] * len(hg.edges)
 
     def paint(self, v: str, c: int) -> None:
         """Give v color c (a vertex already colored is a violation)."""
@@ -202,14 +201,11 @@ def color_one_head(
     sizes = [len(e) for e in edges]
     tail_sizes = [len(e.tail) for e in edges]
     heads = [min(e.head, default=None) for e in edges]  # single head when well-formed
-    tail_member: dict[str, list[int]] = {v: [] for v in hn.vertices}
-    for idx, e in enumerate(edges):
-        for v in e.tail:
-            tail_member[v].append(idx)
+    tail_member = dict(zip(hn.vertices, hn.index.tails_at))
 
     # Red is the only color besides blue here, so the non-blue count of an
     # edge is its red count.
-    run = _Run(hn, edges, trace)
+    run = _Run(hn, trace)
     color, incident, nonblue = run.color, run.incident, run.nonblue
     tails_done = [0] * len(edges)
     changes = {v: 0 for v in hn.vertices}
@@ -293,18 +289,19 @@ def color_head_tail_3(
     a head vertex.
     """
     spec, hn, trace = _start(hg, "ht3", checked)
-    pos = hn.positions
     edges = hn.edges
     m = len(edges)
+    heads, tails = hn.index.head_masks, hn.index.tail_masks
     tail_closing: dict[str, list[int]] = {}
     head_closing: dict[str, list[int]] = {}
-    ends_in_tail = [False] * m
-    for idx, e in enumerate(edges):
-        last = max(e.vertices, key=pos.__getitem__)
-        ends_in_tail[idx] = last in e.tail
-        (tail_closing if ends_in_tail[idx] else head_closing).setdefault(last, []).append(idx)
+    # An edge's last vertex is the top bit of its masks, which lies in the
+    # larger of its head and tail masks.
+    ends_in_tail = [t > h for h, t in zip(heads, tails)]
+    for idx, in_tail in enumerate(ends_in_tail):
+        last = hn.vertices[max(heads[idx], tails[idx]).bit_length() - 1]
+        (tail_closing if in_tail else head_closing).setdefault(last, []).append(idx)
 
-    run = _Run(hn, edges, trace)
+    run = _Run(hn, trace)
     color = run.color
     run.sweep(hn.vertices, tail_closing, run.nonblue, RED)
 
@@ -347,22 +344,14 @@ def classify_head_star(hg: DirectedHypergraph, u: str, checked: bool = True) -> 
         _require_hypothesis(hg, ALGORITHMS["i0-4"])
     if u not in hg.positions:
         raise ValueError(f"unknown vertex {u!r}")
-    return _classify_star(hg, u, [e for e in hg.edges if u in e.head])
+    return _classify_star(hg, u, hg.index.heads_at[hg.positions[u]])
 
 
-def _head_stars(hg: DirectedHypergraph) -> dict[str, list[DirectedEdge]]:
-    """The edges headed by each vertex, in edge order, from one pass."""
-    stars: dict[str, list[DirectedEdge]] = {v: [] for v in hg.vertices}
-    for e in hg.edges:
-        for v in e.head:
-            stars[v].append(e)
-    return stars
-
-
-def _classify_star(hg: DirectedHypergraph, u: str, star: list[DirectedEdge]) -> HeadStar:
-    """classify_head_star given the edges headed by u."""
-    if not star:
+def _classify_star(hg: DirectedHypergraph, u: str, ks: list[int]) -> HeadStar:
+    """classify_head_star given the indices of the edges headed by u."""
+    if not ks:
         return HeadStar("empty", ())
+    star = [hg.edges[k] for k in ks]
     pos = hg.positions
     pivots = frozenset.intersection(*(e.vertices for e in star)) - {u}
     if pivots:
@@ -393,8 +382,8 @@ def augment_i0(hg: DirectedHypergraph, checked: bool = True) -> DirectedHypergra
             raise PreconditionError("two edges share a vertex set")
         _require_condition(hg, "i0-free")
     additions: list[DirectedEdge] = []
-    for u, star_edges in _head_stars(hg).items():
-        star = _classify_star(hg, u, star_edges)
+    for u, ks in zip(hg.vertices, hg.index.heads_at):
+        star = _classify_star(hg, u, ks)
         if star.kind == "triangle":
             continue
         if star.kind == "empty":
@@ -404,7 +393,7 @@ def augment_i0(hg: DirectedHypergraph, checked: bool = True) -> DirectedHypergra
             pivot = others[0]
         else:
             pivot = star.vertices[0]
-        existing = {e.tail for e in star_edges}
+        existing = {hg.edges[k].tail for k in ks}
         for w in hg.vertices:
             if w == u or w == pivot:
                 continue
@@ -416,13 +405,13 @@ def augment_i0(hg: DirectedHypergraph, checked: bool = True) -> DirectedHypergra
 
 def _full_star_issues(hg: DirectedHypergraph) -> list[str]:
     issues = []
-    for u, star_edges in _head_stars(hg).items():
-        if not star_edges:
+    for u, ks in zip(hg.vertices, hg.index.heads_at):
+        if not ks:
             if hg.n >= 3:
                 issues.append(f"head-star of {u} still empty after augmentation")
             continue
         try:
-            star = _classify_star(hg, u, star_edges)
+            star = _classify_star(hg, u, ks)
         except InvariantViolationError as exc:
             issues.extend(exc.violations)
             continue
@@ -430,7 +419,7 @@ def _full_star_issues(hg: DirectedHypergraph) -> list[str]:
             continue
         pivot = star.vertices[0]
         want = {frozenset((pivot, w)) for w in hg.vertices if w not in (u, pivot)}
-        if {e.tail for e in star_edges} != want:
+        if {hg.edges[k].tail for k in ks} != want:
             issues.append(f"head-star of {u} is neither a triangle nor a full pivot star")
     return issues
 
@@ -468,6 +457,7 @@ def color_i0_4(hg: DirectedHypergraph, checked: bool = True) -> tuple[Coloring, 
 
     pos = hn.positions
     edges = ha.edges
+    masks = ha.index.masks
     m = len(edges)
     by_head_rank: list[dict[str, list[int]]] = [{}, {}, {}]  # E1, E2, E3
     rank_of = [-1] * m  # -1: a headless edge, in no bucket (unchecked runs only)
@@ -475,14 +465,14 @@ def color_i0_4(hg: DirectedHypergraph, checked: bool = True) -> tuple[Coloring, 
         if not e.head:
             continue
         head = min(e.head)
-        ordered = sorted(e.vertices, key=pos.__getitem__)
-        # 0 lowest, 1 middle, 2 highest; an edge with more than two tails
-        # (unchecked runs only) files a head past its third vertex under 2.
-        rank = min(ordered.index(head), 2)
+        # The count of the edge's vertices below the head: 0 lowest, 1 middle,
+        # 2 highest; an edge with more than two tails (unchecked runs only)
+        # files a head past its third vertex under 2.
+        rank = min((masks[idx] & ((1 << pos[head]) - 1)).bit_count(), 2)
         rank_of[idx] = rank
         by_head_rank[rank].setdefault(head, []).append(idx)
 
-    run = _Run(hn, edges, trace)
+    run = _Run(ha, trace)
     color, nonblue, greencnt = run.color, run.nonblue, run.green
     sizes = [len(e) for e in edges]
 
@@ -534,7 +524,7 @@ def color_i0_r4_2(hg: DirectedHypergraph, checked: bool = True) -> tuple[Colorin
         if e.head:  # a headless edge (unchecked runs only) heads no bucket
             by_head.setdefault(min(e.head), []).append(idx)
 
-    run = _Run(hn, edges, trace)
+    run = _Run(hn, trace)
     run.sweep(hn.vertices, by_head, run.nonblue, RED)
 
     for idx, e in enumerate(edges):

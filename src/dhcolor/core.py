@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 # Color indices used by every algorithm and trace in this package.
@@ -27,7 +28,7 @@ class ValidationError(ValueError):
 def _check_name(name: str) -> str:
     # str.split and str.isspace share one whitespace predicate, so this is
     # "empty or contains whitespace", tested at C speed.
-    if name.split() != [name] or name == ">" or "#" in name:
+    if not isinstance(name, str) or name.split() != [name] or name == ">" or "#" in name:
         raise ValidationError(f"invalid vertex name: {name!r}")
     return name
 
@@ -72,6 +73,72 @@ def edge(tails: Iterable[str], heads: Iterable[str]) -> DirectedEdge:
     return DirectedEdge(frozenset(tails), frozenset(heads))
 
 
+class HypergraphIndex:
+    """A hypergraph's edges by vertex position (``hg.index``); the vertex at
+    position p is bit p of every mask.  ``head_rows[k]`` and ``tail_rows[k]``,
+    the positions of edge k's heads and tails in no set order, are found at
+    construction; each other view is built from them on first use:
+    ``head_masks``, ``tail_masks`` and ``masks`` give each edge's bitmask of
+    its heads, its tails and all its vertices; ``heads_at``, ``tails_at`` and
+    ``edges_at`` give for each position the ascending indices of the edges it
+    heads, is a tail of, or lies in; ``edge_bits`` gives for each position
+    the bitset of the edges through it.  It keeps no reference to the
+    hypergraph, so both are freed by reference counting alone.
+    """
+
+    def __init__(self, hg: DirectedHypergraph) -> None:
+        get = hg.positions.__getitem__
+        self.n = len(hg.vertices)
+        self.head_rows = [tuple(map(get, e.head)) for e in hg.edges]
+        self.tail_rows = [tuple(map(get, e.tail)) for e in hg.edges]
+
+    @cached_property
+    def head_masks(self) -> list[int]:
+        return _row_masks(self.head_rows)
+
+    @cached_property
+    def tail_masks(self) -> list[int]:
+        return _row_masks(self.tail_rows)
+
+    @cached_property
+    def masks(self) -> list[int]:
+        return [h | t for h, t in zip(self.head_masks, self.tail_masks)]
+
+    @cached_property
+    def heads_at(self) -> list[list[int]]:
+        return file_under_keys(self.head_rows, [[] for _ in range(self.n)])
+
+    @cached_property
+    def tails_at(self) -> list[list[int]]:
+        return file_under_keys(self.tail_rows, [[] for _ in range(self.n)])
+
+    @cached_property
+    def edges_at(self) -> list[list[int]]:
+        return file_under_keys(map(add, self.head_rows, self.tail_rows), [[] for _ in range(self.n)])
+
+    @cached_property
+    def edge_bits(self) -> list[int]:
+        return _row_masks(self.edges_at)
+
+
+def _row_masks(rows: Iterable[Iterable[int]]) -> list[int]:
+    masks = []
+    for row in rows:
+        mask = 0
+        for p in row:
+            mask |= 1 << p
+        masks.append(mask)
+    return masks
+
+
+def file_under_keys(rows: Iterable[Iterable[int]], lists):
+    """Append k to lists[key] for each key of rows[k], so each list ascends."""
+    for k, row in enumerate(rows):
+        for key in row:
+            lists[key].append(k)
+    return lists
+
+
 @dataclass(frozen=True)
 class DirectedHypergraph:
     """Ordered vertex sequence plus edge sequence.
@@ -96,13 +163,15 @@ class DirectedHypergraph:
         for idx, e in enumerate(self.edges):
             missing = e.vertices - seen
             if missing:
-                names = ",".join(sorted(missing))
+                names = ",".join(sorted(map(str, missing)))
                 raise ValidationError(f"edge {idx} uses undeclared vertices: {names}")
 
     @cached_property
     def positions(self) -> dict[str, int]:
         """Vertex name to position in the vertex sequence."""
         return {v: i for i, v in enumerate(self.vertices)}
+
+    index = cached_property(HypergraphIndex)
 
     @property
     def n(self) -> int:
@@ -129,11 +198,12 @@ class Coloring:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "assignment", dict(self.assignment))
-        if self.k < 1:
-            raise ValidationError("a coloring needs at least one color")
+        # Only ints (not bools or floats) come back from the text form as they went in.
+        if type(self.k) is not int or self.k < 1:
+            raise ValidationError(f"a coloring needs an int count of colors >= 1, not {self.k!r}")
         for v, c in self.assignment.items():
-            if not 0 <= c < self.k:
-                raise ValidationError(f"color {c} of {v} outside 0..{self.k - 1}")
+            if type(c) is not int or not 0 <= c < self.k:
+                raise ValidationError(f"color {c!r} of {v} is not an int in 0..{self.k - 1}")
 
     def colors_used(self) -> int:
         return len(set(self.assignment.values()))
@@ -225,33 +295,26 @@ def normalize(hg: DirectedHypergraph) -> DirectedHypergraph:
     superset of a kept one and monochromaticity only depends on vertex sets.
     When no edge is dropped the result is ``hg`` itself.
 
-    Each vertex position holds a bitset of the edges containing it, so the
-    edges whose vertex set contains edge i's are the AND of its vertices'
-    bitsets: |e| big-int ANDs per edge, with no walk over edge pairs.  Edges
-    are visited in order and each one not yet dropped drops all its other
-    supersets.  That is the rule above: an edge i still standing has no equal
-    copy before it (that copy, or whatever dropped it, would have dropped i),
-    and an edge that should go has a kept edge inside it, which drops it.
+    ``hg.index.edge_bits`` holds each position's bitset of the edges through
+    it, so the edges whose vertex set contains edge i's are the AND of its
+    vertices' bitsets: |e| big-int ANDs per edge, with no walk over edge
+    pairs.  Edges are visited in order and each one not yet dropped drops
+    all its other supersets.  That is the rule above: an edge i still
+    standing has no equal copy before it (that copy, or whatever dropped it,
+    would have dropped i), and an edge that should go has a kept edge inside
+    it, which drops it.
     """
-    pos = hg.positions
-    incidence = [0] * len(hg.vertices)  # bit k: edge k contains the vertex
-    rows = []
-    for k, e in enumerate(hg.edges):
-        bit = 1 << k
-        row = [pos[v] for v in e.vertices]
-        for p in row:
-            incidence[p] |= bit
-        rows.append(row)
+    bits = hg.index.edge_bits
     dropped = 0
-    for i, row in enumerate(rows):
+    for i, row in enumerate(map(add, hg.index.head_rows, hg.index.tail_rows)):
         if dropped >> i & 1:
             continue
-        supersets = incidence[row[0]]
+        supersets = bits[row[0]]
         for p in row[1:]:
-            supersets &= incidence[p]
+            supersets &= bits[p]
         dropped |= supersets ^ (1 << i)
     if not dropped:
-        return hg  # keeps its cached positions; nothing to revalidate
+        return hg  # keeps its cached positions and index; nothing to revalidate
     kept = tuple(e for k, e in enumerate(hg.edges) if not dropped >> k & 1)
     return DirectedHypergraph(hg.vertices, kept)
 

@@ -15,37 +15,38 @@ Because every pattern has exactly two edges, containment reduces to
 classifying each edge pair; no general subhypergraph isomorphism is needed.
 
 Cost model.  Each edge is held as a head bitmask and a tail bitmask over
-vertex positions, and ``matching_partners`` classifies pairs from those
-masks alone; the pattern of a pair and its verdict under each condition are
-table lookups on its code.  Pairs with no shared vertex are never examined:
-they match no pattern and satisfy every condition.  Candidate pairs are
-found through shared keys: each edge is filed under each of its keys, with
-the role it gives the key (tail, or head), and edges are paired up only
-inside a key's lists, in the role combinations the requested codes need.
+vertex positions, from ``hg.index``, and ``matching_partners`` classifies
+pairs from those masks alone; the pattern of a pair and its verdict under
+each condition are table lookups on its code.  Pairs with no shared vertex
+are never examined: they match no pattern and satisfy every condition.
+Candidate pairs are found through shared keys: each edge is filed under
+each of its keys, with the role it gives the key (tail, or head), and edges
+are paired up only inside a key's lists, in the role combinations the
+requested codes need.
 
 Vertex keys.  Every code guarantees a role class at some shared vertex:
 head of both edges (I0, I1), tail of both (H1, H2), or head of one and tail
-of the other (R4, R3, E).  Each vertex keeps a head-incidence list (edges it
-heads) and a tail-incidence list, and ``later_partners`` pairs up only the
-lists the requested classes need, so a check costs the sum over vertices of
-the products of those list sizes (head x head for I0 or i0-free, head x tail
-for R4 or r4-free, and the squared degree when every class is needed)
-rather than m^2.
+of the other (R4, R3, E).  The index keeps each position's head-incidence
+list (edges it heads) and tail-incidence list, each built on first use, and
+the partner walk pairs up only the lists the requested classes need, so a
+check costs the sum over vertices of the products of those list sizes (head
+x head for I0 or i0-free, head x tail for R4 or r4-free, and the squared
+degree when every class is needed) rather than m^2.
 
 Pair keys.  H2, I1, R3 and E (and so ``h2-two-intersect`` and
 ``tails-only-2-intersect``) need exactly two shared vertices.  A check
 asking only for such codes files each edge under each of its C(|e|, 2)
-vertex pairs instead, as a tail pair (both vertices tails) or a headed pair
-(it holds a head), and the codes again guarantee a class at the shared
-pair: tail pair of both edges (H2), tail pair of one and headed pair of the
-other (R3), headed pair of both (I1, E).  Such a check costs the sum of
-C(|e|, 2) over the edges to file the keys plus the candidate pairs met in
-the lists it needs: at most the pairs sharing two or more vertices, rather
-than every vertex-sharing pair.  On a 2->1 input with n = 200 and m = 800
-avoiding R3 and E, the R3 and E checks meet no candidate where the vertex
-walk hands each 6,383 pairs to the kernel, and ``tails-only-2-intersect``
-meets 15 where it would hand 14,185.  Which keys a check walks follows from
-its codes alone.
+vertex pairs instead (from the index's positions), as a tail pair (both
+vertices tails) or a headed pair (it holds a head), and the codes again
+guarantee a class at the shared pair: tail pair of both edges (H2), tail
+pair of one and headed pair of the other (R3), headed pair of both (I1,
+E).  Such a check costs the sum of C(|e|, 2) over the edges to file the
+keys plus the candidate pairs met in the lists it needs: at most the pairs
+sharing two or more vertices, rather than every vertex-sharing pair.  On a
+2->1 input with n = 200 and m = 800 avoiding R3 and E, the R3 and E checks
+meet no candidate where the vertex walk hands each 6,383 pairs to the
+kernel, and ``tails-only-2-intersect`` meets 15 where it would hand 14,185.
+Which keys a check walks follows from its codes alone.
 
 Each edge's whole partner list goes to the kernel in one call, which yields
 only the matching partners, so no pair costs a function call.  A witness is
@@ -59,9 +60,10 @@ from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import combinations
+from operator import add
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .core import DirectedEdge, DirectedHypergraph, is_two_to_one
+from .core import DirectedEdge, DirectedHypergraph, HypergraphIndex, file_under_keys, is_two_to_one
 
 PATTERN_IDS = ("H2", "I1", "R3", "E", "I0", "H1", "R4")
 
@@ -227,25 +229,34 @@ def _masks(e: DirectedEdge, pos: dict[str, int]) -> tuple[int, int]:
     return h, t
 
 
-def edge_masks(hg: DirectedHypergraph) -> list[tuple[int, int]]:
-    """(head mask, tail mask) of every edge; bit p stands for hg.vertices[p]."""
-    pos = hg.positions
-    return [_masks(e, pos) for e in hg.edges]
+class _PairKeys:
+    """Every edge's vertex pairs as keys p * n + q (positions p < q), laid
+    out as in HypergraphIndex: each pair of its tails as a tail, each pair
+    holding a head as a head.  The lists at the keys are built when read."""
+
+    def __init__(self, index: HypergraphIndex) -> None:
+        n = index.n
+        self.head_rows: list[list[int]] = []
+        self.tail_rows: list[list[int]] = []
+        for hs, ts in zip(index.head_rows, index.tail_rows):
+            self.tail_rows.append([p * n + q for p, q in combinations(sorted(ts), 2)])
+            row = [p * n + q for p, q in combinations(sorted(hs), 2)] if len(hs) > 1 else []
+            for h in hs:
+                for t in ts:
+                    row.append(h * n + t if h < t else t * n + h)
+            self.head_rows.append(row)
+
+    heads_at = property(lambda self: file_under_keys(self.head_rows, defaultdict(list)))
+    tails_at = property(lambda self: file_under_keys(self.tail_rows, defaultdict(list)))
+    edges_at = property(lambda self: file_under_keys(map(add, self.head_rows, self.tail_rows),
+                                                     defaultdict(list)))
 
 
-def _incidence(rows: list[list[int]]) -> defaultdict[int, list[int]]:
-    """For each key, the ascending indices of the rows holding it."""
-    lists: defaultdict[int, list[int]] = defaultdict(list)
-    for k, row in enumerate(rows):
-        for key in row:
-            lists[key].append(k)
-    return lists
-
-
-def _partners(head_rows: list[list[int]], tail_rows: list[list[int]],
+def _partners(keys: HypergraphIndex | _PairKeys,
               roles: int) -> Iterator[tuple[int, list[int]]]:
     """(i, [j > i sharing a key with edge i in a class of `roles`, ascending])
-    for every edge i, given the keys each edge holds as a head and as a tail.
+    for every edge i, given ``keys``: the keys each edge holds as a head and
+    as a tail (``head_rows``, ``tail_rows``), and the lists at each key.
 
     Each key keeps the list of edges holding it as a head and the list of
     edges holding it as a tail, and a pair is found only through the lists
@@ -255,13 +266,14 @@ def _partners(head_rows: list[list[int]], tail_rows: list[list[int]],
     key of all its edges.  Walking the lists in order gives each pair i < j
     once, in ascending (i, j) order, however many keys it shares.
     """
+    head_rows, tail_rows = keys.head_rows, keys.tail_rows
     if roles == ALL_ROLES:  # one list of all its edges serves every class at once
-        rows = [h + t for h, t in zip(head_rows, tail_rows)]
-        sides = [(rows, _incidence(rows))]
+        edges_at = keys.edges_at
+        sides = [(head_rows, edges_at), (tail_rows, edges_at)]
     else:
-        # only the lists some class scans are built
-        heads = _incidence(head_rows) if roles & (HEAD_HEAD | HEAD_TAIL) else None
-        tails = _incidence(tail_rows) if roles & (TAIL_TAIL | HEAD_TAIL) else None
+        # only the lists some class scans are read, and so built
+        heads = keys.heads_at if roles & (HEAD_HEAD | HEAD_TAIL) else None
+        tails = keys.tails_at if roles & (TAIL_TAIL | HEAD_TAIL) else None
         # (the edge's own keys in one role, the lists it scans there)
         classes = ((HEAD_HEAD, head_rows, heads), (TAIL_TAIL, tail_rows, tails),
                    (HEAD_TAIL, head_rows, tails), (HEAD_TAIL, tail_rows, heads))
@@ -270,51 +282,10 @@ def _partners(head_rows: list[list[int]], tail_rows: list[list[int]],
         later: list[int] = []
         for rows, lists in sides:
             for key in rows[i]:
-                edges = lists.get(key)
+                edges = lists[key]
                 if edges and edges[-1] > i:  # most keys of a sparse input end at i or before
                     later += edges[bisect_right(edges, i):]
         yield i, sorted(set(later)) if later else later
-
-
-def _vertex_keys(hg: DirectedHypergraph) -> tuple[list[list[int]], list[list[int]]]:
-    """The positions of every edge's heads and of its tails."""
-    get = hg.positions.__getitem__
-    return ([list(map(get, e.head)) for e in hg.edges],
-            [list(map(get, e.tail)) for e in hg.edges])
-
-
-def _pair_keys(head_rows: list[list[int]], tail_rows: list[list[int]],
-               n: int) -> tuple[list[list[int]], list[list[int]]]:
-    """Every edge's vertex pairs as keys p * n + q (positions p < q), from its
-    head and tail positions: each pair of its tails as a tail, and each pair
-    holding a head as a head."""
-    pair_heads, pair_tails = [], []
-    for hs, ts in zip(head_rows, tail_rows):
-        pair_tails.append([p * n + q for p, q in combinations(sorted(ts), 2)])
-        row = [p * n + q for p, q in combinations(sorted(hs), 2)] if len(hs) > 1 else []
-        for h in hs:
-            for t in ts:
-                row.append(h * n + t if h < t else t * n + h)
-        pair_heads.append(row)
-    return pair_heads, pair_tails
-
-
-def later_partners(hg: DirectedHypergraph,
-                   roles: int = ALL_ROLES) -> Iterator[tuple[int, list[int]]]:
-    """(i, [j > i sharing a vertex with edge i in a class of `roles`,
-    ascending]) for every edge i: the partner walk over vertex keys."""
-    return _partners(*_vertex_keys(hg), roles)
-
-
-def _bitmasks(rows: list[list[int]]) -> list[int]:
-    """The bitmask of each row's positions."""
-    masks = []
-    for row in rows:
-        mask = 0
-        for p in row:
-            mask |= 1 << p
-        masks.append(mask)
-    return masks
 
 
 def _rows(names: tuple[str, ...], common: int,
@@ -338,14 +309,11 @@ def _witnesses(hg: DirectedHypergraph,
     from the walk over vertex-pair keys, otherwise from the walk over vertex
     keys.
     """
-    head_rows, tail_rows = _vertex_keys(hg)
+    index = hg.index
     pair_roles = pair_roles_of(codes)
-    if pair_roles:
-        walk = _partners(*_pair_keys(head_rows, tail_rows, len(hg.vertices)), pair_roles)
-    else:
-        walk = _partners(head_rows, tail_rows, roles_of(codes))
-    heads: list[int] = []
-    tails: list[int] = []
+    keys = _PairKeys(index) if pair_roles else index
+    walk = _partners(keys, pair_roles or roles_of(codes))
+    heads = tails = ()  # the edge masks, read at the first candidate
     names = hg.vertices
     # Witnesses often repeat one shared vertex set with the same roles, so
     # their rows are built once and shared.
@@ -356,8 +324,8 @@ def _witnesses(hg: DirectedHypergraph,
     for i, later in walk:
         if not later:  # most edges of a sparse input: skip the kernel call
             continue
-        if not heads:  # built at the first candidate: a pair walk often meets none
-            heads, tails = _bitmasks(head_rows), _bitmasks(tail_rows)
+        if not heads:  # a pair walk often meets no candidate, and needs no masks
+            heads, tails = index.head_masks, index.tail_masks
         examined += len(later)
         h1 = heads[i]
         for j, _, common in matching_partners(h1, tails[i], later, heads, tails, codes):
@@ -379,9 +347,8 @@ def classify_intersection(hg: DirectedHypergraph, i: int, j: int) -> Intersectio
     """Exact intersection of edges i < j, listed in vertex-sequence order."""
     if not 0 <= i < j < len(hg.edges):
         raise IndexError(f"edge pair ({i}, {j}) out of range")
-    pos = hg.positions
-    (h1, t1), (h2, t2) = _masks(hg.edges[i], pos), _masks(hg.edges[j], pos)
-    return IntersectionProfile(i, j, _rows(hg.vertices, (h1 | t1) & (h2 | t2), h1, h2))
+    heads, masks = hg.index.head_masks, hg.index.masks
+    return IntersectionProfile(i, j, _rows(hg.vertices, masks[i] & masks[j], heads[i], heads[j]))
 
 
 def classify_pair(e1: DirectedEdge, e2: DirectedEdge) -> str | None:

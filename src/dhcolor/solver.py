@@ -1,10 +1,10 @@
 """Exact proper k-colorability and chromatic number.
 
 This is the ground-truth oracle the constructive algorithms are checked
-against.  ``chromatic_number`` tries k = 1, 2, ... and builds one index of
-the edges for all of them.  A verdict search proves each k < chi infeasible;
-the fixed-order witness search runs only at the first k the verdict search
-accepts and gives the coloring returned.
+against.  ``chromatic_number`` tries k = 1, 2, ... and files the edge
+masks of ``hg.index`` once for all of them.  A verdict search proves each
+k < chi infeasible; the fixed-order witness search runs only at the first k
+the verdict search accepts and gives the coloring returned.
 
 Witness search (``find_proper_coloring``).  Vertices are assigned in sequence
 order with two symmetry breaks that are sound because properness is
@@ -45,13 +45,13 @@ possible number of leaves, is at most 2^16 (n <= 17 at k = 2, n <= 11 at
 k = 3), that search alone gives the verdict at k: measured on random inputs,
 running the verdict search first costs more than it saves below that size.
 
-Cost: the index is one pass over the edges; the verdict search's per-vertex
-incidence is built from it on first use.  A node of either search costs one
-mask test per edge it examines (those filed under the position, or those
-through the vertex) plus a trail entry per newly forbidden color; a backjump
-costs one undo per vertex it passes.  The number of nodes is exponential in n
-in the worst case.  Both searches keep explicit stacks, so their depth is not
-bounded by Python's recursion limit.
+Cost: filing the masks of ``hg.index`` is one pass, and the verdict search
+reads its per-vertex incidence off that index on first use.  A node of
+either search costs one mask test per edge it examines (those filed under
+the position, or those through the vertex) plus a trail entry per newly
+forbidden color; a backjump costs one undo per vertex it passes.  The
+number of nodes is exponential in n in the worst case.  Both searches keep
+explicit stacks, so their depth is not bounded by Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import Coloring, DirectedHypergraph
+from .core import Coloring, DirectedHypergraph, HypergraphIndex
 
 DEFAULT_MAX_K = 8
 # The witness search has at most k^(n-1) leaves.  Up to this many it settles
@@ -100,34 +100,24 @@ class ChromaticResult:
 
 
 class _Index:
-    """What both searches read: each edge's position mask, and views of them.
+    """What both searches read, from the edge masks of ``hg.index``; the
+    verdict search's view is built the first time that search runs."""
 
-    Built in one pass over the edges; the verdict search's view is built
-    from the masks the first time that search runs.
-    """
-
-    def __init__(self, n: int) -> None:
-        self.n = n
-        self.masks: list[int] = []
+    def __init__(self, index: HypergraphIndex) -> None:
+        self.edge_index = index
         # filed[p]: (rest mask, last position) of each edge whose
         # second-to-last position is p, for the witness search.
-        self.filed: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        self.filed: list[list[tuple[int, int]]] = [[] for _ in range(index.n)]
 
     @cached_property
     def incidence(self) -> tuple[list[list[int]], list[int], list[int]]:
         """The masks of the edges through each position, the positions by
         descending degree (ties by position), and each position's bit in
         that order."""
-        n = self.n
-        through: list[list[int]] = [[] for _ in range(n)]
-        for mask in self.masks:
-            bits = mask
-            while bits:
-                low = bits & -bits
-                through[low.bit_length() - 1].append(mask)
-                bits ^= low
-        order = sorted(range(n), key=lambda p: -len(through[p]))
-        rank_bit = [0] * n
+        masks = self.edge_index.masks
+        through = [[masks[k] for k in ks] for ks in self.edge_index.edges_at]
+        order = sorted(range(len(through)), key=lambda p: -len(through[p]))
+        rank_bit = [0] * len(order)
         for r, p in enumerate(order):
             rank_bit[p] = 1 << r
         return through, order, rank_bit
@@ -135,19 +125,14 @@ class _Index:
 
 def _build_index(hg: DirectedHypergraph) -> _Index | None:
     """The shared index, or None when a single-vertex edge makes every k fail."""
-    index = _Index(hg.n)
-    masks, filed = index.masks, index.filed
-    pos = hg.positions
-    for e in hg.edges:
-        mask = 0
-        for v in e.vertices:
-            mask |= 1 << pos[v]
+    index = _Index(hg.index)
+    filed = index.filed
+    for mask in hg.index.masks:
         last = mask.bit_length() - 1
         rest = mask ^ 1 << last
         if not rest:  # a single-vertex edge can never see two color classes
             return None
         filed[rest.bit_length() - 1].append((rest, last))
-        masks.append(mask)
     return index
 
 
@@ -222,7 +207,7 @@ def find_proper_coloring(hg: DirectedHypergraph, k: int, *,
 def _colorable(index: _Index, k: int) -> bool:
     """Whether a proper k-coloring exists; see the module docstring."""
     through, order, rank_bit = index.incidence
-    n = index.n
+    n = index.edge_index.n
     colors = [0] * n
     count = [0] * n  # number of colors forbidden at each position
     forbidden = [0] * n  # and which, as bitmasks

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import pickle
 import random
+import weakref
 from itertools import combinations, product
 
 import pytest
@@ -12,8 +14,12 @@ from dhcolor import (
     DirectedHypergraph,
     ParseError,
     ValidationError,
+    check_condition,
+    chromatic_number,
+    color_head_tail_3,
     edge,
     gen_h2_tower,
+    gen_random,
     is_proper,
     normalize,
     paper_i,
@@ -24,6 +30,8 @@ from dhcolor import (
 )
 from dhcolor.core import _check_name
 from oracles import naive_normalized_edges, naive_parse
+from test_algorithms import _pin_corpus
+from test_solver import general_instances
 
 PAPER_I_TEXT = """\
 e v1 v2 > v3
@@ -187,8 +195,10 @@ class TestNormalize:
     def test_nothing_dropped_returns_the_input(self):
         for hg in (paper_i(), gen_h2_tower(4), parse("e a b > c\nv d\n"), parse("")):
             positions = hg.positions
+            index = hg.index
             out = normalize(hg)
             assert out is hg and out.positions is positions
+            assert out.index is index
 
     def test_superset_dropped(self):
         hg = parse("e a b > c\ne a b > c d\n")
@@ -244,6 +254,65 @@ def nested_instance(seed):
             sets.append(frozenset(rng.sample(names, rng.randint(2, 6))))
     rng.shuffle(sets)
     return DirectedHypergraph(tuple(names), tuple(_roles(s, rng) for s in sets))
+
+
+class TestHypergraphIndex:
+    """hg.index against builds from vertex names, and its place in the value."""
+
+    def test_views_match_a_naive_build(self):
+        for hg in (*_pin_corpus(), *general_instances()):
+            index = hg.index
+            pos = {v: p for p, v in enumerate(hg.vertices)}
+            heads = [{pos[v] for v in e.head} for e in hg.edges]
+            tails = [{pos[v] for v in e.tail} for e in hg.edges]
+            assert index.n == hg.n
+            assert [sorted(row) for row in index.head_rows] == [sorted(s) for s in heads]
+            assert [sorted(row) for row in index.tail_rows] == [sorted(s) for s in tails]
+            assert index.head_masks == [sum(1 << p for p in s) for s in heads]
+            assert index.tail_masks == [sum(1 << p for p in s) for s in tails]
+            assert index.masks == [sum(1 << pos[v] for v in e.vertices) for e in hg.edges]
+            ks = range(len(hg.edges))
+            assert index.heads_at == [[k for k in ks if v in hg.edges[k].head]
+                                      for v in hg.vertices]
+            assert index.tails_at == [[k for k in ks if v in hg.edges[k].tail]
+                                      for v in hg.vertices]
+            assert index.edges_at == [[k for k in ks if v in hg.edges[k].vertices]
+                                      for v in hg.vertices]
+            assert index.edge_bits == [sum(1 << k for k in ks if v in hg.edges[k].vertices)
+                                       for v in hg.vertices]
+
+    def test_not_part_of_the_value(self):
+        for hg in (paper_i(), parse("e a b > c\nv d\n"), parse("")):
+            fresh = parse(serialize(hg))
+            hg.index.edge_bits
+            assert hg == fresh and hash(hg) == hash(fresh) and repr(hg) == repr(fresh)
+            assert "index" not in repr(hg)
+            back = pickle.loads(pickle.dumps(hg))
+            assert back == hg and back.index.masks == hg.index.masks
+
+    def test_with_vertex_order_gets_a_fresh_index(self):
+        hg = parse("e a b > c\ne c d > a")
+        index = hg.index
+        other = hg.with_vertex_order(("d", "c", "b", "a"))
+        assert other.index is not index
+        assert other.index.masks == [0b1110, 0b1011]
+
+    def test_freed_by_reference_counting(self):
+        # The index refers to no hypergraph, so no cycle is left for the
+        # cyclic collector, however many modules have read the index.
+        hg = gen_random(30, 60, cond="r4-free", seed=3)
+        color_head_tail_3(hg)
+        check_condition(hg, "lovasz")
+        check_condition(hg, "tails-only-2-intersect")
+        chromatic_number(hg)
+        assert normalize(hg) is hg and hg.index.edge_bits
+        ref = weakref.ref(hg)
+        gc.disable()
+        try:
+            del hg
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestNormalizeAgainstNaive:
@@ -396,6 +465,12 @@ class TestValidation:
         assert refused == {"head and tail overlap", "edge has no vertices"}
         assert [f.name for f in dataclasses.fields(DirectedEdge)] == ["tail", "head"]
 
+    def test_non_str_names(self):
+        with pytest.raises(ValidationError, match="invalid vertex name: 1"):
+            DirectedHypergraph((1, 2, 3), ())
+        with pytest.raises(ValidationError, match="edge 0 uses undeclared vertices: 1"):
+            DirectedHypergraph(("a",), (DirectedEdge([1], ["a"]),))
+
     def test_coloring_index_bound(self):
         with pytest.raises(ValidationError):
             Coloring({"a": 2}, 2)
@@ -415,6 +490,11 @@ class TestColoringFile:
         assert text == "a 0\nb 1\nc 0\n"
         back = parse_coloring(text, k=2)
         assert back == coloring
+        # Values the text form would not give back are refused up front.
+        for assignment, k in (({"a": 1.0, "b": 0, "c": 0}, 2), ({"a": True, "b": 0, "c": 0}, 2),
+                              ({"a": 0, "b": 1, "c": 0}, 2.5), ({"a": 0, "b": 0, "c": 0}, True)):
+            with pytest.raises(ValidationError):
+                Coloring(assignment, k)
 
     def test_bad_lines(self):
         for text in ("a", "a x", "a -1", "a 0\na 1"):

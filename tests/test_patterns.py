@@ -33,11 +33,8 @@ from dhcolor.patterns import (
     VIOLATING_CODES,
     IntersectionProfile,
     PatternReport,
-    _pair_keys,
+    _PairKeys,
     _partners,
-    _vertex_keys,
-    edge_masks,
-    later_partners,
     matching_partners,
     pair_code,
     pair_roles_of,
@@ -267,7 +264,7 @@ class TestPairKernelAgainstAllPairs:
     def test_every_code_guarantees_its_role_class(self):
         seen = set()
         for hg in KERNEL_INSTANCES:
-            masks = edge_masks(hg)
+            masks = list(zip(hg.index.head_masks, hg.index.tail_masks))
             for (i, e1), (j, e2) in combinations(enumerate(hg.edges), 2):
                 code = pair_code(*masks[i], *masks[j])
                 seen.add(code)
@@ -282,7 +279,7 @@ class TestPairKernelAgainstAllPairs:
                 for (i, e1), (j, e2) in combinations(enumerate(hg.edges), 2)
             }
             for roles in range(1, ALL_ROLES + 1):  # ALL_ROLES: every vertex-sharing pair
-                walked = [(i, j) for i, later in later_partners(hg, roles) for j in later]
+                walked = [(i, j) for i, later in _partners(hg.index, roles) for j in later]
                 assert walked == [p for p, c in classes.items() if any(r & roles for r in c)], (
                     idx, roles)
 
@@ -361,9 +358,8 @@ class TestMatchingPartners:
     def test_yields_exactly_the_partners_in_the_mask(self):
         rng = random.Random(8)
         for idx, hg in enumerate(self.INSTANCES):
-            masks = edge_masks(hg)
-            heads = [h for h, _ in masks]
-            tails = [t for _, t in masks]
+            heads, tails = hg.index.head_masks, hg.index.tail_masks
+            masks = list(zip(heads, tails))
             m = len(masks)
             codes = [[pair_code(*masks[i], *masks[j]) for j in range(m)] for i in range(m)]
             for i in range(m):
@@ -378,9 +374,8 @@ class TestMatchingPartners:
 
     def test_condition_verdicts_match_the_naive_oracle(self):
         for idx, hg in enumerate(self.INSTANCES):
-            masks = edge_masks(hg)
-            heads = [h for h, _ in masks]
-            tails = [t for _, t in masks]
+            heads, tails = hg.index.head_masks, hg.index.tail_masks
+            masks = list(zip(heads, tails))
             for i, e1 in enumerate(hg.edges):
                 for cond in CONDITION_IDS:
                     hits = {j for j, _, _ in matching_partners(
@@ -410,9 +405,8 @@ class TestMatchingPartners:
 
     def test_stops_where_the_caller_stops(self):
         hg = pattern_instance("I0")
-        masks = edge_masks(hg)
-        heads = [h for h, _ in masks]
-        tails = [t for _, t in masks]
+        heads, tails = hg.index.head_masks, hg.index.tail_masks
+        masks = list(zip(heads, tails))
         found = matching_partners(*masks[0], [1, 1, 1], heads, tails, VIOLATING_CODES["i0-free"])
         assert next(found)[0] == 1
         assert len(list(found)) == 2
@@ -519,7 +513,7 @@ def two_one_instance(seed):
 
 def pair_walk(hg, roles):
     """The partner walk over vertex-pair keys, as _witnesses runs it."""
-    return _partners(*_pair_keys(*_vertex_keys(hg), hg.n), roles)
+    return _partners(_PairKeys(hg.index), roles)
 
 
 def _pair_role(pair, e1, e2):
@@ -585,7 +579,7 @@ class TestPairWalk:
     def test_every_two_vertex_code_guarantees_its_pair_class(self):
         seen = set()
         for hg in GENERAL_TWO_VERTEX + TWO_ONE_TWO_VERTEX:
-            masks = edge_masks(hg)
+            masks = list(zip(hg.index.head_masks, hg.index.tail_masks))
             for (i, e1), (j, e2) in combinations(enumerate(hg.edges), 2):
                 shared = e1.vertices & e2.vertices
                 code = pair_code(*masks[i], *masks[j])
@@ -618,7 +612,7 @@ class TestPairsExamined:
 
     @staticmethod
     def vertex_walk_count(hg, codes):
-        return sum(len(later) for _, later in later_partners(hg, roles_of(codes)))
+        return sum(len(later) for _, later in _partners(hg.index, roles_of(codes)))
 
     def test_goodcheck_input(self):
         # ladder-sparse's n=200 goodcheck input: every pair sharing two

@@ -11,14 +11,14 @@ All algorithms normalize their input first (drop edges whose vertex set
 contains another edge's vertex set) and return a coloring of the full
 original vertex set; properness is verified against the original hypergraph.
 
-``ALGORITHMS`` is the one list of the algorithms.  Every pass of ht3, i0-4
-and i0r4-2 is one ``_Run.sweep``: paint ``v`` when it closes an edge filed
-under it whose blank count (non-blue, or green, vertices) is still 0.  One
-``paint`` serves them all, because a pass gated on the non-blue count only
-fires on an edge through ``v`` with no non-blue vertex, so ``v`` is blue.
-Only i0-4's step 2, gated on the green count, can meet a red ``v``.  Each
-vertex's edges and the masks that give ht3 an edge's last vertex and i0-4
-its head's rank come from ``hg.index``, built once per hypergraph.
+``ALGORITHMS`` is the one list of the algorithms.  A run keeps one bitmask
+of vertex positions per color and tests an edge against a color class with
+one AND of its mask from ``hg.index``, built once per hypergraph, like the
+masks that give ht3 an edge's last vertex and i0-4 its head's rank.  Every
+pass of ht3, i0-4 and i0r4-2 is one ``_Run.sweep``: paint ``v`` when it
+closes an edge filed under it that is still all blue, or (i0-4's step 2
+only) still has no green vertex.  One ``paint`` serves them all: an all-blue
+edge through ``v`` makes ``v`` blue, so only step 2 can meet a red ``v``.
 """
 
 from __future__ import annotations
@@ -140,35 +140,53 @@ def _finish(hg: DirectedHypergraph, color: dict[str, int], k: int,
 
 
 class _Run:
-    """One run's state: the colors (all blue at first), each vertex's
-    incident edges, and per-edge counts of non-blue and of green vertices."""
+    """One run's state: each vertex's color (all blue at first) and
+    ``classes``, one bitmask of vertex positions per color."""
 
     def __init__(self, hg: DirectedHypergraph, trace: RunTrace) -> None:
         self.trace = trace
         self.color = dict.fromkeys(hg.vertices, BLUE)
-        self.incident = dict(zip(hg.vertices, hg.index.edges_at))
-        self.nonblue = [0] * len(hg.edges)
-        self.green = [0] * len(hg.edges)
+        self.positions = hg.positions
+        self.masks = hg.index.masks
+        self.classes = [(1 << hg.n) - 1] + [0] * (len(COLOR_NAMES) - 1)
+
+    def move(self, v: str, c: int) -> None:
+        """Give v color c."""
+        bit = 1 << self.positions[v]
+        self.classes[self.color[v]] ^= bit
+        self.classes[c] |= bit
+        self.color[v] = c
 
     def paint(self, v: str, c: int) -> None:
         """Give v color c (a vertex already colored is a violation)."""
         if self.color[v] != BLUE:
             self.trace.violate(f"recolored non-blue vertex {v}")
-        else:
-            for idx in self.incident[v]:
-                self.nonblue[idx] += 1
-        self.color[v] = c
-        if c == GREEN:
-            for idx in self.incident[v]:
-                self.green[idx] += 1
+        self.move(v, c)
 
-    def sweep(self, order, closing: dict[str, list[int]], blank: list[int], c: int) -> None:
-        """Paint each v of order c when it closes an edge of closing[v] whose
-        blank count is still 0 (the first is the trigger); else keep it."""
-        add = self.trace.add
+    def mono(self, idx: int, c: int) -> bool:
+        """Edge idx lies inside color class c."""
+        mask = self.masks[idx]
+        return self.classes[c] & mask == mask
+
+    def meets(self, idx: int, c: int) -> bool:
+        """Edge idx has a vertex of color c."""
+        return bool(self.classes[c] & self.masks[idx])
+
+    def monochromatic(self, idx: int) -> bool:
+        """Edge idx lies inside one color class."""
+        mask = self.masks[idx]
+        return any(cls & mask == mask for cls in self.classes)
+
+    def sweep(self, order, closing: dict[str, list[int]], c: int, gate: int = BLUE) -> None:
+        """Paint each v of order c when it closes an edge of closing[v] that
+        lies inside the blue class, or with gate=GREEN misses the green class
+        (the first is the trigger); else keep it."""
+        add, masks, classes = self.trace.add, self.masks, self.classes
         action = f"colored-{COLOR_NAMES[c]}"
         for v in order:
-            trigger = next((i for i in closing.get(v, ()) if blank[i] == 0), None)
+            # What an edge must miss to trigger: the non-blue or the green.
+            out = classes[GREEN] if gate == GREEN else ~classes[BLUE]
+            trigger = next((i for i in closing.get(v, ()) if not out & masks[i]), None)
             if trigger is None:
                 add(v, "kept")
             else:
@@ -198,20 +216,16 @@ def color_one_head(
     """
     spec, hn, trace = _start(hg, "one-head", checked)
     edges = hn.edges
-    sizes = [len(e) for e in edges]
-    tail_sizes = [len(e.tail) for e in edges]
     heads = [min(e.head, default=None) for e in edges]  # single head when well-formed
-    tail_member = dict(zip(hn.vertices, hn.index.tails_at))
+    index = hn.index
 
-    # Red is the only color besides blue here, so the non-blue count of an
-    # edge is its red count.
     run = _Run(hn, trace)
-    color, incident, nonblue = run.color, run.incident, run.nonblue
-    tails_done = [0] * len(edges)
+    done = 0  # bitmask of the processed vertices' positions
     changes = {v: 0 for v in hn.vertices}
     pos: dict[str, int] = {}
     order: list[str] = []
     forced: str | None = None
+    unvisited = iter(hn.vertices)  # a vertex the cursor passed stays processed
 
     def note_change(v: str) -> None:
         changes[v] += 1
@@ -221,17 +235,19 @@ def color_one_head(
     for i in range(1, hn.n + 1):
         if forced is not None:
             v, forced = forced, None
-        else:
+        elif tie_rng:
             remaining = [u for u in hn.vertices if u not in pos]
-            v = remaining[tie_rng.randrange(len(remaining))] if tie_rng else remaining[0]
+            v = remaining[tie_rng.randrange(len(remaining))]
+        else:
+            v = next(u for u in unvisited if u not in pos)
         pos[v] = i
         order.append(v)
-        for idx in tail_member[v]:
-            tails_done[idx] += 1
+        p = run.positions[v]
+        done |= 1 << p
 
         qualifying = [
-            idx for idx in tail_member[v]
-            if nonblue[idx] == 0 and tails_done[idx] == tail_sizes[idx]
+            idx for idx in index.tails_at[p]
+            if run.mono(idx, BLUE) and done & index.tail_masks[idx] == index.tail_masks[idx]
         ]
         if not qualifying:
             trace.add(v, "kept")
@@ -247,7 +263,7 @@ def color_one_head(
         # is all red now became so in this step.
         run.paint(v, RED)
         note_change(v)
-        newly_mono = [idx for idx in incident[v] if nonblue[idx] == sizes[idx]]
+        newly_mono = [idx for idx in index.edges_at[p] if run.mono(idx, RED)]
         trace.add(v, "colored-red", edge=chosen, next_vertex=forced)
 
         if len(newly_mono) > 1:
@@ -264,16 +280,14 @@ def color_one_head(
                 trace.violate("monochromatic red edge with no previous vertex to recolor")
             else:
                 prev = order[i - 2]
-                if color[prev] != RED:
+                if run.color[prev] != RED:
                     trace.violate(f"recolor target {prev} was not red")
                 else:
-                    color[prev] = BLUE
+                    run.move(prev, BLUE)
                     note_change(prev)
-                    for idx in incident[prev]:
-                        nonblue[idx] -= 1
                 trace.add(prev, "recolored-previous-blue", edge=newly_mono[0])
 
-    coloring = _finish(hg, color, spec.palette, trace, checked)
+    coloring = _finish(hg, run.color, spec.palette, trace, checked)
     return coloring, trace, tuple(order)
 
 
@@ -289,8 +303,7 @@ def color_head_tail_3(
     a head vertex.
     """
     spec, hn, trace = _start(hg, "ht3", checked)
-    edges = hn.edges
-    m = len(edges)
+    m = len(hn.edges)
     heads, tails = hn.index.head_masks, hn.index.tail_masks
     tail_closing: dict[str, list[int]] = {}
     head_closing: dict[str, list[int]] = {}
@@ -302,25 +315,22 @@ def color_head_tail_3(
         (tail_closing if in_tail else head_closing).setdefault(last, []).append(idx)
 
     run = _Run(hn, trace)
-    color = run.color
-    run.sweep(hn.vertices, tail_closing, run.nonblue, RED)
+    run.sweep(hn.vertices, tail_closing, RED)
 
     for idx in range(m):
-        vcolors = [color[u] for u in edges[idx].vertices]
-        if ends_in_tail[idx] and RED not in vcolors:
+        if ends_in_tail[idx] and not run.meets(idx, RED):
             trace.violate(f"tail-ending edge {idx} has no red vertex after pass 1")
-        if all(c == RED for c in vcolors):
+        if run.mono(idx, RED):
             trace.violate(f"edge {idx} is monochromatic red after pass 1")
 
-    run.sweep(hn.vertices, head_closing, run.nonblue, GREEN)
+    run.sweep(hn.vertices, head_closing, GREEN)
 
     for idx in range(m):
-        vcolors = {color[u] for u in edges[idx].vertices}
-        if len(vcolors) == 1:
+        if run.monochromatic(idx):
             # Covers all-blue head-ending edges as well as mono red/green.
             trace.violate(f"edge {idx} is monochromatic at termination")
 
-    coloring = _finish(hg, color, spec.palette, trace, checked)
+    coloring = _finish(hg, run.color, spec.palette, trace, checked)
     return coloring, trace
 
 
@@ -473,43 +483,33 @@ def color_i0_4(hg: DirectedHypergraph, checked: bool = True) -> tuple[Coloring, 
         by_head_rank[rank].setdefault(head, []).append(idx)
 
     run = _Run(ha, trace)
-    color, nonblue, greencnt = run.color, run.nonblue, run.green
-    sizes = [len(e) for e in edges]
-
-    def mono(idx: int, c: int) -> bool:
-        # Vertices never return to blue and nonblue counts each vertex once,
-        # so it is exact: 0 means all blue, the edge size means none blue.
-        if c == BLUE:
-            return nonblue[idx] == 0
-        return nonblue[idx] == sizes[idx] and all(color[u] == c for u in edges[idx].vertices)
-
-    run.sweep(hn.vertices, by_head_rank[2], nonblue, RED)
+    run.sweep(hn.vertices, by_head_rank[2], RED)
 
     for idx in range(m):
-        if rank_of[idx] == 2 and mono(idx, BLUE):
+        if rank_of[idx] == 2 and run.mono(idx, BLUE):
             trace.violate(f"E3 edge {idx} still all blue after step 1")
-        if mono(idx, RED):
+        if run.mono(idx, RED):
             trace.violate(f"edge {idx} monochromatic red after step 1")
 
-    run.sweep(reversed(hn.vertices), by_head_rank[0], greencnt, GREEN)
+    run.sweep(reversed(hn.vertices), by_head_rank[0], GREEN, gate=GREEN)
 
     for idx in range(m):
-        if rank_of[idx] == 0 and greencnt[idx] == 0:
+        if rank_of[idx] == 0 and not run.meets(idx, GREEN):
             trace.violate(f"E1 edge {idx} has no green vertex after step 2")
-        if rank_of[idx] in (0, 2) and mono(idx, BLUE):
+        if rank_of[idx] in (0, 2) and run.mono(idx, BLUE):
             trace.violate(f"E1/E3 edge {idx} still all blue after step 2")
-        if mono(idx, GREEN):
+        if run.mono(idx, GREEN):
             trace.violate(f"edge {idx} monochromatic green after step 2")
-        if mono(idx, RED):
+        if run.mono(idx, RED):
             trace.violate(f"edge {idx} monochromatic red after step 2")
 
-    run.sweep(hn.vertices, by_head_rank[1], nonblue, YELLOW)
+    run.sweep(hn.vertices, by_head_rank[1], YELLOW)
 
-    for idx, e in enumerate(edges):
-        if len({color[u] for u in e.vertices}) == 1:
+    for idx in range(m):
+        if run.monochromatic(idx):
             trace.violate(f"edge {idx} monochromatic at termination")
 
-    coloring = _finish(hg, color, spec.palette, trace, checked)
+    coloring = _finish(hg, run.color, spec.palette, trace, checked)
     return coloring, trace
 
 
@@ -525,13 +525,12 @@ def color_i0_r4_2(hg: DirectedHypergraph, checked: bool = True) -> tuple[Colorin
             by_head.setdefault(min(e.head), []).append(idx)
 
     run = _Run(hn, trace)
-    run.sweep(hn.vertices, by_head, run.nonblue, RED)
+    run.sweep(hn.vertices, by_head, RED)
 
-    for idx, e in enumerate(edges):
-        vcolors = {run.color[u] for u in e.vertices}
-        if RED not in vcolors:
+    for idx in range(len(edges)):
+        if not run.meets(idx, RED):
             trace.violate(f"edge {idx} ended with no red vertex")
-        if len(vcolors) == 1:
+        if run.monochromatic(idx):
             trace.violate(f"edge {idx} monochromatic at termination")
 
     coloring = _finish(hg, run.color, spec.palette, trace, checked)

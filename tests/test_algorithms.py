@@ -7,6 +7,7 @@ import pytest
 from dhcolor import (
     ALGORITHMS,
     BLUE,
+    COLOR_NAMES,
     CONDITION_IDS,
     GREEN,
     RED,
@@ -451,6 +452,35 @@ def test_pinned_runs():
                 runs += 1
     assert runs == 8 * (6 + 4 * 202 + 300 + 100)
     assert digest.hexdigest() == PINNED_RUNS_DIGEST
+
+
+def test_traces_replay_to_the_coloring():
+    """Replaying a trace's color events from all blue gives the returned
+    coloring, for every run of the pin corpus that does not raise."""
+    paints = {f"colored-{name}": c for c, name in enumerate(COLOR_NAMES)}
+    paints["recolored-previous-blue"] = BLUE
+    replayed = recolored = 0
+    for hg in _pin_corpus():
+        for fn in (color_one_head, color_head_tail_3, color_i0_4, color_i0_r4_2):
+            for checked in (True, False):
+                try:
+                    coloring, trace = fn(hg, checked=checked)[:2]
+                except (PreconditionError, InvariantViolationError):
+                    continue
+                color = dict.fromkeys(hg.vertices, BLUE)
+                for ev in trace.events:
+                    if ev.action != "kept":
+                        color[ev.vertex] = paints[ev.action]
+                assert color == coloring.assignment, (fn.__name__, checked, hg)
+                replayed += 1
+                if fn is color_i0_4 and any(
+                    v.startswith("recolored non-blue vertex") for v in trace.violations
+                ):
+                    recolored += 1
+    assert replayed == 7055
+    # Unchecked i0-4 runs that paint a red vertex green: the one path on
+    # which a vertex leaves a class other than blue.
+    assert recolored == 39
 
 
 def test_applicable_matches_the_checked_runs():

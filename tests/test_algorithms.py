@@ -34,6 +34,7 @@ from dhcolor import (
     parse,
     run_fuzz,
 )
+from dhcolor.algorithms import RUNNERS
 from dhcolor.fuzzing import fuzz_instance
 
 # Four one-head edges arranged so that processing runs x,y,c,d,e,z, the edge
@@ -452,6 +453,33 @@ def test_pinned_runs():
                 runs += 1
     assert runs == 8 * (6 + 4 * 202 + 300 + 100)
     assert digest.hexdigest() == PINNED_RUNS_DIGEST
+
+
+# sha256 of the traces and colorings of one-head fuzz trials with random
+# ties, recorded while the tie draws still rebuilt the unprocessed list.
+PINNED_RANDOM_TIES_DIGEST = "2919eb886fab1f81970546baf811b3dd9ed8ec395a397309698e45a6219f42de"
+
+
+def test_pinned_random_ties(monkeypatch):
+    digest = hashlib.sha256()
+    runs = []
+    run = RUNNERS["one-head"]
+
+    def recording(hg, **kwargs):
+        coloring, trace = run(hg, **kwargs)
+        runs.append(hg)
+        digest.update(f"{trace.to_text()}{trace.violations!r}\n"
+                      f"{sorted(coloring.assignment.items())!r}\n".encode())
+        return coloring, trace
+
+    monkeypatch.setitem(RUNNERS, "one-head", recording)
+    for tails in ((2, 2), (2, 5)):
+        for n_range in ((3, 9), (10, 30)):
+            report = run_fuzz("one-head", 100, n_range=n_range, seed=5, tail_range=tails,
+                              random_ties=True)
+            assert report.ok, report.failures[:5]
+    assert len(runs) == 400
+    assert digest.hexdigest() == PINNED_RANDOM_TIES_DIGEST
 
 
 def test_traces_replay_to_the_coloring():

@@ -16,6 +16,7 @@ from dhcolor import (
     parse,
     serialize,
 )
+from dhcolor.fuzzing import fuzz_instance
 
 
 class TestGenSpec:
@@ -206,6 +207,21 @@ class TestGenRandom:
         hg = gen_random(n, m, cond=cond, seed=seed, tail_range=tails)
         assert hashlib.sha256(serialize(hg).encode()).hexdigest()[:16] == self.LARGE_PINNED[params]
         assert check_condition(hg, cond).avoided
+
+    # sha256 of the serialized instances of the benchmark's five fuzz
+    # configurations, 250 trials each at seeds 1 and 7919, recorded before
+    # gen_random stopped drawing once no draw could be kept.
+    FUZZ_PINNED = "368ffd31f588df54003ac2309bb19aae9a886ca1274f077e5047e88f9eb7dd15"
+
+    def test_fuzz_instances_pinned(self):
+        digest = hashlib.sha256()
+        for algo, tails in (("one-head", (2, 2)), ("ht3", (2, 2)), ("i0-4", (2, 2)),
+                            ("i0r4-2", (2, 2)), ("one-head", (2, 5))):
+            for seed in (1, 7919):
+                for trial in range(250):
+                    hg = fuzz_instance(algo, seed, trial, (3, 9), tails)
+                    digest.update(serialize(hg).encode() + b"\0")
+        assert digest.hexdigest() == self.FUZZ_PINNED
 
     def test_saturated_vertex_sets(self):
         # n=3 holds one 3-set and n=4 four; a larger budget changes nothing.

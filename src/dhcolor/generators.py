@@ -128,10 +128,9 @@ def gen_random(
 
     Draws a random edge (tail size from tail_range, default 2 giving a 2->1
     hypergraph), keeps it iff its vertex set is new and the condition still
-    holds against every accepted edge.  May return fewer than m edges once the
-    attempt budget (100 per requested edge by default) runs out, or once every
-    vertex set of a drawable size is taken; identical parameters give
-    identical output.
+    holds against every accepted edge.  Stops with fewer than m edges once the
+    attempt budget (100 per requested edge by default) runs out, or once no
+    draw can be kept; identical parameters give identical output.
     """
     if n < 3:
         raise ValueError("need at least 3 vertices")
@@ -145,43 +144,45 @@ def gen_random(
         raise ValueError(f"unusable tail size range {tail_range} for n={n}")
 
     rng = random.Random(seed)
+    randint, sample, vertices = rng.randint, rng.sample, range(n)
     budget = REJECTION_ATTEMPTS_PER_EDGE * m if max_attempts is None else max_attempts
     bad = VIOLATING_CODES.get(cond, 0)
     heads: list[int] = []  # head mask of each accepted edge
     tails: list[int] = []
-    used_sets: set[int] = set()
-    # Once every vertex set of a drawable size is used, no draw can be kept.
+    # dead maps a vertex set's mask to the mask of the heads whose draw on it
+    # can no longer be kept (all of them once the set is used); live counts
+    # the (tail, head) draws not yet dead, and the loop stops at zero.
+    dead: dict[int, int] = {}
     capacity = sum(comb(n, size + 1) for size in range(lo, hi + 1))
+    live = sum(comb(n, size + 1) * (size + 1) for size in range(lo, hi + 1))
     # A draw is tested through the pair kernel, which stops at the first
     # violation.  When the attempts outnumber the vertex sets, draws repeat
     # and each vertex lies in a large share of the accepted edges: a draw is
-    # tested against every accepted edge, and a refused draw is remembered
-    # and refused again without a test, as the accepted edges only grow.
-    # Otherwise each vertex keeps the accepted edges holding it, and a draw is
-    # tested only against those sharing a vertex with it.
+    # tested against every accepted edge, and a refused draw is dead for
+    # good, as the accepted edges only grow, so the loop stops once no draw
+    # can be kept.  Otherwise each vertex keeps the accepted edges holding
+    # it, and a draw is tested only against those sharing a vertex with it.
     small = capacity < budget
-    refused: set[int] = set()
     holding: list[list[int]] = [[] for _ in range(n)] if bad and not small else []
 
     attempts = 0
-    while len(heads) < m and attempts < budget and len(used_sets) < capacity:
+    while len(heads) < m and attempts < budget and live:
         attempts += 1
-        size = rng.randint(lo, hi)
-        picks = rng.sample(range(n), size + 1)
+        size = randint(lo, hi)
+        picks = sample(vertices, size + 1)
         head_mask = 1 << picks[-1]
         tail_mask = 0
         for t in picks[:-1]:
             tail_mask |= 1 << t
         full_mask = tail_mask | head_mask
-        if full_mask in used_sets:
+        gone = dead.get(full_mask, 0)
+        if gone & head_mask:
             continue
         if bad and small:
-            draw = tail_mask << n | head_mask
-            if draw in refused:
-                continue
             if next(matching_partners(head_mask, tail_mask, range(len(heads)), heads, tails,
                                       bad), None):
-                refused.add(draw)
+                dead[full_mask] = gone | head_mask
+                live -= 1
                 continue
         elif bad:
             near = [k for p in picks for k in holding[p]]
@@ -191,7 +192,8 @@ def gen_random(
                 holding[p].append(len(heads))
         heads.append(head_mask)
         tails.append(tail_mask)
-        used_sets.add(full_mask)
+        dead[full_mask] = full_mask
+        live -= size + 1 - gone.bit_count()
 
     names = tuple(f"v{i + 1}" for i in range(n))
     edges = tuple(

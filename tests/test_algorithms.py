@@ -264,6 +264,20 @@ class TestColorI04:
         # machinery must say so.
         assert trace.violations
 
+    def test_broken_augmentation_raises_audit_and_star_issue(self, monkeypatch):
+        # An augmentation that gives c a second edge with a disjoint tail
+        # makes an I0 pair and an unclassifiable star: both are reported.
+        hg = parse("v a\nv b\nv c\nv d\nv e\ne a b > c\n")
+        broken = DirectedEdge(frozenset(("d", "e")), frozenset(("c",)))
+        monkeypatch.setattr("dhcolor.algorithms.augment_i0", lambda hn, checked=True: (
+            DirectedHypergraph(hn.vertices, hn.edges + (broken,))))
+        with pytest.raises(InvariantViolationError) as exc:
+            color_i0_4(hg)
+        violations = exc.value.violations
+        assert violations[0] == "augmentation broke i0-freeness"
+        assert ("head-star of c is neither empty, pivoted, nor a triangle; input not i0-free"
+                in violations)
+
     def test_unchecked_mode_reports_edges_with_more_than_two_tails(self):
         for hg in (parse("e a b c > d"), gen_random(8, 10, seed=3, tail_range=(2, 4))):
             coloring, trace = color_i0_4(hg, checked=False)

@@ -1,4 +1,6 @@
 import hashlib
+import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -228,6 +230,26 @@ class TestGenRandom:
         assert len(gen_random(3, 5, seed=2).edges) == 1
         assert len(gen_random(4, 9, seed=2, tail_range=(2, 3)).edges) == 5
         assert gen_random(4, 9, seed=2) == gen_random(4, 9, seed=2, max_attempts=10**6)
+
+    def test_stops_once_no_draw_can_be_kept(self, monkeypatch):
+        # On 5 vertices these conditions refuse some draw of every free
+        # vertex set before m edges are kept; a larger budget changes nothing.
+        draws = 0
+
+        class CountingRandom(random.Random):
+            def sample(self, population, k, **kwargs):
+                nonlocal draws
+                draws += 1
+                return super().sample(population, k, **kwargs)
+
+        monkeypatch.setattr("dhcolor.generators.random", SimpleNamespace(Random=CountingRandom))
+        for cond in ("r4-free", "onehead-h1", "i0r4-free"):
+            for seed in range(3):
+                default = gen_random(5, 10, cond=cond, seed=seed)
+                draws = 0
+                hg = gen_random(5, 10, cond=cond, seed=seed, max_attempts=10**6)
+                assert draws < 1000, (cond, seed, draws)
+                assert len(hg.edges) < 10 and hg == default, (cond, seed)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):

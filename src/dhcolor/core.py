@@ -8,7 +8,6 @@ are immutable after construction; every operation is a pure function.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
@@ -34,6 +33,29 @@ def _check_name(name: str) -> str:
 
 
 _setattr = object.__setattr__  # bypasses the frozen dataclasses' __setattr__
+
+
+class cached_attribute:
+    """``functools.cached_property`` without its lock: the first read calls
+    the function and stores the value in the instance's ``__dict__``, which
+    later reads find first, as this descriptor defines no ``__set__``.  On
+    CPython 3.11 the lock cost more than the rest of a first read (3.12
+    dropped it).  Two threads reading at once may both compute the value;
+    every value here is a pure function of its immutable instance.
+    """
+
+    def __init__(self, func) -> None:
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -92,31 +114,31 @@ class HypergraphIndex:
         self.head_rows = [tuple(map(get, e.head)) for e in hg.edges]
         self.tail_rows = [tuple(map(get, e.tail)) for e in hg.edges]
 
-    @cached_property
+    @cached_attribute
     def head_masks(self) -> list[int]:
         return _row_masks(self.head_rows)
 
-    @cached_property
+    @cached_attribute
     def tail_masks(self) -> list[int]:
         return _row_masks(self.tail_rows)
 
-    @cached_property
+    @cached_attribute
     def masks(self) -> list[int]:
         return [h | t for h, t in zip(self.head_masks, self.tail_masks)]
 
-    @cached_property
+    @cached_attribute
     def heads_at(self) -> list[list[int]]:
         return file_under_keys(self.head_rows, [[] for _ in range(self.n)])
 
-    @cached_property
+    @cached_attribute
     def tails_at(self) -> list[list[int]]:
         return file_under_keys(self.tail_rows, [[] for _ in range(self.n)])
 
-    @cached_property
+    @cached_attribute
     def edges_at(self) -> list[list[int]]:
         return file_under_keys(map(add, self.head_rows, self.tail_rows), [[] for _ in range(self.n)])
 
-    @cached_property
+    @cached_attribute
     def edge_bits(self) -> list[int]:
         return _row_masks(self.edges_at)
 
@@ -166,12 +188,12 @@ class DirectedHypergraph:
                 names = ",".join(sorted(map(str, missing)))
                 raise ValidationError(f"edge {idx} uses undeclared vertices: {names}")
 
-    @cached_property
+    @cached_attribute
     def positions(self) -> dict[str, int]:
         """Vertex name to position in the vertex sequence."""
         return {v: i for i, v in enumerate(self.vertices)}
 
-    index = cached_property(HypergraphIndex)
+    index = cached_attribute(HypergraphIndex)
 
     @property
     def n(self) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import permutations
-from math import comb
+from math import ceil, comb, log
 
 from .core import DirectedEdge, DirectedHypergraph
 from .patterns import CONDITION_IDS, VIOLATING_CODES, matching_partners
@@ -116,6 +116,54 @@ def gen_perm_tower(k: int, max_level: int = PERM_TOWER_MAX_LEVEL) -> DirectedHyp
     )
 
 
+def _draws(rng: random.Random, n: int, lo: int, hi: int):
+    """Yield, forever, the list that ``size = rng.randint(lo, hi)`` then
+    ``rng.sample(range(n), size + 1)`` would return.  It makes the same
+    ``getrandbits`` calls in the same order, so ``rng`` ends in the same state;
+    only the stdlib's argument checks and per-call set-up are left out.
+
+    ``randint`` is ``lo + _randbelow(hi - lo + 1)``, and ``_randbelow(w)``
+    draws ``w.bit_length()`` bits until the value is below w (w = 1 included).
+    For k = size + 1 picks, ``sample`` runs a partial Fisher-Yates over a pool
+    of range(n) when n is at most the pool size it computes from k, and
+    otherwise redraws every position already picked.
+    """
+    getrandbits = rng.getrandbits
+    width = hi - lo + 1
+    width_bits = width.bit_length()
+    n_bits = n.bit_length()
+    base = list(range(n))
+    # Per tail size: None for sample's rejection branch, else the bound and
+    # bit width of each pool draw.
+    plans = []
+    for size in range(lo, hi + 1):
+        k = size + 1
+        pool_max = 21 + (4 ** ceil(log(k * 3, 4)) if k > 5 else 0)
+        plans.append((k, [(w, w.bit_length()) for w in range(n, n - k, -1)]
+                      if n <= pool_max else None))
+    while True:
+        r = getrandbits(width_bits)
+        while r >= width:
+            r = getrandbits(width_bits)
+        k, steps = plans[r]
+        picks = []
+        if steps is None:  # here k <= 5 or 3k < n, so picks stays short
+            for _ in range(k):
+                j = getrandbits(n_bits)
+                while j >= n or j in picks:
+                    j = getrandbits(n_bits)
+                picks.append(j)
+        else:
+            pool = base[:]
+            for w, bits in steps:
+                j = getrandbits(bits)
+                while j >= w:
+                    j = getrandbits(bits)
+                picks.append(pool[j])
+                pool[j] = pool[w - 1]
+        yield picks
+
+
 def gen_random(
     n: int,
     m: int,
@@ -131,6 +179,12 @@ def gen_random(
     holds against every accepted edge.  Stops with fewer than m edges once the
     attempt budget (100 per requested edge by default) runs out, or once no
     draw can be kept; identical parameters give identical output.
+
+    Each draw is what ``randint`` for the tail size then ``sample`` of the
+    positions on ``random.Random(seed)`` would give, replayed on
+    ``getrandbits`` by ``_draws``: the stdlib's argument checks cost about
+    four times the drawing itself, and the replay keeps every instance
+    unchanged, draw for draw.
     """
     if n < 3:
         raise ValueError("need at least 3 vertices")
@@ -143,12 +197,12 @@ def gen_random(
     if not 1 <= lo <= hi:
         raise ValueError(f"unusable tail size range {tail_range} for n={n}")
 
-    rng = random.Random(seed)
-    randint, sample, vertices = rng.randint, rng.sample, range(n)
+    draws = _draws(random.Random(seed), n, lo, hi)
     budget = REJECTION_ATTEMPTS_PER_EDGE * m if max_attempts is None else max_attempts
     bad = VIOLATING_CODES.get(cond, 0)
     heads: list[int] = []  # head mask of each accepted edge
     tails: list[int] = []
+    kept: list[list[int]] = []  # picks of each accepted edge, head last
     # dead maps a vertex set's mask to the mask of the heads whose draw on it
     # can no longer be kept (all of them once the set is used); live counts
     # the (tail, head) draws not yet dead, and the loop stops at zero.
@@ -168,8 +222,7 @@ def gen_random(
     attempts = 0
     while len(heads) < m and attempts < budget and live:
         attempts += 1
-        size = randint(lo, hi)
-        picks = sample(vertices, size + 1)
+        picks = next(draws)
         head_mask = 1 << picks[-1]
         tail_mask = 0
         for t in picks[:-1]:
@@ -192,17 +245,14 @@ def gen_random(
                 holding[p].append(len(heads))
         heads.append(head_mask)
         tails.append(tail_mask)
+        kept.append(picks)
         dead[full_mask] = full_mask
-        live -= size + 1 - gone.bit_count()
+        live -= len(picks) - gone.bit_count()
 
     names = tuple(f"v{i + 1}" for i in range(n))
-    edges = tuple(
-        DirectedEdge(
-            frozenset(names[i] for i in range(n) if tmask & (1 << i)),
-            frozenset((names[hmask.bit_length() - 1],)),
-        )
-        for hmask, tmask in zip(heads, tails)
-    )
+    name = names.__getitem__
+    edges = tuple(DirectedEdge(frozenset(map(name, picks[:-1])), (name(picks[-1]),))
+                  for picks in kept)
     return DirectedHypergraph(names, edges)
 
 

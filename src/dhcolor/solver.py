@@ -58,9 +58,8 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 
-from .core import Coloring, DirectedHypergraph, HypergraphIndex
+from .core import Coloring, DirectedHypergraph, HypergraphIndex, cached_attribute
 
 DEFAULT_MAX_K = 8
 # The witness search has at most k^(n-1) leaves.  Up to this many it settles
@@ -109,7 +108,7 @@ class _Index:
         # second-to-last position is p, for the witness search.
         self.filed: list[list[tuple[int, int]]] = [[] for _ in range(index.n)]
 
-    @cached_property
+    @cached_attribute
     def incidence(self) -> tuple[list[list[int]], list[int], list[int]]:
         """The masks of the edges through each position, the positions by
         descending degree (ties by position), and each position's bit in

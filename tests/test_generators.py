@@ -1,6 +1,5 @@
 import hashlib
 import random
-from types import SimpleNamespace
 
 import pytest
 
@@ -18,6 +17,7 @@ from dhcolor import (
     parse,
     serialize,
 )
+from dhcolor import generators
 from dhcolor.fuzzing import fuzz_instance
 
 
@@ -234,22 +234,36 @@ class TestGenRandom:
     def test_stops_once_no_draw_can_be_kept(self, monkeypatch):
         # On 5 vertices these conditions refuse some draw of every free
         # vertex set before m edges are kept; a larger budget changes nothing.
-        draws = 0
+        draws, real_draws = 0, generators._draws
 
-        class CountingRandom(random.Random):
-            def sample(self, population, k, **kwargs):
-                nonlocal draws
+        def counting_draws(*args):
+            nonlocal draws
+            for picks in real_draws(*args):
                 draws += 1
-                return super().sample(population, k, **kwargs)
+                yield picks
 
-        monkeypatch.setattr("dhcolor.generators.random", SimpleNamespace(Random=CountingRandom))
+        monkeypatch.setattr(generators, "_draws", counting_draws)
         for cond in ("r4-free", "onehead-h1", "i0r4-free"):
             for seed in range(3):
                 default = gen_random(5, 10, cond=cond, seed=seed)
                 draws = 0
                 hg = gen_random(5, 10, cond=cond, seed=seed, max_attempts=10**6)
-                assert draws < 1000, (cond, seed, draws)
+                assert 0 < draws < 1000, (cond, seed, draws)
                 assert len(hg.edges) < 10 and hg == default, (cond, seed)
+
+    # n crosses both pool-size bounds of random.sample: 21 for k <= 5, and
+    # 85 (k = 6) and 277 (k = 22) for larger k, which tails (1, n - 1) reach.
+    @pytest.mark.parametrize("n", (3, 5, 9, 21, 22, 30, 85, 86, 100, 200, 277, 278))
+    def test_draws_replay_randint_and_sample(self, n):
+        for lo, hi in ((1, 1), (2, 2), (2, 5), (1, 4), (1, n - 1)):
+            hi = min(hi, n - 1)
+            for seed in range(5):
+                ours, twin = random.Random(seed), random.Random(seed)
+                draws = generators._draws(ours, n, lo, hi)
+                for _ in range(200):
+                    size = twin.randint(lo, hi)
+                    assert next(draws) == twin.sample(range(n), size + 1), (lo, hi, seed)
+                assert ours.getstate() == twin.getstate(), (lo, hi, seed)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):

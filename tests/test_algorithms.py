@@ -1,3 +1,4 @@
+import collections
 import functools
 import hashlib
 import random
@@ -33,6 +34,7 @@ from dhcolor import (
     paper_r,
     parse,
     run_fuzz,
+    serialize,
 )
 from dhcolor.algorithms import RUNNERS
 from dhcolor.fuzzing import fuzz_instance
@@ -494,6 +496,30 @@ def test_pinned_random_ties(monkeypatch):
             assert report.ok, report.failures[:5]
     assert len(runs) == 400
     assert digest.hexdigest() == PINNED_RANDOM_TIES_DIGEST
+
+
+# sha256 of the unchecked augmentation and of every vertex's unchecked
+# head-star over the pin corpus, recorded while stars were built from names.
+PINNED_STARS_DIGEST = "373552d5b85af92304e2eb5104e655eed5bbaffb2428aef2a1543949c3d22598"
+
+
+def test_pinned_stars():
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except InvariantViolationError as exc:
+            return f"{type(exc).__name__}\n{exc}\n"
+
+    digest = hashlib.sha256()
+    kinds = collections.Counter()
+    for hg in _pin_corpus():
+        digest.update(outcome(lambda: serialize(augment_i0(hg, checked=False))).encode())
+        for u in hg.vertices:
+            star = outcome(classify_head_star, hg, u, False)
+            kinds[getattr(star, "kind", "raised")] += 1
+            digest.update(f"{star!r}\n".encode() if isinstance(star, HeadStar) else star.encode())
+    assert kinds == {"pivot": 4162, "empty": 2998, "raised": 872, "triangle": 46}
+    assert digest.hexdigest() == PINNED_STARS_DIGEST
 
 
 def test_traces_replay_to_the_coloring():

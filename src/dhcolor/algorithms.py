@@ -11,14 +11,18 @@ All algorithms normalize their input first (drop edges whose vertex set
 contains another edge's vertex set) and return a coloring of the full
 original vertex set; properness is verified against the original hypergraph.
 
-``ALGORITHMS`` is the one list of the algorithms.  A run keeps one bitmask
-of vertex positions per color and tests an edge against a color class with
-one AND of its mask from ``hg.index``, built once per hypergraph, like the
-masks that give ht3 an edge's last vertex and i0-4 its head's rank.  Every
-pass of ht3, i0-4 and i0r4-2 is one ``_Run.sweep``: paint ``v`` when it
-closes an edge filed under it that is still all blue, or (i0-4's step 2
-only) still has no green vertex.  One ``paint`` serves them all: an all-blue
-edge through ``v`` makes ``v`` blue, so only step 2 can meet a red ``v``.
+``ALGORITHMS`` is the one list of the algorithms.  The passes address
+vertices by position in the vertex sequence, the "arbitrary but fixed
+ordering" the colorings are stated for; names appear only where text leaves
+a run: trace events, violation messages, ``HeadStar`` and the returned
+``Coloring``.  A run keeps one bitmask of vertex positions per color and
+tests an edge against a color class with one AND of its mask from
+``hg.index``, built once per hypergraph, like the masks that give ht3 an
+edge's last vertex and i0-4 its head's rank.  Every pass of ht3, i0-4 and
+i0r4-2 is one ``_Run.sweep``: paint position ``p`` when it closes an edge
+filed under it that is still all blue, or (i0-4's step 2 only) still has no
+green vertex.  One ``paint`` serves them all: an all-blue edge through ``p``
+makes ``p`` blue, so only step 2 can meet a red ``p``.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from .core import (
     Coloring,
     DirectedEdge,
     DirectedHypergraph,
+    _mask_row,
     is_proper,
     normalize,
 )
@@ -79,12 +84,10 @@ class RunTrace:
 
     events: list[TraceEvent] = field(default_factory=list)
     violations: list[str] = field(default_factory=list)
-    _step: int = 0
 
     def add(self, vertex: str, action: str, edge: int | None = None,
             next_vertex: str | None = None) -> None:
-        self._step += 1
-        self.events.append(TraceEvent(self._step, vertex, action, edge, next_vertex))
+        self.events.append(TraceEvent(len(self.events) + 1, vertex, action, edge, next_vertex))
 
     def violate(self, message: str) -> None:
         self.violations.append(message)
@@ -130,39 +133,54 @@ def _start(hg: DirectedHypergraph, name: str, checked: bool):
     return spec, hn, RunTrace()
 
 
-def _finish(hg: DirectedHypergraph, color: dict[str, int], k: int,
-            trace: RunTrace, checked: bool) -> Coloring:
-    coloring = Coloring(color, k)
+def _finish(hg: DirectedHypergraph, run: _Run, k: int, checked: bool) -> Coloring:
+    """The run's coloring, by name for hg (whose vertex sequence the run's
+    hypergraph shares), audited for properness against hg."""
+    assignment = dict.fromkeys(hg.vertices, BLUE)
+    for c in range(1, len(COLOR_NAMES)):
+        assignment.update((hg.vertices[p], c) for p in _mask_row(run.classes[c]))
+    coloring = Coloring(assignment, k)
     if not is_proper(hg, coloring):
-        trace.violate("result is not a proper coloring of the input")
-    if checked and trace.violations:
-        raise InvariantViolationError(trace.violations)
+        run.trace.violate("result is not a proper coloring of the input")
+    if checked and run.trace.violations:
+        raise InvariantViolationError(run.trace.violations)
     return coloring
 
 
+def _head_positions(hg: DirectedHypergraph) -> list[int | None]:
+    """Each edge's head position (None for a headless edge).  An edge with
+    several heads, which only unchecked runs meet, is filed under its
+    smallest head name, as the pinned traces of those runs record."""
+    return [None if not row else row[0] if len(row) == 1 else hg.positions[min(e.head)]
+            for row, e in zip(hg.index.head_rows, hg.edges)]
+
+
 class _Run:
-    """One run's state: each vertex's color (all blue at first) and
-    ``classes``, one bitmask of vertex positions per color."""
+    """One run's coloring state: ``classes``, one bitmask of vertex
+    positions per color (all blue at first).  ``names`` turns a position
+    into the vertex name that trace events and messages show."""
 
     def __init__(self, hg: DirectedHypergraph, trace: RunTrace) -> None:
         self.trace = trace
-        self.color = dict.fromkeys(hg.vertices, BLUE)
-        self.positions = hg.positions
+        self.names = hg.vertices
         self.masks = hg.index.masks
         self.classes = [(1 << hg.n) - 1] + [0] * (len(COLOR_NAMES) - 1)
 
-    def move(self, v: str, c: int) -> None:
-        """Give v color c."""
-        bit = 1 << self.positions[v]
-        self.classes[self.color[v]] ^= bit
-        self.classes[c] |= bit
-        self.color[v] = c
+    def color_of(self, p: int) -> int:
+        """Position p's color."""
+        return next(c for c, cls in enumerate(self.classes) if cls >> p & 1)
 
-    def paint(self, v: str, c: int) -> None:
-        """Give v color c (a vertex already colored is a violation)."""
-        if self.color[v] != BLUE:
-            self.trace.violate(f"recolored non-blue vertex {v}")
-        self.move(v, c)
+    def move(self, p: int, c: int) -> None:
+        """Give position p color c."""
+        bit = 1 << p
+        self.classes[self.color_of(p)] ^= bit
+        self.classes[c] |= bit
+
+    def paint(self, p: int, c: int) -> None:
+        """Give position p color c (a vertex already colored is a violation)."""
+        if self.color_of(p) != BLUE:
+            self.trace.violate(f"recolored non-blue vertex {self.names[p]}")
+        self.move(p, c)
 
     def mono(self, idx: int, c: int) -> bool:
         """Edge idx lies inside color class c."""
@@ -178,21 +196,21 @@ class _Run:
         mask = self.masks[idx]
         return any(cls & mask == mask for cls in self.classes)
 
-    def sweep(self, order, closing: dict[str, list[int]], c: int, gate: int = BLUE) -> None:
-        """Paint each v of order c when it closes an edge of closing[v] that
-        lies inside the blue class, or with gate=GREEN misses the green class
-        (the first is the trigger); else keep it."""
-        add, masks, classes = self.trace.add, self.masks, self.classes
+    def sweep(self, order, closing: dict[int, list[int]], c: int, gate: int = BLUE) -> None:
+        """Paint each position p of order c when it closes an edge of
+        closing[p] that lies inside the blue class, or with gate=GREEN misses
+        the green class (the first is the trigger); else keep it."""
+        add, masks, classes, names = self.trace.add, self.masks, self.classes, self.names
         action = f"colored-{COLOR_NAMES[c]}"
-        for v in order:
+        for p in order:
             # What an edge must miss to trigger: the non-blue or the green.
             out = classes[GREEN] if gate == GREEN else ~classes[BLUE]
-            trigger = next((i for i in closing.get(v, ()) if not out & masks[i]), None)
+            trigger = next((i for i in closing.get(p, ()) if not out & masks[i]), None)
             if trigger is None:
-                add(v, "kept")
+                add(names[p], "kept")
             else:
-                self.paint(v, c)
-                add(v, action, edge=trigger)
+                self.paint(p, c)
+                add(names[p], action, edge=trigger)
 
 
 def color_one_head(
@@ -216,33 +234,31 @@ def color_one_head(
     algorithm's allowed freedom.
     """
     spec, hn, trace = _start(hg, "one-head", checked)
-    edges = hn.edges
-    heads = [min(e.head, default=None) for e in edges]  # single head when well-formed
+    names = hn.vertices
+    heads = _head_positions(hn)  # one head each when well-formed
     index = hn.index
 
     run = _Run(hn, trace)
-    done = 0  # bitmask of the processed vertices' positions
-    changes = {v: 0 for v in hn.vertices}
-    pos: dict[str, int] = {}
-    order: list[str] = []
-    forced: str | None = None
-    unprocessed = list(range(hn.n))  # the unprocessed vertices' positions, ascending
+    done = 0  # bitmask of the processed positions
+    changes = [0] * hn.n
+    step = [0] * hn.n  # each position's processing step, from 1 (0: unprocessed)
+    order: list[int] = []  # the processed positions
+    forced: int | None = None
+    unprocessed = list(range(hn.n))  # the unprocessed positions, ascending
 
-    def note_change(v: str) -> None:
-        changes[v] += 1
-        if changes[v] > 2:
-            trace.violate(f"vertex {v} changed color more than twice")
+    def note_change(p: int) -> None:
+        changes[p] += 1
+        if changes[p] > 2:
+            trace.violate(f"vertex {names[p]} changed color more than twice")
 
     for i in range(1, hn.n + 1):
         if forced is not None:
-            v, forced = forced, None
-            p = run.positions[v]
+            p, forced = forced, None
             del unprocessed[bisect_left(unprocessed, p)]
         else:
             p = unprocessed.pop(tie_rng.randrange(len(unprocessed)) if tie_rng else 0)
-            v = hn.vertices[p]
-        pos[v] = i
-        order.append(v)
+        step[p] = i
+        order.append(p)
         done |= 1 << p
 
         qualifying = [
@@ -250,45 +266,46 @@ def color_one_head(
             if run.mono(idx, BLUE) and done & index.tail_masks[idx] == index.tail_masks[idx]
         ]
         if not qualifying:
-            trace.add(v, "kept")
+            trace.add(names[p], "kept")
             continue
 
-        preferred = [idx for idx in qualifying if heads[idx] is not None and heads[idx] not in pos]
+        preferred = [idx for idx in qualifying if heads[idx] is not None and not done >> heads[idx] & 1]
         pool = preferred or qualifying
         chosen = pool[tie_rng.randrange(len(pool))] if tie_rng else pool[0]
         if preferred:
             forced = heads[chosen]
 
-        # v is not processed yet, so it is blue, and an edge through it that
+        # p is not processed yet, so it is blue, and an edge through it that
         # is all red now became so in this step.
-        run.paint(v, RED)
-        note_change(v)
+        run.paint(p, RED)
+        note_change(p)
         newly_mono = [idx for idx in index.edges_at[p] if run.mono(idx, RED)]
-        trace.add(v, "colored-red", edge=chosen, next_vertex=forced)
+        trace.add(names[p], "colored-red", edge=chosen,
+                  next_vertex=None if forced is None else names[forced])
 
         if len(newly_mono) > 1:
             trace.violate("one red step created more than one monochromatic red edge")
         for idx in newly_mono:
-            ps = sorted(pos[u] for u in edges[idx].vertices)
+            rows = index.head_rows[idx] + index.tail_rows[idx]
+            ps = sorted(step[q] for q in rows)
             if ps != list(range(ps[0], ps[0] + len(ps))):
                 trace.violate(f"monochromatic red edge {idx} is not consecutive in processing order")
-            last = max(edges[idx].vertices, key=pos.__getitem__)
-            if last in edges[idx].tail:
+            if index.tail_masks[idx] >> max(rows, key=step.__getitem__) & 1:
                 trace.violate(f"monochromatic red edge {idx} ends at a tail vertex")
         if newly_mono:
             if i < 2:
                 trace.violate("monochromatic red edge with no previous vertex to recolor")
             else:
                 prev = order[i - 2]
-                if run.color[prev] != RED:
-                    trace.violate(f"recolor target {prev} was not red")
+                if run.color_of(prev) != RED:
+                    trace.violate(f"recolor target {names[prev]} was not red")
                 else:
                     run.move(prev, BLUE)
                     note_change(prev)
-                trace.add(prev, "recolored-previous-blue", edge=newly_mono[0])
+                trace.add(names[prev], "recolored-previous-blue", edge=newly_mono[0])
 
-    coloring = _finish(hg, run.color, spec.palette, trace, checked)
-    return coloring, trace, tuple(order)
+    coloring = _finish(hg, run, spec.palette, checked)
+    return coloring, trace, tuple(names[p] for p in order)
 
 
 def color_head_tail_3(
@@ -305,17 +322,17 @@ def color_head_tail_3(
     spec, hn, trace = _start(hg, "ht3", checked)
     m = len(hn.edges)
     heads, tails = hn.index.head_masks, hn.index.tail_masks
-    tail_closing: dict[str, list[int]] = {}
-    head_closing: dict[str, list[int]] = {}
+    tail_closing: dict[int, list[int]] = {}
+    head_closing: dict[int, list[int]] = {}
     # An edge's last vertex is the top bit of its masks, which lies in the
     # larger of its head and tail masks.
     ends_in_tail = [t > h for h, t in zip(heads, tails)]
     for idx, in_tail in enumerate(ends_in_tail):
-        last = hn.vertices[max(heads[idx], tails[idx]).bit_length() - 1]
+        last = max(heads[idx], tails[idx]).bit_length() - 1
         (tail_closing if in_tail else head_closing).setdefault(last, []).append(idx)
 
     run = _Run(hn, trace)
-    run.sweep(hn.vertices, tail_closing, RED)
+    run.sweep(range(hn.n), tail_closing, RED)
 
     for idx in range(m):
         if ends_in_tail[idx] and not run.meets(idx, RED):
@@ -323,14 +340,14 @@ def color_head_tail_3(
         if run.mono(idx, RED):
             trace.violate(f"edge {idx} is monochromatic red after pass 1")
 
-    run.sweep(hn.vertices, head_closing, GREEN)
+    run.sweep(range(hn.n), head_closing, GREEN)
 
     for idx in range(m):
         if run.monochromatic(idx):
             # Covers all-blue head-ending edges as well as mono red/green.
             trace.violate(f"edge {idx} is monochromatic at termination")
 
-    coloring = _finish(hg, run.color, spec.palette, trace, checked)
+    coloring = _finish(hg, run, spec.palette, checked)
     return coloring, trace
 
 
@@ -354,26 +371,30 @@ def classify_head_star(hg: DirectedHypergraph, u: str, checked: bool = True) -> 
         _require_hypothesis(hg, ALGORITHMS["i0-4"])
     if u not in hg.positions:
         raise ValueError(f"unknown vertex {u!r}")
-    return _classify_star(hg, u, hg.index.heads_at[hg.positions[u]])
+    kind, star = _classify_star(hg, hg.positions[u])
+    return HeadStar(kind, tuple(hg.vertices[p] for p in star))
 
 
-def _classify_star(hg: DirectedHypergraph, u: str, ks: list[int]) -> HeadStar:
-    """classify_head_star given the indices of the edges headed by u."""
+def _classify_star(hg: DirectedHypergraph, u: int) -> tuple[str, tuple[int, ...]]:
+    """classify_head_star on positions: the kind and the positions it names."""
+    index = hg.index
+    ks = index.heads_at[u]
     if not ks:
-        return HeadStar("empty", ())
-    star = [hg.edges[k] for k in ks]
-    pos = hg.positions
-    pivots = frozenset.intersection(*(e.vertices for e in star)) - {u}
-    if pivots:
-        return HeadStar("pivot", (min(pivots, key=pos.__getitem__),))
-    support = sorted(frozenset().union(*(e.vertices for e in star)) - {u}, key=pos.__getitem__)
-    if len(star) == 3 and len(support) == 3:
-        v, w, z = support
-        if {e.tail for e in star} == {frozenset((v, w)), frozenset((w, z)), frozenset((v, z))}:
-            return HeadStar("triangle", (v, w, z))
-    raise InvariantViolationError(
-        [f"head-star of {u} is neither empty, pivoted, nor a triangle; input not i0-free"]
-    )
+        return "empty", ()
+    common, support = ~(1 << u), 0
+    for k in ks:
+        common &= index.masks[k]
+        support |= index.masks[k]
+    if common:
+        return "pivot", ((common & -common).bit_length() - 1,)
+    support ^= 1 << u
+    if len(ks) == 3 and support.bit_count() == 3:
+        # The three tails of a triangle are its support less one vertex each.
+        triangle = _mask_row(support)
+        if {index.tail_masks[k] for k in ks} == {support ^ 1 << p for p in triangle}:
+            return "triangle", tuple(triangle)
+    raise InvariantViolationError([f"head-star of {hg.vertices[u]} is neither empty, pivoted, "
+                                   "nor a triangle; input not i0-free"])
 
 
 def augment_i0(hg: DirectedHypergraph, checked: bool = True) -> DirectedHypergraph:
@@ -391,46 +412,40 @@ def augment_i0(hg: DirectedHypergraph, checked: bool = True) -> DirectedHypergra
         if len(set(vsets)) != len(vsets):
             raise PreconditionError("two edges share a vertex set")
         _require_condition(hg, "i0-free")
+    names, n, tail_masks = hg.vertices, hg.n, hg.index.tail_masks
     additions: list[DirectedEdge] = []
-    for u, ks in zip(hg.vertices, hg.index.heads_at):
-        star = _classify_star(hg, u, ks)
-        if star.kind == "triangle":
+    for u, ks in enumerate(hg.index.heads_at):
+        kind, star = _classify_star(hg, u)
+        if kind == "triangle" or kind == "empty" and n < 3:
             continue
-        if star.kind == "empty":
-            others = [v for v in hg.vertices if v != u]
-            if len(others) < 2:
-                continue
-            pivot = others[0]
-        else:
-            pivot = star.vertices[0]
-        existing = {hg.edges[k].tail for k in ks}
-        for w in hg.vertices:
-            if w == u or w == pivot:
-                continue
-            tail = frozenset((pivot, w))
-            if tail not in existing:
-                additions.append(DirectedEdge(tail, frozenset((u,))))
-    return DirectedHypergraph(hg.vertices, hg.edges + tuple(additions))
+        pivot = star[0] if star else int(u == 0)  # empty: the first position but u
+        existing = {tail_masks[k] for k in ks}
+        for w in range(n):
+            if w != u and w != pivot and (1 << pivot | 1 << w) not in existing:
+                additions.append(DirectedEdge(frozenset((names[pivot], names[w])),
+                                              frozenset((names[u],))))
+    return DirectedHypergraph(names, hg.edges + tuple(additions))
 
 
 def _full_star_issues(hg: DirectedHypergraph) -> list[str]:
     issues = []
-    for u, ks in zip(hg.vertices, hg.index.heads_at):
+    n, tail_masks = hg.n, hg.index.tail_masks
+    for u, ks in enumerate(hg.index.heads_at):
         if not ks:
-            if hg.n >= 3:
-                issues.append(f"head-star of {u} still empty after augmentation")
+            if n >= 3:
+                issues.append(f"head-star of {hg.vertices[u]} still empty after augmentation")
             continue
         try:
-            star = _classify_star(hg, u, ks)
+            kind, star = _classify_star(hg, u)
         except InvariantViolationError as exc:
             issues.extend(exc.violations)
             continue
-        if star.kind == "triangle":
+        if kind == "triangle":
             continue
-        pivot = star.vertices[0]
-        want = {frozenset((pivot, w)) for w in hg.vertices if w not in (u, pivot)}
-        if {hg.edges[k].tail for k in ks} != want:
-            issues.append(f"head-star of {u} is neither a triangle nor a full pivot star")
+        pivot = star[0]
+        want = {1 << pivot | 1 << w for w in range(n) if w != u and w != pivot}
+        if {tail_masks[k] for k in ks} != want:
+            issues.append(f"head-star of {hg.vertices[u]} is neither a triangle nor a full pivot star")
     return issues
 
 
@@ -449,7 +464,7 @@ def color_i0_4(hg: DirectedHypergraph, checked: bool = True) -> tuple[Coloring, 
     if not hn.edges:
         for v in hn.vertices:
             trace.add(v, "kept")
-        return _finish(hg, {v: BLUE for v in hn.vertices}, spec.palette, trace, checked), trace
+        return _finish(hg, _Run(hn, trace), spec.palette, checked), trace
 
     try:
         ha = augment_i0(hn, checked=False)
@@ -469,25 +484,22 @@ def color_i0_4(hg: DirectedHypergraph, checked: bool = True) -> tuple[Coloring, 
     for issue in issues:
         trace.violate(issue)
 
-    pos = hn.positions
-    edges = ha.edges
     masks = ha.index.masks
-    m = len(edges)
-    by_head_rank: list[dict[str, list[int]]] = [{}, {}, {}]  # E1, E2, E3
+    m = len(masks)
+    by_head_rank: list[dict[int, list[int]]] = [{}, {}, {}]  # E1, E2, E3
     rank_of = [-1] * m  # -1: a headless edge, in no bucket (unchecked runs only)
-    for idx, e in enumerate(edges):
-        if not e.head:
+    for idx, head in enumerate(_head_positions(ha)):
+        if head is None:
             continue
-        head = min(e.head)
         # The count of the edge's vertices below the head: 0 lowest, 1 middle,
         # 2 highest; an edge with more than two tails (unchecked runs only)
         # files a head past its third vertex under 2.
-        rank = min((masks[idx] & ((1 << pos[head]) - 1)).bit_count(), 2)
+        rank = min((masks[idx] & ((1 << head) - 1)).bit_count(), 2)
         rank_of[idx] = rank
         by_head_rank[rank].setdefault(head, []).append(idx)
 
     run = _Run(ha, trace)
-    run.sweep(hn.vertices, by_head_rank[2], RED)
+    run.sweep(range(ha.n), by_head_rank[2], RED)
 
     for idx in range(m):
         if rank_of[idx] == 2 and run.mono(idx, BLUE):
@@ -495,7 +507,7 @@ def color_i0_4(hg: DirectedHypergraph, checked: bool = True) -> tuple[Coloring, 
         if run.mono(idx, RED):
             trace.violate(f"edge {idx} monochromatic red after step 1")
 
-    run.sweep(reversed(hn.vertices), by_head_rank[0], GREEN, gate=GREEN)
+    run.sweep(reversed(range(ha.n)), by_head_rank[0], GREEN, gate=GREEN)
 
     for idx in range(m):
         if rank_of[idx] == 0 and not run.meets(idx, GREEN):
@@ -507,13 +519,13 @@ def color_i0_4(hg: DirectedHypergraph, checked: bool = True) -> tuple[Coloring, 
         if run.mono(idx, RED):
             trace.violate(f"edge {idx} monochromatic red after step 2")
 
-    run.sweep(hn.vertices, by_head_rank[1], YELLOW)
+    run.sweep(range(ha.n), by_head_rank[1], YELLOW)
 
     for idx in range(m):
         if run.monochromatic(idx):
             trace.violate(f"edge {idx} monochromatic at termination")
 
-    coloring = _finish(hg, run.color, spec.palette, trace, checked)
+    coloring = _finish(hg, run, spec.palette, checked)
     return coloring, trace
 
 
@@ -522,22 +534,21 @@ def color_i0_r4_2(hg: DirectedHypergraph, checked: bool = True) -> tuple[Colorin
     are tails on both sides: one ascending pass that reds every vertex heading
     a still-all-blue edge."""
     spec, hn, trace = _start(hg, "i0r4-2", checked)
-    edges = hn.edges
-    by_head: dict[str, list[int]] = {}
-    for idx, e in enumerate(edges):
-        if e.head:  # a headless edge (unchecked runs only) heads no bucket
-            by_head.setdefault(min(e.head), []).append(idx)
+    by_head: dict[int, list[int]] = {}
+    for idx, head in enumerate(_head_positions(hn)):
+        if head is not None:  # a headless edge (unchecked runs only) heads no bucket
+            by_head.setdefault(head, []).append(idx)
 
     run = _Run(hn, trace)
-    run.sweep(hn.vertices, by_head, RED)
+    run.sweep(range(hn.n), by_head, RED)
 
-    for idx in range(len(edges)):
+    for idx in range(len(hn.edges)):
         if not run.meets(idx, RED):
             trace.violate(f"edge {idx} ended with no red vertex")
         if run.monochromatic(idx):
             trace.violate(f"edge {idx} monochromatic at termination")
 
-    coloring = _finish(hg, run.color, spec.palette, trace, checked)
+    coloring = _finish(hg, run, spec.palette, checked)
     return coloring, trace
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import add
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 # Color indices used by every algorithm and trace in this package.
 BLUE, RED, GREEN, YELLOW = 0, 1, 2, 3
@@ -153,6 +153,16 @@ def _row_masks(rows: Iterable[Iterable[int]]) -> list[int]:
     return masks
 
 
+def _mask_row(mask: int) -> list[int]:
+    """The positions of mask's bits, ascending (one row of ``_row_masks``)."""
+    row = []
+    while mask:
+        low = mask & -mask
+        row.append(low.bit_length() - 1)
+        mask ^= low
+    return row
+
+
 def file_under_keys(rows: Iterable[Iterable[int]], lists):
     """Append k to lists[key] for each key of rows[k], so each list ascends."""
     for k, row in enumerate(rows):
@@ -199,11 +209,12 @@ class DirectedHypergraph:
     def n(self) -> int:
         return len(self.vertices)
 
-    def with_vertex_order(self, order: Sequence[str]) -> "DirectedHypergraph":
+    def with_vertex_order(self, order: Iterable[str]) -> "DirectedHypergraph":
         """Same edges under a permuted vertex sequence."""
+        order = tuple(order)  # a one-shot iterator is read once, here
         if sorted(order) != sorted(self.vertices):
             raise ValidationError("new order is not a permutation of the vertex set")
-        return DirectedHypergraph(tuple(order), self.edges)
+        return DirectedHypergraph(order, self.edges)
 
 
 def is_two_to_one(hg: DirectedHypergraph) -> bool:

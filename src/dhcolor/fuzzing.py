@@ -91,8 +91,11 @@ def run_fuzz(
     """Run seeded trials of one algorithm; see the module docstring."""
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}; expected one of {tuple(ALGORITHMS)}")
-    if ALGORITHMS[algo].shape == "2->1" and tail_range != (2, 2):
+    shape = ALGORITHMS[algo].shape
+    if shape == "2->1" and tail_range != (2, 2):
         raise ValueError(f"{algo} requires 2->1 instances; tail_range must be (2, 2)")
+    if shape == "one-head" and tail_range[0] < 2:
+        raise ValueError(f"{algo} requires tails of at least 2; tail_range {tail_range} allows fewer")
     if trials < 0:
         raise ValueError("trials must be non-negative")
     if n_range[0] > n_range[1]:

@@ -63,7 +63,8 @@ from itertools import combinations
 from operator import add
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .core import DirectedEdge, DirectedHypergraph, HypergraphIndex, file_under_keys, is_two_to_one
+from .core import (DirectedEdge, DirectedHypergraph, HypergraphIndex, _mask_row, _row_masks,
+                   file_under_keys, is_two_to_one)
 
 PATTERN_IDS = ("H2", "I1", "R3", "E", "I0", "H1", "R4")
 
@@ -220,15 +221,6 @@ def pair_code(h1: int, t1: int, h2: int, t2: int) -> int:
     return 0
 
 
-def _masks(e: DirectedEdge, pos: dict[str, int]) -> tuple[int, int]:
-    h = t = 0
-    for v in e.head:
-        h |= 1 << pos[v]
-    for v in e.tail:
-        t |= 1 << pos[v]
-    return h, t
-
-
 class _PairKeys:
     """Every edge's vertex pairs as keys p * n + q (positions p < q), laid
     out as in HypergraphIndex: each pair of its tails as a tail, each pair
@@ -291,13 +283,8 @@ def _partners(keys: HypergraphIndex | _PairKeys,
 def _rows(names: tuple[str, ...], common: int,
           h1: int, h2: int) -> tuple[tuple[str, str, str], ...]:
     """(vertex, role in edge 1, role in edge 2) for each vertex in the common mask."""
-    rows = []
-    while common:
-        low = common & -common
-        rows.append((names[low.bit_length() - 1],
-                     "head" if h1 & low else "tail", "head" if h2 & low else "tail"))
-        common ^= low
-    return tuple(rows)
+    return tuple((names[p], "head" if h1 >> p & 1 else "tail", "head" if h2 >> p & 1 else "tail")
+                 for p in _mask_row(common))
 
 
 def _witnesses(hg: DirectedHypergraph,
@@ -338,11 +325,6 @@ def _witnesses(hg: DirectedHypergraph,
     return tuple(out), examined
 
 
-def _two_edge_code(e1: DirectedEdge, e2: DirectedEdge) -> int:
-    pos = {v: p for p, v in enumerate(e1.vertices | e2.vertices)}
-    return pair_code(*_masks(e1, pos), *_masks(e2, pos))
-
-
 def classify_intersection(hg: DirectedHypergraph, i: int, j: int) -> IntersectionProfile:
     """Exact intersection of edges i < j, listed in vertex-sequence order."""
     if not 0 <= i < j < len(hg.edges):
@@ -357,7 +339,9 @@ def classify_pair(e1: DirectedEdge, e2: DirectedEdge) -> str | None:
     Pairs intersecting in zero or three vertices match no pattern (all seven
     need four or five distinct vertices).
     """
-    return _PATTERN_OF[_two_edge_code(e1, e2)]
+    pos = {v: p for p, v in enumerate(e1.vertices | e2.vertices)}
+    rows = ([pos[v] for v in side] for side in (e1.head, e1.tail, e2.head, e2.tail))
+    return _PATTERN_OF[pair_code(*_row_masks(rows))]
 
 
 def contains_pattern(hg: DirectedHypergraph, pattern: str) -> PatternReport:

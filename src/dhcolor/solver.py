@@ -199,8 +199,7 @@ def find_proper_coloring(hg: DirectedHypergraph, k: int, *,
             if p == n:
                 break
             max_before[p] = c if c > max_before[p - 1] else max_before[p - 1]
-    pos = hg.positions
-    return Coloring({v: colors[pos[v]] for v in hg.vertices}, k)
+    return Coloring(dict(zip(hg.vertices, colors)), k)
 
 
 def _colorable(index: _Index, k: int) -> bool:

@@ -380,6 +380,11 @@ def test_fuzz_rejects_bad_tail_range():
             with pytest.raises(ValueError) as err:
                 run_fuzz(algo, trials=1, tail_range=tails)
             assert str(err.value) == f"{algo} requires 2->1 instances; tail_range must be (2, 2)"
+    for tails in ((1, 2), (1, 5)):
+        with pytest.raises(ValueError) as err:
+            run_fuzz("one-head", trials=20, tail_range=tails)
+        assert str(err.value) == (f"one-head requires tails of at least 2; "
+                                  f"tail_range {tails} allows fewer")
     with pytest.raises(ValueError) as err:
         run_fuzz("nope", trials=1)
     assert str(err.value) == ("unknown algorithm 'nope'; "

@@ -374,6 +374,15 @@ class TestFuzzCommand:
         assert captured.out == ""
         assert captured.err == "error: empty n_range (9, 3): n_min exceeds n_max\n"
 
+    def test_tail_range_outside_the_shape_exit_2(self, capsys):
+        # One-head edges need two tails: the harness refuses to draw fewer
+        # rather than report its own out-of-shape instances as failures.
+        assert main(["fuzz", "--algo", "one-head", "--tail-min", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: one-head requires tails of at least 2; "
+                                "tail_range (1, 2) allows fewer\n")
+
 
 class TestErrors:
     def test_parse_error_exit_2(self, tmp_path, capsys):

@@ -481,6 +481,14 @@ class TestValidation:
         assert a != b
         assert parse(serialize(b)) == b
 
+    def test_vertex_order_from_a_one_shot_iterator(self):
+        for text in ("v a\nv b\nv c", "e a b > c"):
+            hg = parse(text)
+            back = hg.with_vertex_order(v for v in reversed(hg.vertices))
+            assert back.vertices == ("c", "b", "a") and back.edges == hg.edges
+        with pytest.raises(ValidationError, match="not a permutation"):
+            parse("e a b > c").with_vertex_order(v for v in "ab")
+
 
 class TestColoringFile:
     def test_roundtrip(self):

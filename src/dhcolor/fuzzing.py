@@ -100,6 +100,9 @@ def run_fuzz(
         raise ValueError("trials must be non-negative")
     if n_range[0] > n_range[1]:
         raise ValueError(f"empty n_range {n_range}: n_min exceeds n_max")
+    if n_range[0] < 3:
+        raise ValueError(f"n_range {n_range} allows fewer than 3 vertices, "
+                         "which gen_random cannot draw")
 
     run = RUNNERS[algo]
     random_ties = random_ties and algo == "one-head"  # the only free choices

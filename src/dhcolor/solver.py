@@ -1,57 +1,71 @@
 """Exact proper k-colorability and chromatic number.
 
 This is the ground-truth oracle the constructive algorithms are checked
-against.  ``chromatic_number`` tries k = 1, 2, ... and files the edge
-masks of ``hg.index`` once for all of them.  A verdict search proves each
-k < chi infeasible; the fixed-order witness search runs only at the first k
-the verdict search accepts and gives the coloring returned.
+against.  One search (``_search``) answers every question, in one of two
+vertex orders.  ``find_proper_coloring`` runs it in the fixed order and
+returns the lexicographically first proper k-coloring.  ``chromatic_number``
+tries k = 1, 2, ... on one index of the edge masks of ``hg.index``; on
+larger inputs it first runs the search in the DSATUR order, whose yes or no
+proves each k < chi infeasible, and takes the witness from the fixed order
+at the first k that order accepts.
 
-Witness search (``find_proper_coloring``).  Vertices are assigned in sequence
-order with two symmetry breaks that are sound because properness is
-invariant under permuting colors: the first vertex is fixed to color 0, and a
-vertex may only use a color at most one above the largest color used so far.
-Colors are tried in ascending order, so the first solution found is the
-lexicographically smallest proper assignment.  Forward checking (Haralick &
-Elliott, 1980) keeps that order.  Each color class is a bitmask over vertex
-positions.  An edge is filed under its second-to-last position as (mask of
-all its positions but the last, last position); when that position takes
-color c and the whole mask lies in class c, c is forbidden at the last
-position.  A position skips its forbidden colors, and a branch is abandoned
-as soon as some later position has all k colors forbidden.  Both only cut
-subtrees holding no proper assignment, so the witness is the same as plain
-backtracking's.
-
-Verdict search (``_colorable``).  Only its yes/no answer is used, so it may
-visit vertices in any order.  DSATUR (Brélaz, 1979) takes next the free
-vertex with the most forbidden colors, then the most incident edges, then the
-lowest position.  Vertices are ranked once by degree, and the free ones are
-kept in one bitmask over ranks per forbidden count, so the pick is the lowest
-set bit of the highest non-empty bucket.  Forward checking: when a vertex
-takes color c, every edge through it whose vertices all lie in class c but
-one free vertex u forbids c at u; the reason is the edge's other vertices.
+The search assigns one vertex at a time and keeps each color class as a
+bitmask over vertex positions.  A vertex tries, in ascending order, the
+colors in use plus at most one unused color: properness is invariant under
+permuting colors, and swapping two unused colors fixes every assigned
+vertex, so the skipped ones fail for the same reasons.  Forward checking
+(Haralick & Elliott, 1980): when a vertex takes color c, an edge whose
+vertices all lie in class c but one free vertex u forbids c at u; the reason
+is the edge's other vertices.  A vertex skips its forbidden colors, and a
+color is dropped at once when it leaves a free vertex with none.
 Conflict-directed backjumping (FC-CBJ; Prosser, 1993): a vertex whose colors
 all fail returns a conflict set, the reasons for its forbidden colors plus
 what each tried color returned (for a wiped-out vertex, the union of its
 reasons).  The search jumps back to the latest assigned vertex in that set;
 the vertices assigned after it are undone without trying their other colors.
-A vertex tries the colors in use plus at most one unused color: swapping two
-unused colors fixes every assigned vertex, so the skipped ones fail for the
-same reasons.  Every conflict set is a set of assignments that no proper
-coloring extends, so the verdict is exact.
+Every conflict set is a set of assignments that no proper coloring extends,
+so an empty one proves that there is none.
 
-The witness is unchanged by this split: it still comes from the fixed-order
-search, now run only at chi.  When k^(n-1), the witness search's largest
-possible number of leaves, is at most 2^16 (n <= 17 at k = 2, n <= 11 at
-k = 3), that search alone gives the verdict at k: measured on random inputs,
-running the verdict search first costs more than it saves below that size.
+Fixed order.  The next vertex is the lowest free position, so the assigned
+positions are always a prefix.  When position v takes a color, the search
+checks only the edges whose second-to-last position is v.  An edge forbids
+a color only when all its vertices but one are assigned, and with a prefix
+assigned that holds from the moment its second-to-last position is: an edge
+through v with a later second-to-last position still has two free vertices,
+and one ending at v has none.  The witness is the one plain backtracking
+gives: with a prefix assigned, "the colors in use plus one unused" is "at
+most one above the largest color before v" (so the first vertex takes 0),
+the colors are tried in the same ascending order, and forward checking and
+backjumping cut only subtrees that hold no proper coloring, so the first
+leaf reached in the same depth-first order is unchanged.  Backjumping keeps
+this order from re-solving the positions between a dead end and its cause
+over and over: on ``gen_random(n, n, seed=1)``, where chi = 2, the witness
+takes 0.8 ms at n = 80, 1.4 ms at n = 100, 2.0 ms at n = 200, 19 ms at
+n = 400 and 2.3 s at n = 1000 (Python 3.11, one core of a shared 2-CPU
+machine).
 
-Cost: filing the masks of ``hg.index`` is one pass, and the verdict search
-reads its per-vertex incidence off that index on first use.  A node of
-either search costs one mask test per edge it examines (those filed under
-the position, or those through the vertex) plus a trail entry per newly
-forbidden color; a backjump costs one undo per vertex it passes.  The
-number of nodes is exponential in n in the worst case.  Both searches keep
-explicit stacks, so their depth is not bounded by Python's recursion limit.
+DSATUR order (Brélaz, 1979).  The next vertex is the free one with the most
+forbidden colors, then the most incident edges, then the lowest position.
+Vertices are ranked once by degree, and the free ones are kept in one bitmask
+over ranks per forbidden count, so the pick is the lowest set bit of the
+highest non-empty bucket.  With no prefix to lean on, this order checks
+every edge through the vertex.  Its coloring is not the first one, so only
+its verdict is used.  It is kept for refutations: the fixed order did not
+refute h2-tower(5) at k = 4 within ten minutes, and this order does it in
+776,952 nodes and about 4.3 s (h2-tower(4) at k = 3: 357 nodes, against
+4,777 in the fixed order).
+
+When k^(n-1), the fixed order's largest possible number of leaves, is at
+most ``_SMALL_TREE`` = 2^16 (n <= 17 at k = 2, n <= 11 at k = 3, n <= 9 at
+k = 4), ``chromatic_number`` lets the fixed order settle k alone.
+
+Cost: each order's view is one pass over the masks of ``hg.index`` (the
+DSATUR view also reads its per-position edge lists).  A node costs one mask
+test per edge it checks plus a trail entry per newly forbidden color; a
+backjump costs one step per vertex it passes and one undo per trail entry it
+withdraws.  The number of nodes is exponential in n in the worst case.  The
+search keeps explicit stacks, so its depth is not bounded by Python's
+recursion limit.
 """
 
 from __future__ import annotations
@@ -62,12 +76,16 @@ from dataclasses import dataclass
 from .core import Coloring, DirectedHypergraph, HypergraphIndex, cached_attribute
 
 DEFAULT_MAX_K = 8
-# The witness search has at most k^(n-1) leaves.  Up to this many it settles
-# k alone: measured per (n, k) on random inputs, its own verdict cost less
-# than a verdict search followed by it at every (n, k) with at most 2^16
-# leaves, and the verdict search first paid off at n = 18, k = 2 (2^17).
-# The cut also bounds what skipping the verdict search can cost on an
-# adversarial input to a search of at most 2^16 leaves.
+# The fixed order has at most k^(n-1) leaves.  Up to this many it settles k
+# alone, without the DSATUR verdict first.  Measured per (n, k) on random
+# inputs with n to 14n edges, with backjumping in both orders: the fixed
+# order alone cost less than the verdict followed by the fixed order at
+# every (n, k) up to 2^20 leaves, and the two broke even near 2^21 (k = 2,
+# n = 22).  Without the cut (a cut of 0), chromatic_number on fuzz-size
+# inputs (n 3..8) took 3.5 times as long.  The cut is 2^16, not 2^20:
+# raising it left the benchmark's n = 18 solver inputs where they were, and
+# the lower cut bounds what skipping the verdict can cost on an adversarial
+# input to a search of at most 2^16 leaves.
 _SMALL_TREE = 2 ** 16
 
 
@@ -99,20 +117,27 @@ class ChromaticResult:
 
 
 class _Index:
-    """What both searches read, from the edge masks of ``hg.index``; the
-    verdict search's view is built the first time that search runs."""
+    """What the search reads, from the edge masks of ``hg.index``; the view
+    of each vertex order is built the first time the search runs in it."""
 
     def __init__(self, index: HypergraphIndex) -> None:
         self.edge_index = index
-        # filed[p]: (rest mask, last position) of each edge whose
-        # second-to-last position is p, for the witness search.
-        self.filed: list[list[tuple[int, int]]] = [[] for _ in range(index.n)]
+
+    @cached_attribute
+    def closing(self) -> list[list[int]]:
+        """The masks of the edges whose second-to-last position is p: the
+        edges the fixed order checks when p takes a color."""
+        closing: list[list[int]] = [[] for _ in range(self.edge_index.n)]
+        for mask in self.edge_index.masks:
+            rest = mask ^ 1 << mask.bit_length() - 1
+            closing[rest.bit_length() - 1].append(mask)
+        return closing
 
     @cached_attribute
     def incidence(self) -> tuple[list[list[int]], list[int], list[int]]:
         """The masks of the edges through each position, the positions by
         descending degree (ties by position), and each position's bit in
-        that order."""
+        that order: what the DSATUR order reads."""
         masks = self.edge_index.masks
         through = [[masks[k] for k in ks] for ks in self.edge_index.edges_at]
         order = sorted(range(len(through)), key=lambda p: -len(through[p]))
@@ -124,15 +149,10 @@ class _Index:
 
 def _build_index(hg: DirectedHypergraph) -> _Index | None:
     """The shared index, or None when a single-vertex edge makes every k fail."""
-    index = _Index(hg.index)
-    filed = index.filed
     for mask in hg.index.masks:
-        last = mask.bit_length() - 1
-        rest = mask ^ 1 << last
-        if not rest:  # a single-vertex edge can never see two color classes
+        if not mask & mask - 1:  # a single vertex can never see two color classes
             return None
-        filed[rest.bit_length() - 1].append((rest, last))
-    return index
+    return _Index(hg.index)
 
 
 def find_proper_coloring(hg: DirectedHypergraph, k: int, *,
@@ -144,112 +164,59 @@ def find_proper_coloring(hg: DirectedHypergraph, k: int, *,
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    n = hg.n
-    if n == 0:
+    if not hg.n:
         return Coloring({}, k)
     index = _build_index(hg) if _index is None else _index
-    if index is None:
-        return None
-    filed = index.filed
-
-    full = (1 << k) - 1
-    colors = [-1] * n  # color at each position; -1 before its first try
-    max_before = [-1] * n  # largest color used at positions < p
-    forbidden = [0] * n  # colors forbidden at each position, as bitmasks
-    classes = [0] * k  # positions holding each color, as bitmasks
-    trail_pos: list[int] = []  # positions whose forbidden mask was overwritten
-    trail_old: list[int] = []  # and the masks they had
-    trail_mark = [0] * n  # trail length when position p took its color
-
-    p = 0
-    while True:
-        c = colors[p]
-        if c >= 0:  # withdraw p's color and what it forbade
-            classes[c] ^= 1 << p
-            mark = trail_mark[p]
-            while len(trail_pos) > mark:
-                forbidden[trail_pos.pop()] = trail_old.pop()
-        limit = min(k - 1, max_before[p] + 1)
-        banned = forbidden[p]
-        c += 1
-        while c <= limit and banned >> c & 1:
-            c += 1
-        if c > limit:
-            colors[p] = -1
-            if p == 0:
-                return None
-            p -= 1
-            continue
-        colors[p] = c
-        members = classes[c] | 1 << p
-        classes[c] = members
-        trail_mark[p] = len(trail_pos)
-        bit = 1 << c
-        for rest, last in filed[p]:
-            if rest & members == rest:
-                old = forbidden[last]
-                if not old & bit:
-                    trail_pos.append(last)
-                    trail_old.append(old)
-                    forbidden[last] = old | bit
-                    if old | bit == full:
-                        break  # last has no color left: try p's next color
-        else:
-            p += 1
-            if p == n:
-                break
-            max_before[p] = c if c > max_before[p - 1] else max_before[p - 1]
-    return Coloring(dict(zip(hg.vertices, colors)), k)
+    colors = None if index is None else _search(index, k, dsatur=False)
+    return None if colors is None else Coloring(dict(zip(hg.vertices, colors)), k)
 
 
-def _colorable(index: _Index, k: int) -> bool:
-    """Whether a proper k-coloring exists; see the module docstring."""
-    through, order, rank_bit = index.incidence
+def _search(index: _Index, k: int, dsatur: bool) -> list[int] | None:
+    """The color of each position in a proper k-coloring, or None when there
+    is none; in the fixed order, the first such coloring.  See the module
+    docstring."""
     n = index.edge_index.n
+    if dsatur:
+        through, order, rank_bit = index.incidence
+        count = [0] * n  # number of colors forbidden at each position
+        # Free positions by number of forbidden colors, each as a bitmask
+        # over ranks, so the lowest bit is the one of highest degree.
+        buckets = [0] * (k + 1)
+        buckets[0] = (1 << n) - 1
+    else:
+        through = index.closing
+    full = (1 << k) - 1
     colors = [0] * n
-    count = [0] * n  # number of colors forbidden at each position
-    forbidden = [0] * n  # and which, as bitmasks
+    forbidden = [0] * n  # colors forbidden at each position, as bitmasks
     reason = [0] * (n * k)  # reason[p * k + c]: the positions that forbade c at p
-    conflict = [0] * n  # what the failed colors of each position depend on
+    # What the failed colors of each position depend on; 0 while it is free
+    # and has failed no color.
+    conflict = [0] * n
+    mark_at = [0] * n  # trail length when each assigned position took its color
     classes = [0] * k  # positions holding each color, as bitmasks
     free = (1 << n) - 1  # unassigned positions
-    # Unassigned positions by number of forbidden colors, each as a bitmask
-    # over ranks, so the lowest bit is the one of highest degree.
-    buckets = [0] * (k + 1)
-    buckets[0] = free
+    used = 0  # colors in use; they are 0 .. used - 1
     stack: list[int] = []  # assigned positions, in assignment order
-    marks: list[int] = []  # trail length when each took its color
-    opened: list[int] = []  # colors in use once each took its color
     trail: list[int] = []  # (position, color) of each forbidden color, flattened
-
-    def undo(mark: int) -> None:
-        while len(trail) > mark:
-            c = trail.pop()
-            u = trail.pop()
-            forbidden[u] ^= 1 << c
-            rbit = rank_bit[u]
-            cnt = count[u]
-            buckets[cnt] ^= rbit
-            count[u] = cnt - 1
-            buckets[cnt - 1] |= rbit
 
     v = -1  # the position trying colors; -1 means pick the next one
     c = -1
     while True:
         if v < 0:
             if not free:
-                return True
-            f = k - 1
-            while not buckets[f]:
-                f -= 1
-            bits = buckets[f]
-            rbit = bits & -bits
-            buckets[f] = bits ^ rbit
-            v = order[rbit.bit_length() - 1]
+                return colors
+            if dsatur:
+                f = k - 1
+                while not buckets[f]:
+                    f -= 1
+                bits = buckets[f]
+                rbit = bits & -bits
+                buckets[f] = bits ^ rbit
+                v = order[rbit.bit_length() - 1]
+            else:  # the lowest free position
+                v = len(stack)
             free ^= 1 << v
-            conflict[v] = 0
             c = -1
-        used = opened[-1] if opened else 0
         limit = used if used < k else k - 1
         banned = forbidden[v]
         c += 1
@@ -264,63 +231,80 @@ def _colorable(index: _Index, k: int) -> bool:
                 low = banned & -banned
                 culprits |= reason[base + low.bit_length() - 1]
                 banned ^= low
-            buckets[count[v]] |= rank_bit[v]
-            free |= vbit
             if not culprits:
-                return False
+                return None
+            conflict[v] = 0
+            if dsatur:
+                buckets[count[v]] |= rank_bit[v]
+            free |= vbit
             while True:
                 h = stack.pop()
-                opened.pop()
                 hbit = 1 << h
-                classes[colors[h]] ^= hbit
-                undo(marks.pop())
+                c = colors[h]
+                members = classes[c] ^ hbit
+                classes[c] = members
+                if not members:  # h was the first of the highest color in use
+                    used -= 1
                 if culprits & hbit:
                     break
-                buckets[count[h]] |= rank_bit[h]
+                conflict[h] = 0
+                if dsatur:
+                    buckets[count[h]] |= rank_bit[h]
                 free |= hbit
             conflict[h] |= culprits ^ hbit
             v = h
-            c = colors[h]
-            continue
-
-        members = classes[c] | vbit
-        classes[c] = members
-        mark = len(trail)
-        cbit = 1 << c
-        outside = ~members
-        wiped = 0
-        for e in through[v]:
-            left = e & outside
-            if left & (left - 1) or not left & free:
-                continue  # e is not the class c plus one free position
-            u = left.bit_length() - 1
-            ban = forbidden[u]
-            if ban & cbit:
+            mark = mark_at[h]
+        else:
+            members = classes[c] | vbit
+            classes[c] = members
+            mark = len(trail)
+            cbit = 1 << c
+            outside = ~members
+            for e in through[v]:
+                left = e & outside
+                if left & (left - 1) or not left & free:
+                    continue  # e is not the class c plus one free position
+                u = left.bit_length() - 1
+                ban = forbidden[u]
+                if ban & cbit:
+                    continue
+                ban |= cbit
+                forbidden[u] = ban
+                reason[u * k + c] = e ^ left
+                trail.append(u)
+                trail.append(c)
+                if dsatur:
+                    rbit = rank_bit[u]
+                    cnt = count[u]
+                    buckets[cnt] ^= rbit
+                    count[u] = cnt + 1
+                    buckets[cnt + 1] |= rbit
+                if ban == full:  # u has no color left: try v's next color
+                    wiped = 0
+                    for r in reason[u * k:u * k + k]:
+                        wiped |= r
+                    classes[c] = members ^ vbit
+                    conflict[v] |= wiped & ~vbit
+                    break
+            else:
+                colors[v] = c
+                stack.append(v)
+                mark_at[v] = mark
+                if c == used:
+                    used += 1
+                v = -1
                 continue
-            forbidden[u] = ban | cbit
-            reason[u * k + c] = e ^ left
-            rbit = rank_bit[u]
-            cnt = count[u]
-            buckets[cnt] ^= rbit
-            cnt += 1
-            count[u] = cnt
-            buckets[cnt] |= rbit
-            trail.append(u)
-            trail.append(c)
-            if cnt == k:  # u has no color left
-                for r in reason[u * k:u * k + k]:
-                    wiped |= r
-                break
-        if wiped:
-            classes[c] = members ^ vbit
-            undo(mark)
-            conflict[v] |= wiped & ~vbit
-            continue
-        colors[v] = c
-        stack.append(v)
-        marks.append(mark)
-        opened.append(used if c < used else c + 1)
-        v = -1
+        # Withdraw what the assignments since the trail mark forbade.
+        while len(trail) > mark:
+            b = trail.pop()
+            u = trail.pop()
+            forbidden[u] ^= 1 << b
+            if dsatur:
+                rbit = rank_bit[u]
+                cnt = count[u]
+                buckets[cnt] ^= rbit
+                count[u] = cnt - 1
+                buckets[cnt - 1] |= rbit
 
 
 def chromatic_number(hg: DirectedHypergraph, max_k: int = DEFAULT_MAX_K) -> ChromaticResult:
@@ -335,7 +319,7 @@ def chromatic_number(hg: DirectedHypergraph, max_k: int = DEFAULT_MAX_K) -> Chro
     if index is not None:
         for k in range(2 if hg.edges else 1, max_k + 1):
             # Edges are non-empty, so k = 1 is proper only without edges.
-            if hg.n > _small_tree_n(k) and not _colorable(index, k):
+            if hg.n > _small_tree_n(k) and _search(index, k, dsatur=True) is None:
                 continue
             witness = find_proper_coloring(hg, k, _index=index)
             if witness is not None:

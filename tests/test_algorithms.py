@@ -396,6 +396,14 @@ def test_fuzz_rejects_empty_n_range():
         run_fuzz("ht3", trials=0, n_range=(9, 3))
 
 
+def test_fuzz_rejects_n_range_below_3_before_any_trial():
+    seen = []
+    with pytest.raises(ValueError) as err:
+        run_fuzz("ht3", trials=50, n_range=(2, 9), on_instance=seen.append)
+    assert str(err.value) == "n_range (2, 9) allows fewer than 3 vertices, which gen_random cannot draw"
+    assert seen == []
+
+
 def test_fuzz_zero_trials():
     report = run_fuzz("ht3", trials=0)
     assert report.ok and report.trials == 0

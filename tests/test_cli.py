@@ -374,6 +374,13 @@ class TestFuzzCommand:
         assert captured.out == ""
         assert captured.err == "error: empty n_range (9, 3): n_min exceeds n_max\n"
 
+    def test_n_min_below_3_exit_2(self, capsys):
+        assert main(["fuzz", "--algo", "ht3", "--n-min", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: n_range (2, 9) allows fewer than 3 vertices, "
+                                "which gen_random cannot draw\n")
+
     def test_tail_range_outside_the_shape_exit_2(self, capsys):
         # One-head edges need two tails: the harness refuses to draw fewer
         # rather than report its own out-of-shape instances as failures.

@@ -20,7 +20,7 @@ from dhcolor import (
     parse,
 )
 from dhcolor import solver
-from dhcolor.solver import _build_index, _colorable
+from dhcolor.solver import _build_index, _search
 from oracles import naive_first_proper
 
 
@@ -99,6 +99,17 @@ class TestChromaticNumber:
         assert result.chi == 3 and is_proper(hg, result.witness)
         assert result.witness == find_proper_coloring(hg, 3)
         assert elapsed < 1.0, elapsed
+
+    def test_sparse_random_witness_does_not_thrash(self):
+        # A chronological fixed-order search took over 50 s here: it kept
+        # re-solving the positions between a dead end and its cause.
+        hg = gen_random(200, 200, seed=1)
+        start = time.perf_counter()
+        result = chromatic_number(hg)
+        elapsed = time.perf_counter() - start
+        assert result.chi == 2 and is_proper(hg, result.witness)
+        assert result.witness == find_proper_coloring(hg, 2)
+        assert elapsed < 2.0, elapsed
 
 
 def small_instances():
@@ -254,7 +265,7 @@ def test_verdict_search_agrees_with_witness_search():
         index = _build_index(hg)
         for k in (1, 2, 3, 4):
             expected = find_proper_coloring(hg, k) is not None
-            assert (index is not None and _colorable(index, k)) == expected, (hg, k)
+            assert (index is not None and _search(index, k, dsatur=True) is not None) == expected, (hg, k)
             verdicts.add((k, expected))
     assert verdicts == {(k, v) for k in (1, 2, 3, 4) for v in (False, True)}
 

@@ -31,6 +31,9 @@ from .solver import chromatic_number
 # Trials run through RUNNERS.  The color_* names are unused here; they stay
 # because the benchmark's span tracer (perfbench/tracing.py) patches them.
 
+# Trials on at most this many vertices are cross-checked by the exact solver.
+EXACT_CHECK_MAX_N = 8
+
 
 @dataclass(frozen=True)
 class FuzzFailure:
@@ -85,7 +88,6 @@ def run_fuzz(
     seed: int = 0,
     tail_range: tuple[int, int] = (2, 2),
     random_ties: bool = False,
-    exact_check_max_n: int = 8,
     on_instance: Callable[[DirectedHypergraph], None] | None = None,
 ) -> FuzzReport:
     """Run seeded trials of one algorithm; see the module docstring."""
@@ -136,7 +138,7 @@ def run_fuzz(
         if not is_proper(hg, coloring):
             fail("algorithm produced an improper coloring")
             continue
-        if n <= exact_check_max_n:
+        if n <= EXACT_CHECK_MAX_N:
             result = chromatic_number(hg, max_k=coloring.k)
             if result.chi is None:
                 fail(f"exact solver found no proper coloring with <= {coloring.k} colors")

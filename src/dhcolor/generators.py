@@ -21,10 +21,6 @@ PERM_TOWER_MAX_LEVEL = 3
 REJECTION_ATTEMPTS_PER_EDGE = 100
 
 
-def _edge21(t1: str, t2: str, h: str) -> DirectedEdge:
-    return DirectedEdge(frozenset((t1, t2)), frozenset((h,)))
-
-
 def paper_i() -> DirectedHypergraph:
     """The 5-vertex hypergraph I: every 3-subset is an edge, heads arranged so
     that every one-vertex intersection is a tail somewhere (I0 avoided).
@@ -35,7 +31,7 @@ def paper_i() -> DirectedHypergraph:
         (1, 2, 3), (2, 3, 4), (3, 4, 5), (4, 5, 1), (1, 5, 2),
         (1, 3, 4), (2, 4, 5), (3, 5, 1), (1, 4, 2), (2, 5, 3),
     ]
-    edges = tuple(_edge21(f"v{a}", f"v{b}", f"v{c}") for a, b, c in triples)
+    edges = tuple(DirectedEdge((f"v{a}", f"v{b}"), (f"v{c}",)) for a, b, c in triples)
     return DirectedHypergraph(v, edges)
 
 
@@ -48,7 +44,7 @@ def paper_r() -> DirectedHypergraph:
         (2, 3, 1), (2, 4, 3), (3, 4, 5), (4, 5, 1), (1, 2, 5),
         (1, 4, 2), (3, 5, 2), (1, 3, 4), (2, 5, 4), (1, 5, 3),
     ]
-    edges = tuple(_edge21(f"v{a}", f"v{b}", f"v{c}") for a, b, c in rows)
+    edges = tuple(DirectedEdge((f"v{a}", f"v{b}"), (f"v{c}",)) for a, b, c in rows)
     return DirectedHypergraph(v, edges)
 
 
@@ -61,6 +57,40 @@ def _prefixed(hg: DirectedHypergraph, prefix: str) -> DirectedHypergraph:
     return DirectedHypergraph(tuple(rename[v] for v in hg.vertices), edges)
 
 
+def _tower(k: int, max_level: int, join) -> DirectedHypergraph:
+    """Level k of a tower whose level 2 is the edge v1 v2 > v3 and whose level
+    l + 1 is two prefixed copies a_, b_ of level l plus ``join(l + 1, a, b)``,
+    the apexes and cross edges over the copies' vertex tuples a and b."""
+    if k < 2:
+        raise ValueError("tower level must be at least 2")
+    if k > max_level:
+        raise ValueError(f"tower level {k} exceeds the resource guard {max_level}")
+    hg = DirectedHypergraph(("v1", "v2", "v3"), (DirectedEdge(("v1", "v2"), ("v3",)),))
+    for level in range(3, k + 1):
+        a = _prefixed(hg, "a_")
+        b = _prefixed(hg, "b_")
+        apexes, cross = join(level, a.vertices, b.vertices)
+        hg = DirectedHypergraph(a.vertices + b.vertices + apexes, a.edges + b.edges + cross)
+    return hg
+
+
+def _h2_join(k: int, a: tuple[str, ...], b: tuple[str, ...]):
+    apex = f"x_{k}"
+    return (apex,), tuple(DirectedEdge((av, bv), (apex,)) for av in a for bv in b)
+
+
+def _perm_join(k: int, a: tuple[str, ...], b: tuple[str, ...]):
+    n = len(a)
+    sep = "" if n <= 9 else "-"
+    apexes = []
+    cross = []
+    for sigma in permutations(range(1, n + 1)):
+        apex = f"x_{k}_" + sep.join(str(i) for i in sigma)
+        apexes.append(apex)
+        cross.extend(DirectedEdge((av, b[s - 1]), (apex,)) for av, s in zip(a, sigma))
+    return tuple(apexes), tuple(cross)
+
+
 def gen_h2_tower(k: int, max_level: int = H2_TOWER_MAX_LEVEL) -> DirectedHypergraph:
     """Recursive construction avoiding H2 with chromatic number at least k.
 
@@ -69,18 +99,7 @@ def gen_h2_tower(k: int, max_level: int = H2_TOWER_MAX_LEVEL) -> DirectedHypergr
     b in B: with only k colors both copies realize every color, so some pair
     matches the apex and forms a monochromatic edge.
     """
-    if k < 2:
-        raise ValueError("tower level must be at least 2")
-    if k > max_level:
-        raise ValueError(f"tower level {k} exceeds the resource guard {max_level}")
-    if k == 2:
-        return DirectedHypergraph(("v1", "v2", "v3"), (_edge21("v1", "v2", "v3"),))
-    below = gen_h2_tower(k - 1, max_level=max_level)
-    a = _prefixed(below, "a_")
-    b = _prefixed(below, "b_")
-    apex = f"x_{k}"
-    cross = tuple(_edge21(av, bv, apex) for av in a.vertices for bv in b.vertices)
-    return DirectedHypergraph(a.vertices + b.vertices + (apex,), a.edges + b.edges + cross)
+    return _tower(k, max_level, _h2_join)
 
 
 def gen_perm_tower(k: int, max_level: int = PERM_TOWER_MAX_LEVEL) -> DirectedHypergraph:
@@ -92,28 +111,7 @@ def gen_perm_tower(k: int, max_level: int = PERM_TOWER_MAX_LEVEL) -> DirectedHyp
     permutation s of 1..n and edges a_i b_s(i) > x_s.  The apex count is n!,
     hence the tight default guard.
     """
-    if k < 2:
-        raise ValueError("tower level must be at least 2")
-    if k > max_level:
-        raise ValueError(f"tower level {k} exceeds the resource guard {max_level}")
-    if k == 2:
-        return DirectedHypergraph(("v1", "v2", "v3"), (_edge21("v1", "v2", "v3"),))
-    below = gen_perm_tower(k - 1, max_level=max_level)
-    a = _prefixed(below, "a_")
-    b = _prefixed(below, "b_")
-    n = len(a.vertices)
-    sep = "" if n <= 9 else "-"
-    apexes = []
-    cross = []
-    for sigma in permutations(range(1, n + 1)):
-        apex = f"x_{k}_" + sep.join(str(i) for i in sigma)
-        apexes.append(apex)
-        for i in range(1, n + 1):
-            cross.append(_edge21(a.vertices[i - 1], b.vertices[sigma[i - 1] - 1], apex))
-    return DirectedHypergraph(
-        a.vertices + b.vertices + tuple(apexes),
-        a.edges + b.edges + tuple(cross),
-    )
+    return _tower(k, max_level, _perm_join)
 
 
 def _draws(rng: random.Random, n: int, lo: int, hi: int):

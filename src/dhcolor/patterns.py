@@ -339,6 +339,8 @@ def classify_pair(e1: DirectedEdge, e2: DirectedEdge) -> str | None:
     Pairs intersecting in zero or three vertices match no pattern (all seven
     need four or five distinct vertices).
     """
+    if not all(len(e.tail) == 2 and len(e.head) == 1 for e in (e1, e2)):
+        raise ValueError("pattern classification is defined for 2->1 edges only")
     pos = {v: p for p, v in enumerate(e1.vertices | e2.vertices)}
     rows = ([pos[v] for v in side] for side in (e1.head, e1.tail, e2.head, e2.tail))
     return _PATTERN_OF[pair_code(*_row_masks(rows))]

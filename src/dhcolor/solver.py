@@ -2,12 +2,13 @@
 
 This is the ground-truth oracle the constructive algorithms are checked
 against.  One search (``_search``) answers every question, in one of two
-vertex orders.  ``find_proper_coloring`` runs it in the fixed order and
-returns the lexicographically first proper k-coloring.  ``chromatic_number``
-tries k = 1, 2, ... on one index of the edge masks of ``hg.index``; on
-larger inputs it first runs the search in the DSATUR order, whose yes or no
-proves each k < chi infeasible, and takes the witness from the fixed order
-at the first k that order accepts.
+vertex orders, each of which reads its own view of the edge masks of
+``hg.index`` (``_fixed_view``, ``_dsatur_view``).  ``find_proper_coloring``
+builds the fixed view and returns the lexicographically first proper
+k-coloring.  ``chromatic_number`` tries k = 1, 2, ...; on larger inputs it
+first runs the search in the DSATUR order, on a view it builds at most once
+per call, whose yes or no proves each k < chi infeasible, and takes the
+witness from ``find_proper_coloring`` at the first k that order accepts.
 
 The search assigns one vertex at a time and keeps each color class as a
 bitmask over vertex positions.  A vertex tries, in ascending order, the
@@ -59,45 +60,27 @@ When k^(n-1), the fixed order's largest possible number of leaves, is at
 most ``_SMALL_TREE`` = 2^16 (n <= 17 at k = 2, n <= 11 at k = 3, n <= 9 at
 k = 4), ``chromatic_number`` lets the fixed order settle k alone.
 
-Cost: each order's view is one pass over the masks of ``hg.index`` (the
-DSATUR view also reads its per-position edge lists).  A node costs one mask
-test per edge it checks plus a trail entry per newly forbidden color; a
-backjump costs one step per vertex it passes and one undo per trail entry it
-withdraws.  The number of nodes is exponential in n in the worst case.  The
-search keeps explicit stacks, so its depth is not bounded by Python's
-recursion limit.
+Cost: each view is one pass over the masks of ``hg.index`` (the DSATUR
+view also reads its per-position edge lists), and ``find_proper_coloring``
+builds the fixed view on each call.  A node costs one mask test per edge it
+checks plus a trail entry per newly forbidden color; a backjump costs one
+step per vertex it passes and one undo per trail entry it withdraws.  The
+number of nodes is exponential in n in the worst case.  The search keeps
+explicit stacks, so its depth is not bounded by Python's recursion limit.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
-from .core import Coloring, DirectedHypergraph, HypergraphIndex, cached_attribute
+from .core import Coloring, DirectedHypergraph, HypergraphIndex
 
 DEFAULT_MAX_K = 8
-# The fixed order has at most k^(n-1) leaves.  Up to this many it settles k
-# alone, without the DSATUR verdict first.  Measured per (n, k) on random
-# inputs with n to 14n edges, with backjumping in both orders: the fixed
-# order alone cost less than the verdict followed by the fixed order at
-# every (n, k) up to 2^20 leaves, and the two broke even near 2^21 (k = 2,
-# n = 22).  Without the cut (a cut of 0), chromatic_number on fuzz-size
-# inputs (n 3..8) took 3.5 times as long.  The cut is 2^16, not 2^20:
-# raising it left the benchmark's n = 18 solver inputs where they were, and
-# the lower cut bounds what skipping the verdict can cost on an adversarial
-# input to a search of at most 2^16 leaves.
+# chromatic_number lets the fixed order settle k alone, without the DSATUR
+# verdict first, when k^(n-1), its most leaves, is at most this.  On random
+# inputs the fixed order alone was the cheaper route up to 2^20 leaves; the
+# lower cut bounds what skipping the verdict can cost on an adversarial input.
 _SMALL_TREE = 2 ** 16
-
-
-def _small_tree_n(k: int) -> int:
-    """The largest n with k^(n-1) <= _SMALL_TREE, found without big powers."""
-    if k == 1:
-        return sys.maxsize  # one leaf at every n
-    n, leaves = 1, k
-    while leaves <= _SMALL_TREE:
-        n += 1
-        leaves *= k
-    return n
 
 
 @dataclass(frozen=True)
@@ -116,75 +99,55 @@ class ChromaticResult:
         return f">{self.max_k}" if self.chi is None else str(self.chi)
 
 
-class _Index:
-    """What the search reads, from the edge masks of ``hg.index``; the view
-    of each vertex order is built the first time the search runs in it."""
-
-    def __init__(self, index: HypergraphIndex) -> None:
-        self.edge_index = index
-
-    @cached_attribute
-    def closing(self) -> list[list[int]]:
-        """The masks of the edges whose second-to-last position is p: the
-        edges the fixed order checks when p takes a color."""
-        closing: list[list[int]] = [[] for _ in range(self.edge_index.n)]
-        for mask in self.edge_index.masks:
-            rest = mask ^ 1 << mask.bit_length() - 1
-            closing[rest.bit_length() - 1].append(mask)
-        return closing
-
-    @cached_attribute
-    def incidence(self) -> tuple[list[list[int]], list[int], list[int]]:
-        """The masks of the edges through each position, the positions by
-        descending degree (ties by position), and each position's bit in
-        that order: what the DSATUR order reads."""
-        masks = self.edge_index.masks
-        through = [[masks[k] for k in ks] for ks in self.edge_index.edges_at]
-        order = sorted(range(len(through)), key=lambda p: -len(through[p]))
-        rank_bit = [0] * len(order)
-        for r, p in enumerate(order):
-            rank_bit[p] = 1 << r
-        return through, order, rank_bit
+def _fixed_view(index: HypergraphIndex) -> list[list[int]]:
+    """The masks of the edges whose second-to-last position is p, for each
+    position p: the edges the fixed order checks when p takes a color."""
+    closing: list[list[int]] = [[] for _ in range(index.n)]
+    for mask in index.masks:
+        rest = mask ^ 1 << mask.bit_length() - 1
+        closing[rest.bit_length() - 1].append(mask)
+    return closing
 
 
-def _build_index(hg: DirectedHypergraph) -> _Index | None:
-    """The shared index, or None when a single-vertex edge makes every k fail."""
-    for mask in hg.index.masks:
-        if not mask & mask - 1:  # a single vertex can never see two color classes
-            return None
-    return _Index(hg.index)
+def _dsatur_view(index: HypergraphIndex) -> tuple[list[list[int]], list[int], list[int]]:
+    """The masks of the edges through each position, the positions by
+    descending degree (ties by position), and each position's bit in that
+    order: what the DSATUR order reads."""
+    masks = index.masks
+    through = [[masks[k] for k in ks] for ks in index.edges_at]
+    order = sorted(range(len(through)), key=lambda p: -len(through[p]))
+    rank_bit = [0] * len(order)
+    for r, p in enumerate(order):
+        rank_bit[p] = 1 << r
+    return through, order, rank_bit
 
 
-def find_proper_coloring(hg: DirectedHypergraph, k: int, *,
-                         _index: _Index | None = None) -> Coloring | None:
-    """First proper k-coloring in lexicographic order (vertex 1 fixed to 0), or None.
-
-    ``_index`` is the caller's ``_build_index(hg)``, so that
-    ``chromatic_number`` builds it once.
-    """
+def find_proper_coloring(hg: DirectedHypergraph, k: int) -> Coloring | None:
+    """First proper k-coloring in lexicographic order (vertex 1 fixed to 0), or None."""
     if k < 1:
         raise ValueError("k must be at least 1")
     if not hg.n:
         return Coloring({}, k)
-    index = _build_index(hg) if _index is None else _index
-    colors = None if index is None else _search(index, k, dsatur=False)
+    if not all(mask & mask - 1 for mask in hg.index.masks):
+        return None  # a single vertex can never see two color classes
+    colors = _search(k, _fixed_view(hg.index))
     return None if colors is None else Coloring(dict(zip(hg.vertices, colors)), k)
 
 
-def _search(index: _Index, k: int, dsatur: bool) -> list[int] | None:
+def _search(k: int, through: list[list[int]], order: list[int] | None = None,
+            rank_bit: list[int] | None = None) -> list[int] | None:
     """The color of each position in a proper k-coloring, or None when there
-    is none; in the fixed order, the first such coloring.  See the module
-    docstring."""
-    n = index.edge_index.n
+    is none; in the fixed order, the first such coloring.  It runs in the
+    order whose view it is given: ``_fixed_view`` alone, or the three parts
+    of ``_dsatur_view``.  See the module docstring."""
+    n = len(through)
+    dsatur = order is not None
     if dsatur:
-        through, order, rank_bit = index.incidence
         count = [0] * n  # number of colors forbidden at each position
         # Free positions by number of forbidden colors, each as a bitmask
         # over ranks, so the lowest bit is the one of highest degree.
         buckets = [0] * (k + 1)
         buckets[0] = (1 << n) - 1
-    else:
-        through = index.closing
     full = (1 << k) - 1
     colors = [0] * n
     forbidden = [0] * n  # colors forbidden at each position, as bitmasks
@@ -315,13 +278,17 @@ def chromatic_number(hg: DirectedHypergraph, max_k: int = DEFAULT_MAX_K) -> Chro
     """
     if max_k < 1:
         raise ValueError("max_k must be at least 1")
-    index = _build_index(hg)
-    if index is not None:
-        for k in range(2 if hg.edges else 1, max_k + 1):
+    masks = hg.index.masks
+    if all(mask & mask - 1 for mask in masks):  # else every k fails
+        view = None
+        for k in range(2 if masks else 1, max_k + 1):
             # Edges are non-empty, so k = 1 is proper only without edges.
-            if hg.n > _small_tree_n(k) and _search(index, k, dsatur=True) is None:
-                continue
-            witness = find_proper_coloring(hg, k, _index=index)
+            if k ** (hg.n - 1) > _SMALL_TREE:
+                if view is None:
+                    view = _dsatur_view(hg.index)
+                if _search(k, *view) is None:
+                    continue
+            witness = find_proper_coloring(hg, k)
             if witness is not None:
                 return ChromaticResult(k, max_k, witness)
     return ChromaticResult(None, max_k, None)

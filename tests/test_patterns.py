@@ -116,6 +116,12 @@ class TestContainsPattern:
         with pytest.raises(ValueError):
             contains_pattern(parse("e a b > c"), "X9")
 
+    def test_classify_pair_rejects_non_two_one(self):
+        # Shared as in H2 (tails a, b) and as in I0 (head c), but not 2->1 edges.
+        for e1, e2 in ((edge("abx", "c"), edge("aby", "d")), (edge("a", "bc"), edge("d", "ce"))):
+            with pytest.raises(ValueError, match="2->1 edges only"):
+                classify_pair(e1, e2)
+
     def test_identical_vertex_sets_match_nothing(self):
         # A shared 3-vertex set is a 3-intersection, outside all seven shapes.
         hg = parse("e a b > c\ne a c > b")

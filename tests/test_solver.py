@@ -20,7 +20,7 @@ from dhcolor import (
     parse,
 )
 from dhcolor import solver
-from dhcolor.solver import _build_index, _search
+from dhcolor.solver import _dsatur_view, _search
 from oracles import naive_first_proper
 
 
@@ -262,10 +262,12 @@ def verdict_instances():
 def test_verdict_search_agrees_with_witness_search():
     verdicts = set()
     for hg in verdict_instances():
-        index = _build_index(hg)
+        # A single-vertex edge fails every k before any search runs.
+        searched = all(mask & mask - 1 for mask in hg.index.masks)
+        view = _dsatur_view(hg.index)
         for k in (1, 2, 3, 4):
             expected = find_proper_coloring(hg, k) is not None
-            assert (index is not None and _search(index, k, dsatur=True) is not None) == expected, (hg, k)
+            assert (searched and _search(k, *view) is not None) == expected, (hg, k)
             verdicts.add((k, expected))
     assert verdicts == {(k, v) for k in (1, 2, 3, 4) for v in (False, True)}
 

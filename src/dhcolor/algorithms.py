@@ -19,10 +19,14 @@ a run: trace events, violation messages, ``HeadStar`` and the returned
 tests an edge against a color class with one AND of its mask from
 ``hg.index``, built once per hypergraph, like the masks that give ht3 an
 edge's last vertex and i0-4 its head's rank.  Every pass of ht3, i0-4 and
-i0r4-2 is one ``_Run.sweep``: paint position ``p`` when it closes an edge
-filed under it that is still all blue, or (i0-4's step 2 only) still has no
-green vertex.  One ``paint`` serves them all: an all-blue edge through ``p``
-makes ``p`` blue, so only step 2 can meet a red ``p``.
+i0r4-2 is one ``_Run.sweep``, which the pass hands every edge's closing
+position (None for an edge not in the pass); the sweep files the edges
+under those positions itself and paints position ``p`` when it closes an
+edge that is still all blue, or (i0-4's step 2 only) still has no green
+vertex.  One ``paint`` serves them all: an all-blue edge through ``p``
+makes ``p`` blue, so only step 2 can meet a red ``p``.  One
+``_classify_star`` gives a head-star's kind and the pivot of the full star
+that ``augment_i0`` builds and its audit checks.
 """
 
 from __future__ import annotations
@@ -196,12 +200,17 @@ class _Run:
         mask = self.masks[idx]
         return any(cls & mask == mask for cls in self.classes)
 
-    def sweep(self, order, closing: dict[int, list[int]], c: int, gate: int = BLUE) -> None:
-        """Paint each position p of order c when it closes an edge of
-        closing[p] that lies inside the blue class, or with gate=GREEN misses
-        the green class (the first is the trigger); else keep it."""
+    def sweep(self, order, keys: list[int | None], c: int, gate: int = BLUE) -> None:
+        """Paint each position p of order c when it closes an edge of this
+        pass (keys[idx] == p; None leaves edge idx out of the pass) that lies
+        inside the blue class, or with gate=GREEN misses the green class; the
+        first such edge by index is the trigger.  Else keep p."""
         add, masks, classes, names = self.trace.add, self.masks, self.classes, self.names
         action = f"colored-{COLOR_NAMES[c]}"
+        closing: dict[int, list[int]] = {}
+        for idx, p in enumerate(keys):
+            if p is not None:
+                closing.setdefault(p, []).append(idx)
         for p in order:
             # What an edge must miss to trigger: the non-blue or the green.
             out = classes[GREEN] if gate == GREEN else ~classes[BLUE]
@@ -322,17 +331,16 @@ def color_head_tail_3(
     spec, hn, trace = _start(hg, "ht3", checked)
     m = len(hn.edges)
     heads, tails = hn.index.head_masks, hn.index.tail_masks
-    tail_closing: dict[int, list[int]] = {}
-    head_closing: dict[int, list[int]] = {}
     # An edge's last vertex is the top bit of its masks, which lies in the
-    # larger of its head and tail masks.
+    # larger of its head and tail masks.  Pass 1 closes the edges that end in
+    # a tail there, pass 2 the others.
     ends_in_tail = [t > h for h, t in zip(heads, tails)]
-    for idx, in_tail in enumerate(ends_in_tail):
-        last = max(heads[idx], tails[idx]).bit_length() - 1
-        (tail_closing if in_tail else head_closing).setdefault(last, []).append(idx)
+    last = [max(h, t).bit_length() - 1 for h, t in zip(heads, tails)]
+    pass_1 = [p if in_tail else None for p, in_tail in zip(last, ends_in_tail)]
+    pass_2 = [None if in_tail else p for p, in_tail in zip(last, ends_in_tail)]
 
     run = _Run(hn, trace)
-    run.sweep(range(hn.n), tail_closing, RED)
+    run.sweep(range(hn.n), pass_1, RED)
 
     for idx in range(m):
         if ends_in_tail[idx] and not run.meets(idx, RED):
@@ -340,7 +348,7 @@ def color_head_tail_3(
         if run.mono(idx, RED):
             trace.violate(f"edge {idx} is monochromatic red after pass 1")
 
-    run.sweep(range(hn.n), head_closing, GREEN)
+    run.sweep(range(hn.n), pass_2, GREEN)
 
     for idx in range(m):
         if run.monochromatic(idx):
@@ -371,28 +379,33 @@ def classify_head_star(hg: DirectedHypergraph, u: str, checked: bool = True) -> 
         _require_hypothesis(hg, ALGORITHMS["i0-4"])
     if u not in hg.positions:
         raise ValueError(f"unknown vertex {u!r}")
-    kind, star = _classify_star(hg, hg.positions[u])
+    kind, star, _ = _classify_star(hg, hg.positions[u])
     return HeadStar(kind, tuple(hg.vertices[p] for p in star))
 
 
-def _classify_star(hg: DirectedHypergraph, u: int) -> tuple[str, tuple[int, ...]]:
-    """classify_head_star on positions: the kind and the positions it names."""
+def _classify_star(hg: DirectedHypergraph, u: int) -> tuple[str, tuple[int, ...], int | None]:
+    """classify_head_star on positions: the kind, the positions it names, and
+    the pivot of the full star that augment_i0 completes it to.  That pivot
+    is the star's own, or for an empty star the first position but u; it is
+    None for a triangle, and for an empty star on fewer than three vertices,
+    which both stay as they are."""
     index = hg.index
     ks = index.heads_at[u]
     if not ks:
-        return "empty", ()
+        return "empty", (), int(u == 0) if hg.n >= 3 else None
     common, support = ~(1 << u), 0
     for k in ks:
         common &= index.masks[k]
         support |= index.masks[k]
     if common:
-        return "pivot", ((common & -common).bit_length() - 1,)
+        pivot = (common & -common).bit_length() - 1
+        return "pivot", (pivot,), pivot
     support ^= 1 << u
     if len(ks) == 3 and support.bit_count() == 3:
         # The three tails of a triangle are its support less one vertex each.
         triangle = _mask_row(support)
         if {index.tail_masks[k] for k in ks} == {support ^ 1 << p for p in triangle}:
-            return "triangle", tuple(triangle)
+            return "triangle", tuple(triangle), None
     raise InvariantViolationError([f"head-star of {hg.vertices[u]} is neither empty, pivoted, "
                                    "nor a triangle; input not i0-free"])
 
@@ -415,10 +428,9 @@ def augment_i0(hg: DirectedHypergraph, checked: bool = True) -> DirectedHypergra
     names, n, tail_masks = hg.vertices, hg.n, hg.index.tail_masks
     additions: list[DirectedEdge] = []
     for u, ks in enumerate(hg.index.heads_at):
-        kind, star = _classify_star(hg, u)
-        if kind == "triangle" or kind == "empty" and n < 3:
+        pivot = _classify_star(hg, u)[2]
+        if pivot is None:
             continue
-        pivot = star[0] if star else int(u == 0)  # empty: the first position but u
         existing = {tail_masks[k] for k in ks}
         for w in range(n):
             if w != u and w != pivot and (1 << pivot | 1 << w) not in existing:
@@ -431,20 +443,17 @@ def _full_star_issues(hg: DirectedHypergraph) -> list[str]:
     issues = []
     n, tail_masks = hg.n, hg.index.tail_masks
     for u, ks in enumerate(hg.index.heads_at):
-        if not ks:
-            if n >= 3:
-                issues.append(f"head-star of {hg.vertices[u]} still empty after augmentation")
-            continue
         try:
-            kind, star = _classify_star(hg, u)
+            kind, _, pivot = _classify_star(hg, u)
         except InvariantViolationError as exc:
             issues.extend(exc.violations)
             continue
-        if kind == "triangle":
+        if pivot is None:
             continue
-        pivot = star[0]
         want = {1 << pivot | 1 << w for w in range(n) if w != u and w != pivot}
-        if {tail_masks[k] for k in ks} != want:
+        if kind == "empty":
+            issues.append(f"head-star of {hg.vertices[u]} still empty after augmentation")
+        elif {tail_masks[k] for k in ks} != want:
             issues.append(f"head-star of {hg.vertices[u]} is neither a triangle nor a full pivot star")
     return issues
 
@@ -486,20 +495,19 @@ def color_i0_4(hg: DirectedHypergraph, checked: bool = True) -> tuple[Coloring, 
 
     masks = ha.index.masks
     m = len(masks)
-    by_head_rank: list[dict[int, list[int]]] = [{}, {}, {}]  # E1, E2, E3
-    rank_of = [-1] * m  # -1: a headless edge, in no bucket (unchecked runs only)
-    for idx, head in enumerate(_head_positions(ha)):
-        if head is None:
-            continue
-        # The count of the edge's vertices below the head: 0 lowest, 1 middle,
-        # 2 highest; an edge with more than two tails (unchecked runs only)
-        # files a head past its third vertex under 2.
-        rank = min((masks[idx] & ((1 << head) - 1)).bit_count(), 2)
-        rank_of[idx] = rank
-        by_head_rank[rank].setdefault(head, []).append(idx)
+    heads = _head_positions(ha)
+    # The count of an edge's vertices below its head: 0 lowest (E1), 1 middle
+    # (E2), 2 highest (E3); an edge with more than two tails (unchecked runs
+    # only) ranks a head past its third vertex 2, and a headless one -1, in
+    # no step.
+    rank_of = [-1 if head is None else min((mask & ((1 << head) - 1)).bit_count(), 2)
+               for head, mask in zip(heads, masks)]
+
+    def step_keys(rank: int) -> list[int | None]:
+        return [head if r == rank else None for head, r in zip(heads, rank_of)]
 
     run = _Run(ha, trace)
-    run.sweep(range(ha.n), by_head_rank[2], RED)
+    run.sweep(range(ha.n), step_keys(2), RED)
 
     for idx in range(m):
         if rank_of[idx] == 2 and run.mono(idx, BLUE):
@@ -507,7 +515,7 @@ def color_i0_4(hg: DirectedHypergraph, checked: bool = True) -> tuple[Coloring, 
         if run.mono(idx, RED):
             trace.violate(f"edge {idx} monochromatic red after step 1")
 
-    run.sweep(reversed(range(ha.n)), by_head_rank[0], GREEN, gate=GREEN)
+    run.sweep(reversed(range(ha.n)), step_keys(0), GREEN, gate=GREEN)
 
     for idx in range(m):
         if rank_of[idx] == 0 and not run.meets(idx, GREEN):
@@ -519,7 +527,7 @@ def color_i0_4(hg: DirectedHypergraph, checked: bool = True) -> tuple[Coloring, 
         if run.mono(idx, RED):
             trace.violate(f"edge {idx} monochromatic red after step 2")
 
-    run.sweep(range(ha.n), by_head_rank[1], YELLOW)
+    run.sweep(range(ha.n), step_keys(1), YELLOW)
 
     for idx in range(m):
         if run.monochromatic(idx):
@@ -534,13 +542,8 @@ def color_i0_r4_2(hg: DirectedHypergraph, checked: bool = True) -> tuple[Colorin
     are tails on both sides: one ascending pass that reds every vertex heading
     a still-all-blue edge."""
     spec, hn, trace = _start(hg, "i0r4-2", checked)
-    by_head: dict[int, list[int]] = {}
-    for idx, head in enumerate(_head_positions(hn)):
-        if head is not None:  # a headless edge (unchecked runs only) heads no bucket
-            by_head.setdefault(head, []).append(idx)
-
     run = _Run(hn, trace)
-    run.sweep(range(hn.n), by_head, RED)
+    run.sweep(range(hn.n), _head_positions(hn), RED)
 
     for idx in range(len(hn.edges)):
         if not run.meets(idx, RED):

@@ -90,9 +90,7 @@ class DirectedEdge:
         return len(self.tail) + len(self.head)
 
 
-def edge(tails: Iterable[str], heads: Iterable[str]) -> DirectedEdge:
-    """Convenience constructor accepting any iterables of vertex names."""
-    return DirectedEdge(frozenset(tails), frozenset(heads))
+edge = DirectedEdge  # the short name; it takes any iterables of vertex names
 
 
 class HypergraphIndex:
@@ -212,7 +210,10 @@ class DirectedHypergraph:
     def with_vertex_order(self, order: Iterable[str]) -> "DirectedHypergraph":
         """Same edges under a permuted vertex sequence."""
         order = tuple(order)  # a one-shot iterator is read once, here
-        if sorted(order) != sorted(self.vertices):
+        # Tested without sorting, which mixed or unhashable items would turn
+        # into a TypeError.
+        if (len(order) != self.n or not all(isinstance(v, str) for v in order)
+                or set(order) != self.positions.keys()):
             raise ValidationError("new order is not a permutation of the vertex set")
         return DirectedHypergraph(order, self.edges)
 

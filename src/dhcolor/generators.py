@@ -91,7 +91,7 @@ def _perm_join(k: int, a: tuple[str, ...], b: tuple[str, ...]):
     return tuple(apexes), tuple(cross)
 
 
-def gen_h2_tower(k: int, max_level: int = H2_TOWER_MAX_LEVEL) -> DirectedHypergraph:
+def gen_h2_tower(k: int) -> DirectedHypergraph:
     """Recursive construction avoiding H2 with chromatic number at least k.
 
     Level 2 is a single edge on three vertices.  Level k+1 joins two disjoint
@@ -99,19 +99,19 @@ def gen_h2_tower(k: int, max_level: int = H2_TOWER_MAX_LEVEL) -> DirectedHypergr
     b in B: with only k colors both copies realize every color, so some pair
     matches the apex and forms a monochromatic edge.
     """
-    return _tower(k, max_level, _h2_join)
+    return _tower(k, H2_TOWER_MAX_LEVEL, _h2_join)
 
 
-def gen_perm_tower(k: int, max_level: int = PERM_TOWER_MAX_LEVEL) -> DirectedHypergraph:
+def gen_perm_tower(k: int) -> DirectedHypergraph:
     """Recursive construction with chromatic number at least k in which any two
     edges sharing two vertices share them as both edges' tails (so I1, R3 and
     E are all avoided).
 
     Level k+1 joins two equal-size copies A, B of level k with one apex per
     permutation s of 1..n and edges a_i b_s(i) > x_s.  The apex count is n!,
-    hence the tight default guard.
+    hence the tight guard PERM_TOWER_MAX_LEVEL.
     """
-    return _tower(k, max_level, _perm_join)
+    return _tower(k, PERM_TOWER_MAX_LEVEL, _perm_join)
 
 
 def _draws(rng: random.Random, n: int, lo: int, hi: int):
@@ -168,15 +168,14 @@ def gen_random(
     cond: str = "none",
     seed: int = 0,
     tail_range: tuple[int, int] = (2, 2),
-    max_attempts: int | None = None,
 ) -> DirectedHypergraph:
     """Seeded rejection sampling of a one-head hypergraph satisfying a condition.
 
     Draws a random edge (tail size from tail_range, default 2 giving a 2->1
     hypergraph), keeps it iff its vertex set is new and the condition still
     holds against every accepted edge.  Stops with fewer than m edges once the
-    attempt budget (100 per requested edge by default) runs out, or once no
-    draw can be kept; identical parameters give identical output.
+    attempt budget (REJECTION_ATTEMPTS_PER_EDGE per requested edge) runs out,
+    or once no draw can be kept; identical parameters give identical output.
 
     Each draw is what ``randint`` for the tail size then ``sample`` of the
     positions on ``random.Random(seed)`` would give, replayed on
@@ -196,7 +195,7 @@ def gen_random(
         raise ValueError(f"unusable tail size range {tail_range} for n={n}")
 
     draws = _draws(random.Random(seed), n, lo, hi)
-    budget = REJECTION_ATTEMPTS_PER_EDGE * m if max_attempts is None else max_attempts
+    budget = REJECTION_ATTEMPTS_PER_EDGE * m
     bad = VIOLATING_CODES.get(cond, 0)
     heads: list[int] = []  # head mask of each accepted edge
     tails: list[int] = []

@@ -60,7 +60,6 @@ from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import combinations
-from operator import add
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .core import (DirectedEdge, DirectedHypergraph, HypergraphIndex, _mask_row, _row_masks,
@@ -240,8 +239,6 @@ class _PairKeys:
 
     heads_at = property(lambda self: file_under_keys(self.head_rows, defaultdict(list)))
     tails_at = property(lambda self: file_under_keys(self.tail_rows, defaultdict(list)))
-    edges_at = property(lambda self: file_under_keys(map(add, self.head_rows, self.tail_rows),
-                                                     defaultdict(list)))
 
 
 def _partners(keys: HypergraphIndex | _PairKeys,
@@ -254,22 +251,18 @@ def _partners(keys: HypergraphIndex | _PairKeys,
     edges holding it as a tail, and a pair is found only through the lists
     its role classes need: head/head pairs through the head lists, tail/tail
     pairs through the tail lists, head/tail pairs by crossing over.  With
-    ALL_ROLES every pair sharing a key appears, found through one list per
-    key of all its edges.  Walking the lists in order gives each pair i < j
-    once, in ascending (i, j) order, however many keys it shares.
+    ALL_ROLES the four crossings meet every pair sharing a key.  Walking the
+    lists in order gives each pair i < j once, in ascending (i, j) order,
+    however many keys it shares.
     """
     head_rows, tail_rows = keys.head_rows, keys.tail_rows
-    if roles == ALL_ROLES:  # one list of all its edges serves every class at once
-        edges_at = keys.edges_at
-        sides = [(head_rows, edges_at), (tail_rows, edges_at)]
-    else:
-        # only the lists some class scans are read, and so built
-        heads = keys.heads_at if roles & (HEAD_HEAD | HEAD_TAIL) else None
-        tails = keys.tails_at if roles & (TAIL_TAIL | HEAD_TAIL) else None
-        # (the edge's own keys in one role, the lists it scans there)
-        classes = ((HEAD_HEAD, head_rows, heads), (TAIL_TAIL, tail_rows, tails),
-                   (HEAD_TAIL, head_rows, tails), (HEAD_TAIL, tail_rows, heads))
-        sides = [(rows, lists) for role, rows, lists in classes if roles & role]
+    # only the lists some class scans are read, and so built
+    heads = keys.heads_at if roles & (HEAD_HEAD | HEAD_TAIL) else None
+    tails = keys.tails_at if roles & (TAIL_TAIL | HEAD_TAIL) else None
+    # (the edge's own keys in one role, the lists it scans there)
+    classes = ((HEAD_HEAD, head_rows, heads), (TAIL_TAIL, tail_rows, tails),
+               (HEAD_TAIL, head_rows, tails), (HEAD_TAIL, tail_rows, heads))
+    sides = [(rows, lists) for role, rows, lists in classes if roles & role]
     for i in range(len(head_rows)):
         later: list[int] = []
         for rows, lists in sides:

@@ -130,7 +130,10 @@ def find_proper_coloring(hg: DirectedHypergraph, k: int) -> Coloring | None:
         return Coloring({}, k)
     if not all(mask & mask - 1 for mask in hg.index.masks):
         return None  # a single vertex can never see two color classes
-    colors = _search(k, _fixed_view(hg.index))
+    # A free position has at most n - 1 colors forbidden and the search
+    # opens at most one color past those in use, so colors from n on are
+    # never tried: searching with min(k, n) finds the same coloring.
+    colors = _search(min(k, hg.n), _fixed_view(hg.index))
     return None if colors is None else Coloring(dict(zip(hg.vertices, colors)), k)
 
 

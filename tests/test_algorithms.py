@@ -280,6 +280,29 @@ class TestColorI04:
         assert ("head-star of c is neither empty, pivoted, nor a triangle; input not i0-free"
                 in violations)
 
+    def test_skipped_augmentation_reports_empty_stars(self, monkeypatch):
+        # With no augmentation the empty head-stars of a and b stay empty.
+        monkeypatch.setattr("dhcolor.algorithms.augment_i0", lambda hn, checked=True: hn)
+        with pytest.raises(InvariantViolationError) as exc:
+            color_i0_4(parse("e a b > c"))
+        assert exc.value.violations == ["head-star of a still empty after augmentation",
+                                         "head-star of b still empty after augmentation"]
+
+    def test_short_augmentation_reports_partial_pivot_star(self, monkeypatch):
+        # The last added edge, a c > d, completes d's pivot star around a;
+        # without it d's star is pivoted but not full.
+        real = augment_i0
+
+        def short(hn, checked=True):
+            out = real(hn, checked)
+            return DirectedHypergraph(out.vertices, out.edges[:-1])
+
+        monkeypatch.setattr("dhcolor.algorithms.augment_i0", short)
+        with pytest.raises(InvariantViolationError) as exc:
+            color_i0_4(parse("v a\nv b\nv c\nv d\ne a b > c"))
+        assert exc.value.violations == [
+            "head-star of d is neither a triangle nor a full pivot star"]
+
     def test_unchecked_mode_reports_edges_with_more_than_two_tails(self):
         for hg in (parse("e a b c > d"), gen_random(8, 10, seed=3, tail_range=(2, 4))):
             coloring, trace = color_i0_4(hg, checked=False)

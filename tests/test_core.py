@@ -489,6 +489,14 @@ class TestValidation:
         with pytest.raises(ValidationError, match="not a permutation"):
             parse("e a b > c").with_vertex_order(v for v in "ab")
 
+    def test_vertex_order_of_non_names_is_refused(self):
+        # Items that cannot be sorted with names, or hashed, are refused like
+        # any other order that is not a permutation.
+        hg = parse("e a b > c")
+        for order in (["a", 1, "b"], [["a"], "b", "c"], ["a", "b", "c", "c"], ["a", "a", "b"]):
+            with pytest.raises(ValidationError, match="not a permutation"):
+                hg.with_vertex_order(order)
+
 
 class TestColoringFile:
     def test_roundtrip(self):

@@ -83,12 +83,13 @@ class TestH2Tower:
         for k in (2, 3, 4):
             assert contains_pattern(gen_h2_tower(k), "H2").avoided
 
-    def test_guard(self):
+    def test_guard(self, monkeypatch):
         with pytest.raises(ValueError):
             gen_h2_tower(7)
         with pytest.raises(ValueError):
             gen_h2_tower(1)
-        assert gen_h2_tower(7, max_level=7).n == 127
+        monkeypatch.setattr(generators, "H2_TOWER_MAX_LEVEL", 7)
+        assert gen_h2_tower(7).n == 127
 
     def test_chromatic_lower_bound_small_levels(self):
         from dhcolor import chromatic_number
@@ -225,11 +226,13 @@ class TestGenRandom:
                     digest.update(serialize(hg).encode() + b"\0")
         assert digest.hexdigest() == self.FUZZ_PINNED
 
-    def test_saturated_vertex_sets(self):
+    def test_saturated_vertex_sets(self, monkeypatch):
         # n=3 holds one 3-set and n=4 four; a larger budget changes nothing.
         assert len(gen_random(3, 5, seed=2).edges) == 1
         assert len(gen_random(4, 9, seed=2, tail_range=(2, 3)).edges) == 5
-        assert gen_random(4, 9, seed=2) == gen_random(4, 9, seed=2, max_attempts=10**6)
+        default = gen_random(4, 9, seed=2)
+        monkeypatch.setattr(generators, "REJECTION_ATTEMPTS_PER_EDGE", 10**6)
+        assert default == gen_random(4, 9, seed=2)
 
     def test_stops_once_no_draw_can_be_kept(self, monkeypatch):
         # On 5 vertices these conditions refuse some draw of every free
@@ -247,7 +250,9 @@ class TestGenRandom:
             for seed in range(3):
                 default = gen_random(5, 10, cond=cond, seed=seed)
                 draws = 0
-                hg = gen_random(5, 10, cond=cond, seed=seed, max_attempts=10**6)
+                with monkeypatch.context() as patched:
+                    patched.setattr(generators, "REJECTION_ATTEMPTS_PER_EDGE", 10**5)
+                    hg = gen_random(5, 10, cond=cond, seed=seed)
                 assert 0 < draws < 1000, (cond, seed, draws)
                 assert len(hg.edges) < 10 and hg == default, (cond, seed)
 

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -58,6 +59,20 @@ class TestFindProperColoring:
         assert witness is not None and is_proper(hg, witness)
         result = chromatic_number(hg)
         assert result.chi == 2 and result.witness == witness
+
+    def test_memory_does_not_grow_with_k_past_n(self):
+        # The search never opens a color from n on, so a palette of a
+        # million costs what one of n does and gives the same witness.
+        hg = paper_i()
+        expected = find_proper_coloring(hg, 5)
+        tracemalloc.start()
+        try:
+            witness = find_proper_coloring(hg, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert witness.k == 10**6 and dict(witness.assignment) == dict(expected.assignment)
 
 
 class TestChromaticNumber:
@@ -127,10 +142,11 @@ def small_instances():
 
 def test_agreement_with_naive_enumeration():
     # The backtracking search must return the lexicographically first proper
-    # assignment, which is exactly what full k^n enumeration finds first.
+    # assignment, which is exactly what full k^n enumeration finds first,
+    # also with more colors than vertices.
     for hg in small_instances():
         assert hg.n <= 6
-        for k in (1, 2, 3):
+        for k in (1, 2, 3, hg.n + 2):
             naive = naive_first_proper(hg, k)
             mine = find_proper_coloring(hg, k)
             if naive is None:

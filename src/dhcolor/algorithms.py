@@ -250,8 +250,7 @@ def color_one_head(
     run = _Run(hn, trace)
     done = 0  # bitmask of the processed positions
     changes = [0] * hn.n
-    step = [0] * hn.n  # each position's processing step, from 1 (0: unprocessed)
-    order: list[int] = []  # the processed positions
+    order: list[int] = []  # the processed positions, in processing order
     forced: int | None = None
     unprocessed = list(range(hn.n))  # the unprocessed positions, ascending
 
@@ -260,13 +259,12 @@ def color_one_head(
         if changes[p] > 2:
             trace.violate(f"vertex {names[p]} changed color more than twice")
 
-    for i in range(1, hn.n + 1):
+    while unprocessed:
         if forced is not None:
             p, forced = forced, None
             del unprocessed[bisect_left(unprocessed, p)]
         else:
             p = unprocessed.pop(tie_rng.randrange(len(unprocessed)) if tie_rng else 0)
-        step[p] = i
         order.append(p)
         done |= 1 << p
 
@@ -285,7 +283,9 @@ def color_one_head(
             forced = heads[chosen]
 
         # p is not processed yet, so it is blue, and an edge through it that
-        # is all red now became so in this step.
+        # is all red now became so in this step.  Only processed vertices are
+        # red, so such an edge's latest vertex is p: it is consecutive when
+        # it is the last |e| processed, and ends at p.
         run.paint(p, RED)
         note_change(p)
         newly_mono = [idx for idx in index.edges_at[p] if run.mono(idx, RED)]
@@ -295,17 +295,16 @@ def color_one_head(
         if len(newly_mono) > 1:
             trace.violate("one red step created more than one monochromatic red edge")
         for idx in newly_mono:
-            rows = index.head_rows[idx] + index.tail_rows[idx]
-            ps = sorted(step[q] for q in rows)
-            if ps != list(range(ps[0], ps[0] + len(ps))):
+            mask = index.masks[idx]
+            if mask != sum(1 << q for q in order[-mask.bit_count():]):
                 trace.violate(f"monochromatic red edge {idx} is not consecutive in processing order")
-            if index.tail_masks[idx] >> max(rows, key=step.__getitem__) & 1:
+            if index.tail_masks[idx] >> p & 1:
                 trace.violate(f"monochromatic red edge {idx} ends at a tail vertex")
         if newly_mono:
-            if i < 2:
+            if len(order) < 2:
                 trace.violate("monochromatic red edge with no previous vertex to recolor")
             else:
-                prev = order[i - 2]
+                prev = order[-2]
                 if run.color_of(prev) != RED:
                     trace.violate(f"recolor target {names[prev]} was not red")
                 else:
@@ -334,16 +333,14 @@ def color_head_tail_3(
     # An edge's last vertex is the top bit of its masks, which lies in the
     # larger of its head and tail masks.  Pass 1 closes the edges that end in
     # a tail there, pass 2 the others.
-    ends_in_tail = [t > h for h, t in zip(heads, tails)]
-    last = [max(h, t).bit_length() - 1 for h, t in zip(heads, tails)]
-    pass_1 = [p if in_tail else None for p, in_tail in zip(last, ends_in_tail)]
-    pass_2 = [None if in_tail else p for p, in_tail in zip(last, ends_in_tail)]
+    pass_1 = [t.bit_length() - 1 if t > h else None for h, t in zip(heads, tails)]
+    pass_2 = [None if t > h else h.bit_length() - 1 for h, t in zip(heads, tails)]
 
     run = _Run(hn, trace)
     run.sweep(range(hn.n), pass_1, RED)
 
     for idx in range(m):
-        if ends_in_tail[idx] and not run.meets(idx, RED):
+        if pass_1[idx] is not None and not run.meets(idx, RED):
             trace.violate(f"tail-ending edge {idx} has no red vertex after pass 1")
         if run.mono(idx, RED):
             trace.violate(f"edge {idx} is monochromatic red after pass 1")

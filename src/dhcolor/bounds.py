@@ -80,9 +80,9 @@ def verify_good_coloring(gc: GoodColoring) -> bool:
         ab, ac, bc = pairs = (frozenset((a, b)), frozenset((a, c)), frozenset((b, c)))
         for pair in pairs:
             if pair not in colors:
-                raise ValueError(f"shadow edge {set(pair)} is uncolored")
+                raise ValueError(f"shadow edge {_shown(pair)} is uncolored")
             if colors[pair] == RED_PAIR and pair not in orient:
-                raise ValueError(f"red shadow edge {set(pair)} has no orientation")
+                raise ValueError(f"red shadow edge {_shown(pair)} has no orientation")
         # An apex shape has exactly one blue pair, and the apex is the vertex
         # off it; its two red pairs must point away from the apex.
         cab, cac, cbc = colors[ab], colors[ac], colors[bc]
@@ -136,5 +136,11 @@ def induce_good_coloring(hg: DirectedHypergraph) -> GoodColoring:
     return GoodColoring(hg, colors, orientation)
 
 
+def _shown(pair: frozenset[str]) -> str:
+    """A shadow edge as set text with its names sorted, so that messages do
+    not follow the string hash: {'a', 'b'}."""
+    return "{" + ", ".join(map(repr, sorted(pair))) + "}"
+
+
 def _conflict(pair: frozenset[str], old: str) -> RoleConflictError:
-    return RoleConflictError(f"shadow edge {set(pair)} already {old}, conflicting assignment")
+    return RoleConflictError(f"shadow edge {_shown(pair)} already {old}, conflicting assignment")

@@ -105,6 +105,9 @@ def run_fuzz(
     if n_range[0] < 3:
         raise ValueError(f"n_range {n_range} allows fewer than 3 vertices, "
                          "which gen_random cannot draw")
+    if not 1 <= tail_range[0] <= min(tail_range[1], n_range[0] - 1):
+        raise ValueError(f"tail_range {tail_range} is unusable for some n in n_range {n_range}; "
+                         "gen_random needs 1 <= tail_min <= min(tail_max, n - 1)")
 
     run = RUNNERS[algo]
     random_ties = random_ties and algo == "one-head"  # the only free choices

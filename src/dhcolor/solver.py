@@ -126,8 +126,6 @@ def find_proper_coloring(hg: DirectedHypergraph, k: int) -> Coloring | None:
     """First proper k-coloring in lexicographic order (vertex 1 fixed to 0), or None."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    if not hg.n:
-        return Coloring({}, k)
     if not all(mask & mask - 1 for mask in hg.index.masks):
         return None  # a single vertex can never see two color classes
     # A free position has at most n - 1 colors forbidden and the search
@@ -146,9 +144,9 @@ def _search(k: int, through: list[list[int]], order: list[int] | None = None,
     n = len(through)
     dsatur = order is not None
     if dsatur:
-        count = [0] * n  # number of colors forbidden at each position
-        # Free positions by number of forbidden colors, each as a bitmask
-        # over ranks, so the lowest bit is the one of highest degree.
+        # Free positions by number of forbidden colors (the popcount of
+        # their forbidden mask), each as a bitmask over ranks, so the lowest
+        # bit is the one of highest degree.
         buckets = [0] * (k + 1)
         buckets[0] = (1 << n) - 1
     full = (1 << k) - 1
@@ -201,7 +199,7 @@ def _search(k: int, through: list[list[int]], order: list[int] | None = None,
                 return None
             conflict[v] = 0
             if dsatur:
-                buckets[count[v]] |= rank_bit[v]
+                buckets[forbidden[v].bit_count()] |= rank_bit[v]
             free |= vbit
             while True:
                 h = stack.pop()
@@ -215,7 +213,7 @@ def _search(k: int, through: list[list[int]], order: list[int] | None = None,
                     break
                 conflict[h] = 0
                 if dsatur:
-                    buckets[count[h]] |= rank_bit[h]
+                    buckets[forbidden[h].bit_count()] |= rank_bit[h]
                 free |= hbit
             conflict[h] |= culprits ^ hbit
             v = h
@@ -241,10 +239,9 @@ def _search(k: int, through: list[list[int]], order: list[int] | None = None,
                 trail.append(c)
                 if dsatur:
                     rbit = rank_bit[u]
-                    cnt = count[u]
-                    buckets[cnt] ^= rbit
-                    count[u] = cnt + 1
-                    buckets[cnt + 1] |= rbit
+                    cnt = ban.bit_count()
+                    buckets[cnt - 1] ^= rbit
+                    buckets[cnt] |= rbit
                 if ban == full:  # u has no color left: try v's next color
                     wiped = 0
                     for r in reason[u * k:u * k + k]:
@@ -267,10 +264,9 @@ def _search(k: int, through: list[list[int]], order: list[int] | None = None,
             forbidden[u] ^= 1 << b
             if dsatur:
                 rbit = rank_bit[u]
-                cnt = count[u]
-                buckets[cnt] ^= rbit
-                count[u] = cnt - 1
-                buckets[cnt - 1] |= rbit
+                cnt = forbidden[u].bit_count()
+                buckets[cnt + 1] ^= rbit
+                buckets[cnt] |= rbit
 
 
 def chromatic_number(hg: DirectedHypergraph, max_k: int = DEFAULT_MAX_K) -> ChromaticResult:

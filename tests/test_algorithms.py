@@ -119,6 +119,18 @@ class TestColorOneHead:
         assert is_proper(hg, coloring)
         assert not trace.violations
 
+    def test_unchecked_red_first_vertex_has_no_previous_vertex(self):
+        # The one vertex of e's tail is processed first, goes red and makes
+        # e all red, with no earlier vertex to flip back.
+        coloring, trace, order = color_one_head(parse("e a >"), checked=False)
+        assert order == ("a",)
+        assert trace.to_text() == "1 a colored-red 0 -\n"
+        assert trace.violations == [
+            "monochromatic red edge 0 ends at a tail vertex",
+            "monochromatic red edge with no previous vertex to recolor",
+            "result is not a proper coloring of the input",
+        ]
+
     def test_random_ties_stay_sound(self):
         hg = parse(RECOLOR_INSTANCE)
         for seed in range(20):
@@ -425,6 +437,20 @@ def test_fuzz_rejects_n_range_below_3_before_any_trial():
         run_fuzz("ht3", trials=50, n_range=(2, 9), on_instance=seen.append)
     assert str(err.value) == "n_range (2, 9) allows fewer than 3 vertices, which gen_random cannot draw"
     assert seen == []
+
+
+def test_fuzz_rejects_tail_range_some_n_cannot_draw_before_any_trial():
+    cases = [("ht3", (3, 9), (5, 5)), ("one-head", (3, 9), (4, 6)),
+             ("ht3", (3, 9), (3, 2)), ("ht3", (5, 9), (0, 3))]
+    for algo, n_range, tails in cases:
+        seen = []
+        with pytest.raises(ValueError) as err:
+            run_fuzz(algo, trials=50, n_range=n_range, tail_range=tails, on_instance=seen.append)
+        assert str(err.value) == (f"tail_range {tails} is unusable for some n in n_range {n_range}; "
+                                  "gen_random needs 1 <= tail_min <= min(tail_max, n - 1)")
+        assert seen == []
+    # The largest tail every n can draw is n_min - 1.
+    assert run_fuzz("ht3", trials=20, n_range=(5, 9), tail_range=(4, 8)).ok
 
 
 def test_fuzz_zero_trials():

@@ -134,6 +134,11 @@ class TestInduceGoodColoring:
             assert len(hg.edges) <= f_bound(hg.n)
 
 
+def pair_text(pair):
+    """A shadow edge as messages name it: a set with its names sorted."""
+    return "{" + ", ".join(repr(v) for v in sorted(pair)) + "}"
+
+
 def reference_verify(gc):
     """verify_good_coloring as first written: for each edge, the three shadow
     pairs in sorted-vertex order, then each vertex tried as the apex."""
@@ -145,9 +150,9 @@ def reference_verify(gc):
         for x, y in ((0, 1), (0, 2), (1, 2)):
             pair = frozenset((verts[x], verts[y]))
             if pair not in colors:
-                raise ValueError(f"shadow edge {set(pair)} is uncolored")
+                raise ValueError(f"shadow edge {pair_text(pair)} is uncolored")
             if colors[pair] == "red" and pair not in orient:
-                raise ValueError(f"red shadow edge {set(pair)} has no orientation")
+                raise ValueError(f"red shadow edge {pair_text(pair)} has no orientation")
 
         def is_apex(apex):
             others = [v for v in verts if v != apex]
@@ -179,7 +184,7 @@ def reference_put(hg):
     def put(pair, color, arrow):
         if pair in colors and (colors[pair] != color or orientation.get(pair) != arrow):
             raise RoleConflictError(
-                f"shadow edge {set(pair)} already {colors[pair]}, conflicting assignment")
+                f"shadow edge {pair_text(pair)} already {colors[pair]}, conflicting assignment")
         colors[pair] = color
         if arrow is not None:
             orientation[pair] = arrow

@@ -29,9 +29,10 @@ from dhcolor.cli import main
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run_module(*argv: str) -> subprocess.CompletedProcess:
-    """``python -m dhcolor ARGV`` in a fresh interpreter, dhcolor from src/."""
-    env = {**os.environ, "PYTHONPATH": SRC}
+def run_module(*argv: str, **env: str) -> subprocess.CompletedProcess:
+    """``python -m dhcolor ARGV`` in a fresh interpreter, dhcolor from src/,
+    with the environment variables given as keywords."""
+    env = {**os.environ, **env, "PYTHONPATH": SRC}
     return subprocess.run([sys.executable, "-m", "dhcolor", *argv], env=env,
                           capture_output=True, text=True, timeout=60)
 
@@ -330,16 +331,16 @@ class TestBoundAndGoodcheck:
         assert "no good coloring" in capsys.readouterr().out
 
     # `goodcheck --json` output recorded before the inducer and verifier were
-    # rewritten.  A conflict names its shadow edge as a printed set, whose
-    # order follows the string hash, so both orders are accepted there.
+    # rewritten.  A conflict names its shadow edge as a set with its names
+    # sorted.
     GOODCHECK_JSON = {
         "e a b > c\ne b c > d\n": [
             '{"error": "hypergraph contains R3 (edges 0,1)", "valid": false}'],
         "e a b > c\ne d c > b\n": [
             '{"error": "hypergraph contains E (edges 0,1)", "valid": false}'],
         "e a b > c\ne a c > b\n": [
-            '{"error": "shadow edge {%s} already blue, conflicting assignment", "valid": false}' % s
-            for s in ("'a', 'b'", "'b', 'a'")],
+            '{"error": "shadow edge {\'a\', \'b\'} already blue, conflicting assignment",'
+            ' "valid": false}'],
         "e a b c > d\n": ['{"error": "pattern containment is defined for 2->1 hypergraphs only",'
                           ' "valid": false}'],
         "e a b > c\ne a b > d\ne c d > e\n": [
@@ -353,6 +354,20 @@ class TestBoundAndGoodcheck:
         code = main(["goodcheck", str(path), "--json"])
         assert capsys.readouterr().out.rstrip("\n") in self.GOODCHECK_JSON[text]
         assert code == (0 if "true" in self.GOODCHECK_JSON[text][0] else 1)
+
+
+    def test_goodcheck_output_does_not_depend_on_the_string_hash(self, tmp_path):
+        # A conflict names its shadow edge; the text must not follow the
+        # iteration order of a set of names, which varies with the hash seed.
+        path = tmp_path / "in.dhg"
+        path.write_text("e a b > c\ne a c > b\n")
+        outputs = set()
+        for seed in range(6):
+            done = run_module("goodcheck", str(path), "--json", PYTHONHASHSEED=str(seed))
+            assert done.returncode == 1, done.stderr
+            outputs.add(done.stdout)
+        assert outputs == {'{"error": "shadow edge {\'a\', \'b\'} already blue, '
+                           'conflicting assignment", "valid": false}\n'}
 
 
 class TestFuzzCommand:
@@ -380,6 +395,13 @@ class TestFuzzCommand:
         assert captured.out == ""
         assert captured.err == ("error: n_range (2, 9) allows fewer than 3 vertices, "
                                 "which gen_random cannot draw\n")
+
+    def test_tail_range_some_n_cannot_draw_exit_2(self, capsys):
+        assert main(["fuzz", "--algo", "ht3", "--tail-min", "5", "--tail-max", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: tail_range (5, 5) is unusable for some n in n_range (3, 9); "
+                                "gen_random needs 1 <= tail_min <= min(tail_max, n - 1)\n")
 
     def test_tail_range_outside_the_shape_exit_2(self, capsys):
         # One-head edges need two tails: the harness refuses to draw fewer

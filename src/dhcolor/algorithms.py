@@ -100,13 +100,6 @@ class RunTrace:
         return "".join(ev.line() + "\n" for ev in self.events)
 
 
-def _require_condition(hg: DirectedHypergraph, cond: str) -> None:
-    report = check_condition(hg, cond)
-    if not report.avoided:
-        pairs = ", ".join(f"({w.i},{w.j})" for w in report.witnesses[:5])
-        raise PreconditionError(f"condition {cond} violated by edge pairs {pairs}", report)
-
-
 # Each edge shape a hypothesis names: its predicate and its rejection text.
 _SHAPES = {
     "one-head": (lambda e: len(e.head) == 1 and len(e.tail) >= 2,
@@ -116,16 +109,17 @@ _SHAPES = {
 }
 
 
-def _require_shape(hg: DirectedHypergraph, shape: str) -> None:
-    fits, text = _SHAPES[shape]
+def _require_hypothesis(hg: DirectedHypergraph, spec: Algorithm) -> None:
+    """Raise PreconditionError unless every edge has spec's shape and the
+    edge pairs meet spec's condition, tested in that order."""
+    fits, text = _SHAPES[spec.shape]
     bad = [i for i, e in enumerate(hg.edges) if not fits(e)]
     if bad:
         raise PreconditionError(f"edges {bad} {text}")
-
-
-def _require_hypothesis(hg: DirectedHypergraph, spec: Algorithm) -> None:
-    _require_shape(hg, spec.shape)
-    _require_condition(hg, spec.condition)
+    report = check_condition(hg, spec.condition)
+    if not report.avoided:
+        pairs = ", ".join(f"({w.i},{w.j})" for w in report.witnesses[:5])
+        raise PreconditionError(f"condition {spec.condition} violated by edge pairs {pairs}", report)
 
 
 def _start(hg: DirectedHypergraph, name: str, checked: bool):
@@ -417,11 +411,10 @@ def augment_i0(hg: DirectedHypergraph, checked: bool = True) -> DirectedHypergra
     for the input.
     """
     if checked:
-        _require_shape(hg, "2->1")
+        _require_hypothesis(hg, ALGORITHMS["i0-4"])
         vsets = [e.vertices for e in hg.edges]
         if len(set(vsets)) != len(vsets):
             raise PreconditionError("two edges share a vertex set")
-        _require_condition(hg, "i0-free")
     names, n, tail_masks = hg.vertices, hg.n, hg.index.tail_masks
     additions: list[DirectedEdge] = []
     for u, ks in enumerate(hg.index.heads_at):
@@ -476,9 +469,8 @@ def color_i0_4(hg: DirectedHypergraph, checked: bool = True) -> tuple[Coloring, 
         ha = augment_i0(hn, checked=False)
     except InvariantViolationError as exc:
         # Only reachable on inputs that break the i0-free hypothesis, which
-        # checked mode has already ruled out; keep going without augmentation.
-        if checked:
-            raise
+        # checked mode has already ruled out; keep going without augmentation
+        # (a checked run would raise these violations from _finish).
         trace.violations.extend(exc.violations)
         ha = hn
     # An I0 pair meets only at the head of both edges, so it lies in one

@@ -16,7 +16,7 @@ import sys
 
 from . import __version__
 from .algorithms import ALGORITHMS, RUNNERS, PreconditionError
-from .bounds import RoleConflictError, f_bound, induce_good_coloring, verify_good_coloring
+from .bounds import f_bound, induce_good_coloring, verify_good_coloring
 from .core import (
     DirectedHypergraph,
     is_proper,
@@ -171,7 +171,7 @@ def _cmd_goodcheck(args: argparse.Namespace) -> int:
     try:
         gc = induce_good_coloring(hg)
         valid = verify_good_coloring(gc)
-    except (ValueError, RoleConflictError) as exc:
+    except ValueError as exc:  # RoleConflictError is a ValueError
         _emit({"valid": False, "error": str(exc)}, args.json, [f"no good coloring: {exc}"])
         return 1
     edges = len(hg.edges)

@@ -3,6 +3,15 @@
 Each trial generates a seeded instance satisfying the target algorithm's
 hypothesis, runs the algorithm with invariant auditing on, independently
 re-verifies properness, and cross-checks the exact solver on small instances.
+A trial fails with the first of these reasons, tested in this order:
+
+1. the run's precondition check rejects the generated instance;
+2. the run raises an invariant violation;
+3. the returned trace holds violations the run did not raise;
+4. the coloring is not proper;
+5. on at most ``EXACT_CHECK_MAX_N`` vertices, the exact solver finds no
+   proper coloring with at most the run's palette of colors.
+
 Inputs that satisfy the hypothesis are guaranteed a proper coloring, so the
 expected failure count is exactly zero, not merely small; failing trials are
 reproducible from their seed.
@@ -115,34 +124,28 @@ def run_fuzz(
     for trial in range(trials):
         inst_seed = _instance_seed(seed, trial)
         hg = fuzz_instance(algo, seed, trial, n_range=n_range, tail_range=tail_range)
-        n = hg.n
         if on_instance is not None:
             on_instance(hg)
-
-        def fail(reason: str) -> None:
-            report.failures.append(FuzzFailure(inst_seed, n, len(hg.edges), reason))
-
-        try:
-            if random_ties:
-                tie_rng = random.Random(random.Random(inst_seed).randrange(2**62))
-                coloring, trace = run(hg, tie_rng=tie_rng)
-            else:
-                coloring, trace = run(hg)
-        except PreconditionError as exc:
-            fail(f"generated instance rejected by precondition check: {exc}")
-            continue
-        except InvariantViolationError as exc:
-            fail(f"invariant violation: {exc}")
-            continue
-
-        if trace.violations:
-            fail("unreported trace violations: " + "; ".join(trace.violations))
-            continue
-        if not is_proper(hg, coloring):
-            fail("algorithm produced an improper coloring")
-            continue
-        if n <= EXACT_CHECK_MAX_N:
-            result = chromatic_number(hg, max_k=coloring.k)
-            if result.chi is None:
-                fail(f"exact solver found no proper coloring with <= {coloring.k} colors")
+        tie_rng = random.Random(random.Random(inst_seed).randrange(2**62)) if random_ties else None
+        reason = _trial_failure(run, hg, tie_rng)
+        if reason is not None:
+            report.failures.append(FuzzFailure(inst_seed, hg.n, len(hg.edges), reason))
     return report
+
+
+def _trial_failure(run: Callable, hg: DirectedHypergraph, tie_rng: random.Random | None) -> str | None:
+    """The reason of the first check one trial fails (see the module
+    docstring), or None when it passes them all."""
+    try:
+        coloring, trace = run(hg) if tie_rng is None else run(hg, tie_rng=tie_rng)
+    except PreconditionError as exc:
+        return f"generated instance rejected by precondition check: {exc}"
+    except InvariantViolationError as exc:
+        return f"invariant violation: {exc}"
+    if trace.violations:
+        return "unreported trace violations: " + "; ".join(trace.violations)
+    if not is_proper(hg, coloring):
+        return "algorithm produced an improper coloring"
+    if hg.n <= EXACT_CHECK_MAX_N and chromatic_number(hg, max_k=coloring.k).chi is None:
+        return f"exact solver found no proper coloring with <= {coloring.k} colors"
+    return None

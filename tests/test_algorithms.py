@@ -244,6 +244,21 @@ class TestAugmentI0:
         with pytest.raises(PreconditionError):
             augment_i0(hg)
 
+    def test_checked_rejections_name_what_is_broken(self):
+        # The 2->1 shape, then i0-freeness (with its witness report), then
+        # distinct vertex sets.  The last input breaks both of the latter:
+        # edges 0 and 1 share a vertex set, and edges 0 and 2 meet only at
+        # their common head c, so the I0 pair is named.
+        for text, message in (("e a b > c\ne a b c > d", "edges [1] are not of 2->1 shape"),
+                              ("e a b > c\ne x y > c", "condition i0-free violated by edge pairs (0,1)"),
+                              ("e a b > c\ne a c > b", "two edges share a vertex set"),
+                              ("e a b > c\ne a c > b\ne x y > c",
+                               "condition i0-free violated by edge pairs (0,2)")):
+            with pytest.raises(PreconditionError) as err:
+                augment_i0(parse(text))
+            assert str(err.value) == message
+            assert (err.value.report is None) == ("condition" not in message)
+
 
 class TestColorI04:
     def test_paper_i(self):

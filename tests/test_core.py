@@ -517,6 +517,11 @@ class TestColoringFile:
             with pytest.raises(ParseError):
                 parse_coloring(text)
 
+    def test_k_defaults_past_the_largest_index_and_comments_are_skipped(self):
+        text = "# a coloring\n\na 0  # blue\n   \nb 2\n"
+        assert parse_coloring(text) == Coloring({"a": 0, "b": 2}, 3)
+        assert parse_coloring("# nothing\n\n") == Coloring({}, 1)
+
 
 NAMES = tuple(f"n{i}" for i in range(6))
 

@@ -156,6 +156,14 @@ class TestCheckCondition:
             check_condition(parse("e a b > c"), "no-such-cond")
 
 
+def test_report_refuses_an_avoided_flag_that_disagrees_with_its_witnesses():
+    witness = check_condition(pattern_instance("H1"), "onehead-h1").witnesses[0]
+    for avoided, witnesses in ((True, (witness,)), (False, ())):
+        with pytest.raises(ValueError) as err:
+            PatternReport("onehead-h1", avoided, witnesses)
+        assert str(err.value) == "avoided flag inconsistent with witness list"
+
+
 CONDITION_PATTERN_EQUIV = {
     "onehead-h1": {"H1"},
     "i0-free": {"I0"},

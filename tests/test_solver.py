@@ -105,6 +105,12 @@ class TestChromaticNumber:
     def test_str(self):
         assert str(chromatic_number(paper_i())) == "3"
 
+    def test_rejects_max_k_below_1(self):
+        for max_k in (0, -1):
+            with pytest.raises(ValueError) as err:
+                chromatic_number(parse("e a b > c"), max_k=max_k)
+            assert str(err.value) == "max_k must be at least 1"
+
     def test_long_odd_cycle(self):
         # 5,001 vertices: the verdict search refutes k = 2 along the whole
         # cycle, so each vertex pick must not scan the free vertices.

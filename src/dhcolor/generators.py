@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations, permutations
 from math import ceil, comb, log
 
 from .core import DirectedEdge, DirectedHypergraph
@@ -115,10 +115,14 @@ def gen_perm_tower(k: int) -> DirectedHypergraph:
 
 
 def _draws(rng: random.Random, n: int, lo: int, hi: int):
-    """Yield, forever, the list that ``size = rng.randint(lo, hi)`` then
-    ``rng.sample(range(n), size + 1)`` would return.  It makes the same
-    ``getrandbits`` calls in the same order, so ``rng`` ends in the same state;
-    only the stdlib's argument checks and per-call set-up are left out.
+    """Yield, forever, ``(mask, head, picks)`` for the draw that
+    ``size = rng.randint(lo, hi)`` then ``picks = rng.sample(range(n), size + 1)``
+    would give: mask has bit p set for each pick p and head is the bit of
+    the last pick.  picks is that list where sample's rejection branch builds
+    it anyway, to refuse repeats, and None in the pool branch, which works on
+    bits alone.  It makes the same ``getrandbits`` calls in the same order,
+    so ``rng`` ends in the same state; only the stdlib's argument checks and
+    per-call set-up are left out.
 
     ``randint`` is ``lo + _randbelow(hi - lo + 1)``, and ``_randbelow(w)``
     draws ``w.bit_length()`` bits until the value is below w (w = 1 included).
@@ -130,7 +134,7 @@ def _draws(rng: random.Random, n: int, lo: int, hi: int):
     width = hi - lo + 1
     width_bits = width.bit_length()
     n_bits = n.bit_length()
-    base = list(range(n))
+    base = [1 << p for p in range(n)]  # the pool, as the bit of each position
     # Per tail size: None for sample's rejection branch, else the bound and
     # bit width of each pool draw.
     plans = []
@@ -144,22 +148,59 @@ def _draws(rng: random.Random, n: int, lo: int, hi: int):
         while r >= width:
             r = getrandbits(width_bits)
         k, steps = plans[r]
-        picks = []
+        full = 0
         if steps is None:  # here k <= 5 or 3k < n, so picks stays short
+            picks = []
             for _ in range(k):
                 j = getrandbits(n_bits)
                 while j >= n or j in picks:
                     j = getrandbits(n_bits)
                 picks.append(j)
+                bit = 1 << j
+                full |= bit
         else:
             pool = base[:]
             for w, bits in steps:
                 j = getrandbits(bits)
                 while j >= w:
                     j = getrandbits(bits)
-                picks.append(pool[j])
+                bit = pool[j]
+                full |= bit
                 pool[j] = pool[w - 1]
-        yield picks
+            picks = None
+        yield full, bit, picks
+
+
+def _positions(mask: int) -> list[int]:
+    """The positions of mask's set bits, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _sweep(n: int, sizes: range, dead: dict[int, int], live: int, heads: list[int],
+           tails: list[int], bad: int) -> int:
+    """Test every draw not yet dead against all accepted edges, record each
+    refused one in ``dead`` and return ``live`` less the refused draws,
+    stopping once it reaches 0."""
+    bits = [1 << p for p in range(n)]
+    accepted = range(len(heads))
+    for k in sizes:
+        for members in combinations(bits, k):
+            full = sum(members)
+            gone = dead.get(full, 0)
+            for head in members:
+                if not gone & head and next(matching_partners(head, full ^ head, accepted, heads,
+                                                              tails, bad), None):
+                    gone |= head
+                    dead[full] = gone
+                    live -= 1
+                    if not live:
+                        return 0
+    return live
 
 
 def gen_random(
@@ -175,7 +216,11 @@ def gen_random(
     hypergraph), keeps it iff its vertex set is new and the condition still
     holds against every accepted edge.  Stops with fewer than m edges once the
     attempt budget (REJECTION_ATTEMPTS_PER_EDGE per requested edge) runs out,
-    or once no draw can be kept; identical parameters give identical output.
+    or once no draw can be kept: a refused draw stays refused, as the accepted
+    edges only grow, and after as many draws without an accepted edge as
+    there are (vertex set, head) draws, one sweep tests every draw not yet
+    refused, so the stop need not wait for each of them to come up.
+    Identical parameters give identical output.
 
     Each draw is what ``randint`` for the tail size then ``sample`` of the
     positions on ``random.Random(seed)`` would give, replayed on
@@ -197,59 +242,64 @@ def gen_random(
     draws = _draws(random.Random(seed), n, lo, hi)
     budget = REJECTION_ATTEMPTS_PER_EDGE * m
     bad = VIOLATING_CODES.get(cond, 0)
-    heads: list[int] = []  # head mask of each accepted edge
-    tails: list[int] = []
-    kept: list[list[int]] = []  # picks of each accepted edge, head last
+    heads: list[int] = []  # head bit of each accepted edge
+    tails: list[int] = []  # tail mask of each accepted edge
     # dead maps a vertex set's mask to the mask of the heads whose draw on it
     # can no longer be kept (all of them once the set is used); live counts
-    # the (tail, head) draws not yet dead, and the loop stops at zero.
+    # the (vertex set, head) draws not yet dead, and the loop stops at zero.
     dead: dict[int, int] = {}
-    capacity = sum(comb(n, size + 1) for size in range(lo, hi + 1))
-    live = sum(comb(n, size + 1) * (size + 1) for size in range(lo, hi + 1))
+    sizes = range(lo + 1, hi + 2)
+    space = live = sum(comb(n, k) * k for k in sizes)
     # A draw is tested through the pair kernel, which stops at the first
     # violation.  When the attempts outnumber the vertex sets, draws repeat
     # and each vertex lies in a large share of the accepted edges: a draw is
     # tested against every accepted edge, and a refused draw is dead for
-    # good, as the accepted edges only grow, so the loop stops once no draw
-    # can be kept.  Otherwise each vertex keeps the accepted edges holding
-    # it, and a draw is tested only against those sharing a vertex with it.
-    small = capacity < budget
+    # good, as the accepted edges only grow.  Once `space` draws (the size of
+    # the draw space) have gone by since the last accepted edge or sweep,
+    # _sweep tests each draw not yet dead, so live counts exactly the draws
+    # that could still be kept, and the loop ends at once if there are none.
+    # A sweep costs about as much as the draws that bring it due.  Otherwise
+    # each vertex keeps the accepted edges holding it, and a draw is tested
+    # only against those sharing a vertex with it.
+    small = sum(comb(n, k) for k in sizes) < budget
     holding: list[list[int]] = [[] for _ in range(n)] if bad and not small else []
+    sweep_at = space if bad and small else -1
 
     attempts = 0
     while len(heads) < m and attempts < budget and live:
-        attempts += 1
-        picks = next(draws)
-        head_mask = 1 << picks[-1]
-        tail_mask = 0
-        for t in picks[:-1]:
-            tail_mask |= 1 << t
-        full_mask = tail_mask | head_mask
-        gone = dead.get(full_mask, 0)
-        if gone & head_mask:
+        if attempts == sweep_at:
+            live = _sweep(n, sizes, dead, live, heads, tails, bad)
+            sweep_at += space
             continue
+        attempts += 1
+        full, head, picks = next(draws)
+        gone = dead.get(full, 0)
+        if gone & head:
+            continue
+        tail = full ^ head
         if bad and small:
-            if next(matching_partners(head_mask, tail_mask, range(len(heads)), heads, tails,
-                                      bad), None):
-                dead[full_mask] = gone | head_mask
+            if next(matching_partners(head, tail, range(len(heads)), heads, tails, bad), None):
+                dead[full] = gone | head
                 live -= 1
                 continue
+            sweep_at = attempts + space
         elif bad:
+            picks = picks or _positions(full)
             near = [k for p in picks for k in holding[p]]
-            if next(matching_partners(head_mask, tail_mask, near, heads, tails, bad), None):
+            if next(matching_partners(head, tail, near, heads, tails, bad), None):
                 continue
             for p in picks:
                 holding[p].append(len(heads))
-        heads.append(head_mask)
-        tails.append(tail_mask)
-        kept.append(picks)
-        dead[full_mask] = full_mask
-        live -= len(picks) - gone.bit_count()
+        heads.append(head)
+        tails.append(tail)
+        dead[full] = full
+        live -= (full ^ gone).bit_count()
 
     names = tuple(f"v{i + 1}" for i in range(n))
     name = names.__getitem__
-    edges = tuple(DirectedEdge(frozenset(map(name, picks[:-1])), (name(picks[-1]),))
-                  for picks in kept)
+    edges = tuple(DirectedEdge(frozenset(map(name, _positions(tail))),
+                               (name(head.bit_length() - 1),))
+                  for head, tail in zip(heads, tails))
     return DirectedHypergraph(names, edges)
 
 

@@ -3,13 +3,15 @@
 Everything here is deliberately naive: exhaustive injective maps for pattern
 containment, full k^n enumeration for colorability, top-down recursion for
 the edge bound, all-pairs scans restating the intersection conditions and
-normalize's subset rule on vertex sets, and a .dhg reader that checks every
-token and keeps its vertex order in lists.  None of it shares logic with the
+normalize's subset rule on vertex sets, a .dhg reader that checks every
+token and keeps its vertex order in lists, and rejection sampling on the
+stdlib's randint and sample.  None of it shares logic with the
 implementations under test.
 """
 
 from __future__ import annotations
 
+import random
 from functools import cache, lru_cache
 from itertools import combinations, permutations, product
 
@@ -81,6 +83,29 @@ _VIOLATES = {
 def naive_pair_violates(e1: DirectedEdge, e2: DirectedEdge, cond: str) -> bool:
     """Whether the pair (e1, e2) violates the condition, from its shared vertex set."""
     return _VIOLATES[cond](e1, e2, (e1.tail | e1.head) & (e2.tail | e2.head))
+
+
+def naive_gen_random(n: int, m: int, cond: str, seed: int, tail_range: tuple[int, int],
+                     budget: int) -> DirectedHypergraph:
+    """gen_random restated: up to budget draws of ``randint`` for the tail
+    size then ``sample`` of the positions, the last pick the head, each kept
+    iff its vertex set is new and no kept edge violates cond with it.  It
+    remembers no refused draw and spends the whole budget unless m edges
+    are kept."""
+    rng = random.Random(seed)
+    lo, hi = tail_range[0], min(tail_range[1], n - 1)
+    names = [f"v{i + 1}" for i in range(n)]
+    kept: list[DirectedEdge] = []
+    for _ in range(budget):
+        if len(kept) == m:
+            break
+        picks = rng.sample(range(n), rng.randint(lo, hi) + 1)
+        e = DirectedEdge({names[p] for p in picks[:-1]}, {names[picks[-1]]})
+        if any(e.vertices == f.vertices or cond != "none" and naive_pair_violates(e, f, cond)
+               for f in kept):
+            continue
+        kept.append(e)
+    return DirectedHypergraph(tuple(names), tuple(kept))
 
 
 WitnessRow = tuple[int, int, tuple[tuple[str, str, str], ...]]

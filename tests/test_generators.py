@@ -19,6 +19,7 @@ from dhcolor import (
 )
 from dhcolor import generators
 from dhcolor.fuzzing import fuzz_instance
+from oracles import naive_gen_random
 
 
 class TestGenSpec:
@@ -236,25 +237,63 @@ class TestGenRandom:
 
     def test_stops_once_no_draw_can_be_kept(self, monkeypatch):
         # On 5 vertices these conditions refuse some draw of every free
-        # vertex set before m edges are kept; a larger budget changes nothing.
+        # vertex set before m edges are kept.  At n = 9 and m = 18 some runs
+        # stall short of m under onehead-h1 and i0r4-free; their last draws
+        # used to spend the whole budget (1,800 draws at seed 4 of
+        # onehead-h1), as a draw was known dead only once it had come up.
+        # Each run stops inside its budget, and a larger budget changes
+        # neither the draws made nor the output.
         draws, real_draws = 0, generators._draws
 
         def counting_draws(*args):
             nonlocal draws
-            for picks in real_draws(*args):
+            for draw in real_draws(*args):
                 draws += 1
-                yield picks
+                yield draw
 
         monkeypatch.setattr(generators, "_draws", counting_draws)
-        for cond in ("r4-free", "onehead-h1", "i0r4-free"):
-            for seed in range(3):
-                default = gen_random(5, 10, cond=cond, seed=seed)
-                draws = 0
-                with monkeypatch.context() as patched:
-                    patched.setattr(generators, "REJECTION_ATTEMPTS_PER_EDGE", 10**5)
-                    hg = gen_random(5, 10, cond=cond, seed=seed)
-                assert 0 < draws < 1000, (cond, seed, draws)
-                assert len(hg.edges) < 10 and hg == default, (cond, seed)
+        stalled = 0
+        for n, m, conds, seeds in (
+                (5, 10, ("r4-free", "onehead-h1", "i0r4-free"), range(3)),
+                (9, 18, ("onehead-h1", "r4-free", "i0-free", "i0r4-free"), range(6))):
+            budget = generators.REJECTION_ATTEMPTS_PER_EDGE * m
+            for cond in conds:
+                for seed in seeds:
+                    draws = 0
+                    default = gen_random(n, m, cond=cond, seed=seed)
+                    default_draws, draws = draws, 0
+                    with monkeypatch.context() as patched:
+                        patched.setattr(generators, "REJECTION_ATTEMPTS_PER_EDGE", 10**5)
+                        hg = gen_random(n, m, cond=cond, seed=seed)
+                    assert 0 < draws == default_draws < budget, (n, cond, seed, draws)
+                    assert hg == default, (n, cond, seed)
+                    assert n > 5 or len(hg.edges) < m, (cond, seed)
+                    stalled += len(hg.edges) < m
+        assert stalled > 9  # all 9 runs at n = 5, and some at n = 9
+
+    # The oracle spends its whole budget and remembers no refused draw.  Over
+    # the grid m takes every value in 0..3n at each n, so many runs
+    # saturate, and some of them end when a sweep finds no draw left to keep.
+    @pytest.mark.parametrize("t, tails", enumerate(((2, 2), (2, 3), (2, 5), (1, 3))))
+    def test_matches_naive_rejection_sampling(self, t, tails, monkeypatch):
+        ended, real_sweep = 0, generators._sweep
+
+        def counting_sweep(*args):
+            nonlocal ended
+            live = real_sweep(*args)
+            ended += not live
+            return live
+
+        monkeypatch.setattr(generators, "_sweep", counting_sweep)
+        conds = ("none",) + CONDITION_IDS
+        for n in range(3, 11):
+            for c, cond in enumerate(conds):
+                for seed in range(3):
+                    m = 3 * ((t * len(conds) + c) * 3 + seed) % (3 * n + 1)
+                    budget = generators.REJECTION_ATTEMPTS_PER_EDGE * m
+                    assert gen_random(n, m, cond=cond, seed=seed, tail_range=tails) == \
+                        naive_gen_random(n, m, cond, seed, tails, budget), (n, m, cond, seed)
+        assert ended
 
     # n crosses both pool-size bounds of random.sample: 21 for k <= 5, and
     # 85 (k = 6) and 277 (k = 22) for larger k, which tails (1, n - 1) reach.
@@ -267,7 +306,13 @@ class TestGenRandom:
                 draws = generators._draws(ours, n, lo, hi)
                 for _ in range(200):
                     size = twin.randint(lo, hi)
-                    assert next(draws) == twin.sample(range(n), size + 1), (lo, hi, seed)
+                    picks = twin.sample(range(n), size + 1)
+                    # The vertex set's mask, the last pick as the head, and
+                    # the picks themselves where the draw lists them.
+                    mask, head, listed = next(draws)
+                    assert (mask, head) == (sum(1 << p for p in picks), 1 << picks[-1]), \
+                        (lo, hi, seed)
+                    assert listed is None or listed == picks, (lo, hi, seed)
                 assert ours.getstate() == twin.getstate(), (lo, hi, seed)
 
     def test_bad_arguments(self):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import ceil, comb, log
 
-from .core import DirectedEdge, DirectedHypergraph
+from .core import DirectedEdge, DirectedHypergraph, _mask_row
 from .patterns import CONDITION_IDS, VIOLATING_CODES, matching_partners
 
 GENERATOR_KINDS = ("paper-i", "paper-r", "h2-tower", "perm-tower", "random")
@@ -171,16 +171,6 @@ def _draws(rng: random.Random, n: int, lo: int, hi: int):
         yield full, bit, picks
 
 
-def _positions(mask: int) -> list[int]:
-    """The positions of mask's set bits, lowest first."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def _sweep(n: int, sizes: range, dead: dict[int, int], live: int, heads: list[int],
            tails: list[int], bad: int) -> int:
     """Test every draw not yet dead against all accepted edges, record each
@@ -255,12 +245,13 @@ def gen_random(
     # and each vertex lies in a large share of the accepted edges: a draw is
     # tested against every accepted edge, and a refused draw is dead for
     # good, as the accepted edges only grow.  Once `space` draws (the size of
-    # the draw space) have gone by since the last accepted edge or sweep,
+    # the draw space) have gone by since the start or the last accepted edge,
     # _sweep tests each draw not yet dead, so live counts exactly the draws
-    # that could still be kept, and the loop ends at once if there are none.
-    # A sweep costs about as much as the draws that bring it due.  Otherwise
-    # each vertex keeps the accepted edges holding it, and a draw is tested
-    # only against those sharing a vertex with it.
+    # that could still be kept, and the loop ends at once if there are none;
+    # otherwise the next draw not dead is accepted, so no sweep is due before
+    # it.  A sweep costs about as much as the draws that bring it due.
+    # Otherwise each vertex keeps the accepted edges holding it, and a draw is
+    # tested only against those sharing a vertex with it.
     small = sum(comb(n, k) for k in sizes) < budget
     holding: list[list[int]] = [[] for _ in range(n)] if bad and not small else []
     sweep_at = space if bad and small else -1
@@ -269,7 +260,7 @@ def gen_random(
     while len(heads) < m and attempts < budget and live:
         if attempts == sweep_at:
             live = _sweep(n, sizes, dead, live, heads, tails, bad)
-            sweep_at += space
+            sweep_at = -1  # until an edge is accepted, no draw can be refused
             continue
         attempts += 1
         full, head, picks = next(draws)
@@ -284,7 +275,7 @@ def gen_random(
                 continue
             sweep_at = attempts + space
         elif bad:
-            picks = picks or _positions(full)
+            picks = picks or _mask_row(full)
             near = [k for p in picks for k in holding[p]]
             if next(matching_partners(head, tail, near, heads, tails, bad), None):
                 continue
@@ -297,7 +288,7 @@ def gen_random(
 
     names = tuple(f"v{i + 1}" for i in range(n))
     name = names.__getitem__
-    edges = tuple(DirectedEdge(frozenset(map(name, _positions(tail))),
+    edges = tuple(DirectedEdge(frozenset(map(name, _mask_row(tail))),
                                (name(head.bit_length() - 1),))
                   for head, tail in zip(heads, tails))
     return DirectedHypergraph(names, edges)

@@ -274,12 +274,18 @@ class TestGenRandom:
     # The oracle spends its whole budget and remembers no refused draw.  Over
     # the grid m takes every value in 0..3n at each n, so many runs
     # saturate, and some of them end when a sweep finds no draw left to keep.
+    # A sweep that leaves live draws is followed by a kept edge before the
+    # next sweep, which could refuse nothing new.
     @pytest.mark.parametrize("t, tails", enumerate(((2, 2), (2, 3), (2, 5), (1, 3))))
     def test_matches_naive_rejection_sampling(self, t, tails, monkeypatch):
         ended, real_sweep = 0, generators._sweep
+        last = (None, -1)  # the accepted heads at the last sweep, and their count
 
         def counting_sweep(*args):
-            nonlocal ended
+            nonlocal ended, last
+            heads = args[4]
+            assert last[0] is not heads or last[1] < len(heads), "no edge kept since last sweep"
+            last = (heads, len(heads))
             live = real_sweep(*args)
             ended += not live
             return live

@@ -10,8 +10,10 @@ import_cost = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(import_cost)
 
 
-def test_times_the_statement_and_lists_the_slowest_imports(capsys):
-    assert import_cost.main(["--runs", "2", "--top", "3"]) == 0
+def test_times_the_statement_and_lists_the_slowest_imports(capsys, monkeypatch):
+    monkeypatch.setattr(import_cost, "RUNS", 2)
+    monkeypatch.setattr(import_cost, "TOP", 3)
+    assert import_cost.main() == 0
     lines = capsys.readouterr().out.splitlines()
     assert re.fullmatch(r"import dhcolor\.cli, dhcolor\.fuzzing: median \d+\.\d\d ms over 2 "
                         r"fresh interpreters \(min \d+\.\d\d, max \d+\.\d\d\)", lines[0])

@@ -8,12 +8,11 @@ under ``-X importtime``, and the TOP modules it imported with the largest
 self time are listed.  The package is imported from the ``src`` directory
 next to this file's directory.  Stdlib only; it prints and exits 0.
 
-Usage: python tools/import_cost.py [--runs RUNS] [--top TOP]
+Usage: python tools/import_cost.py
 """
 
 from __future__ import annotations
 
-import argparse
 import statistics
 import subprocess
 import sys
@@ -21,6 +20,8 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 STATEMENT = "import dhcolor.cli, dhcolor.fuzzing"
+RUNS = 15  # fresh interpreters timed
+TOP = 10  # slowest imports listed
 # The interpreter's own start-up imports come before the marker line.
 _PROBE = f"""\
 import sys, time
@@ -55,18 +56,12 @@ def slowest_imports(top: int) -> list[tuple[int, int, str]]:
     return sorted(rows, reverse=True)[:top]
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--runs", type=int, default=15)
-    parser.add_argument("--top", type=int, default=10)
-    args = parser.parse_args(argv)
-    if args.runs < 1 or args.top < 0:
-        parser.error("--runs must be at least 1 and --top at least 0")
-    times = import_seconds(args.runs)
-    print(f"{STATEMENT}: median {statistics.median(times) * 1e3:.2f} ms over {args.runs} "
+def main() -> int:
+    times = import_seconds(RUNS)
+    print(f"{STATEMENT}: median {statistics.median(times) * 1e3:.2f} ms over {RUNS} "
           f"fresh interpreters (min {min(times) * 1e3:.2f}, max {max(times) * 1e3:.2f})")
     print(f"{'self_us':>8} {'cumul_us':>8}  module (largest self time, one -X importtime run)")
-    for own, total, name in slowest_imports(args.top):
+    for own, total, name in slowest_imports(TOP):
         print(f"{own:8d} {total:8d}  {name}")
     return 0
 

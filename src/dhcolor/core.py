@@ -8,6 +8,7 @@ are immutable after construction; every operation is a pure function.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import add
 from typing import Iterable, Mapping
 
@@ -33,29 +34,6 @@ def _check_name(name: str) -> str:
 
 
 _setattr = object.__setattr__  # bypasses the frozen dataclasses' __setattr__
-
-
-class cached_attribute:
-    """``functools.cached_property`` without its lock: the first read calls
-    the function and stores the value in the instance's ``__dict__``, which
-    later reads find first, as this descriptor defines no ``__set__``.  On
-    CPython 3.11 the lock cost more than the rest of a first read (3.12
-    dropped it).  Two threads reading at once may both compute the value;
-    every value here is a pure function of its immutable instance.
-    """
-
-    def __init__(self, func) -> None:
-        self.func = func
-        self.__doc__ = func.__doc__
-
-    def __set_name__(self, owner, name: str) -> None:
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.func(obj)
-        return value
 
 
 @dataclass(frozen=True)
@@ -97,13 +75,13 @@ class HypergraphIndex:
     """A hypergraph's edges by vertex position (``hg.index``); the vertex at
     position p is bit p of every mask.  ``head_rows[k]`` and ``tail_rows[k]``,
     the positions of edge k's heads and tails in no set order, are found at
-    construction; each other view is built from them on first use:
-    ``head_masks``, ``tail_masks`` and ``masks`` give each edge's bitmask of
-    its heads, its tails and all its vertices; ``heads_at``, ``tails_at`` and
-    ``edges_at`` give for each position the ascending indices of the edges it
-    heads, is a tail of, or lies in; ``edge_bits`` gives for each position
-    the bitset of the edges through it.  It keeps no reference to the
-    hypergraph, so both are freed by reference counting alone.
+    construction; each other view is built from them on first use and cached
+    (``functools.cached_property``): ``head_masks``, ``tail_masks`` and
+    ``masks`` give each edge's bitmask of its heads, its tails and all its
+    vertices; ``heads_at``, ``tails_at`` and ``edges_at`` give for each
+    position the ascending indices of the edges it heads, is a tail of, or
+    lies in.  It keeps no reference to the hypergraph, so both are freed by
+    reference counting alone.
     """
 
     def __init__(self, hg: DirectedHypergraph) -> None:
@@ -112,33 +90,29 @@ class HypergraphIndex:
         self.head_rows = [tuple(map(get, e.head)) for e in hg.edges]
         self.tail_rows = [tuple(map(get, e.tail)) for e in hg.edges]
 
-    @cached_attribute
+    @cached_property
     def head_masks(self) -> list[int]:
         return _row_masks(self.head_rows)
 
-    @cached_attribute
+    @cached_property
     def tail_masks(self) -> list[int]:
         return _row_masks(self.tail_rows)
 
-    @cached_attribute
+    @cached_property
     def masks(self) -> list[int]:
         return [h | t for h, t in zip(self.head_masks, self.tail_masks)]
 
-    @cached_attribute
+    @cached_property
     def heads_at(self) -> list[list[int]]:
         return file_under_keys(self.head_rows, [[] for _ in range(self.n)])
 
-    @cached_attribute
+    @cached_property
     def tails_at(self) -> list[list[int]]:
         return file_under_keys(self.tail_rows, [[] for _ in range(self.n)])
 
-    @cached_attribute
+    @cached_property
     def edges_at(self) -> list[list[int]]:
         return file_under_keys(map(add, self.head_rows, self.tail_rows), [[] for _ in range(self.n)])
-
-    @cached_attribute
-    def edge_bits(self) -> list[int]:
-        return _row_masks(self.edges_at)
 
 
 def _row_masks(rows: Iterable[Iterable[int]]) -> list[int]:
@@ -175,33 +149,34 @@ class DirectedHypergraph:
 
     The vertex ordering is part of the value: the coloring algorithms are
     stated for an arbitrary but fixed ordering, and freezing it makes runs
-    deterministic and reproducible.
+    deterministic and reproducible.  ``positions`` (vertex name to position)
+    is built at construction and ``index`` (a ``HypergraphIndex``) on first
+    read; neither is a field, so neither takes part in ``==``, ``hash`` or
+    ``repr``.
     """
 
     vertices: tuple[str, ...]
     edges: tuple[DirectedEdge, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "edges", tuple(self.edges))
-        seen = set()
-        for v in self.vertices:
+        _setattr(self, "vertices", tuple(self.vertices))
+        _setattr(self, "edges", tuple(self.edges))
+        positions = {}
+        for p, v in enumerate(self.vertices):
             _check_name(v)
-            if v in seen:
+            if v in positions:
                 raise ValidationError(f"duplicate vertex: {v}")
-            seen.add(v)
+            positions[v] = p
+        _setattr(self, "positions", positions)  # not a field, like DirectedEdge.vertices
+        # A subset test against a set takes CPython's fast path; against
+        # positions.keys() it is about twice as slow.
+        names = set(positions)
         for idx, e in enumerate(self.edges):
-            missing = e.vertices - seen
-            if missing:
-                names = ",".join(sorted(map(str, missing)))
-                raise ValidationError(f"edge {idx} uses undeclared vertices: {names}")
+            if not e.vertices <= names:
+                missing = ",".join(sorted(map(str, e.vertices - names)))
+                raise ValidationError(f"edge {idx} uses undeclared vertices: {missing}")
 
-    @cached_attribute
-    def positions(self) -> dict[str, int]:
-        """Vertex name to position in the vertex sequence."""
-        return {v: i for i, v in enumerate(self.vertices)}
-
-    index = cached_attribute(HypergraphIndex)
+    index = cached_property(HypergraphIndex)
 
     @property
     def n(self) -> int:
@@ -231,7 +206,7 @@ class Coloring:
     k: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "assignment", dict(self.assignment))
+        _setattr(self, "assignment", dict(self.assignment))
         # Only ints (not bools or floats) come back from the text form as they went in.
         if type(self.k) is not int or self.k < 1:
             raise ValidationError(f"a coloring needs an int count of colors >= 1, not {self.k!r}")
@@ -329,16 +304,16 @@ def normalize(hg: DirectedHypergraph) -> DirectedHypergraph:
     superset of a kept one and monochromaticity only depends on vertex sets.
     When no edge is dropped the result is ``hg`` itself.
 
-    ``hg.index.edge_bits`` holds each position's bitset of the edges through
-    it, so the edges whose vertex set contains edge i's are the AND of its
-    vertices' bitsets: |e| big-int ANDs per edge, with no walk over edge
-    pairs.  Edges are visited in order and each one not yet dropped drops
-    all its other supersets.  That is the rule above: an edge i still
-    standing has no equal copy before it (that copy, or whatever dropped it,
-    would have dropped i), and an edge that should go has a kept edge inside
-    it, which drops it.
+    It builds each position's bitset of the edges through it from
+    ``hg.index.edges_at``, so the edges whose vertex set contains edge i's
+    are the AND of its vertices' bitsets: |e| big-int ANDs per edge, with no
+    walk over edge pairs.  Edges are visited in order and each one not yet
+    dropped drops all its other supersets.  That is the rule above: an edge
+    i still standing has no equal copy before it (that copy, or whatever
+    dropped it, would have dropped i), and an edge that should go has a kept
+    edge inside it, which drops it.
     """
-    bits = hg.index.edge_bits
+    bits = _row_masks(hg.index.edges_at)
     dropped = 0
     for i, row in enumerate(map(add, hg.index.head_rows, hg.index.tail_rows)):
         if dropped >> i & 1:
@@ -348,7 +323,7 @@ def normalize(hg: DirectedHypergraph) -> DirectedHypergraph:
             supersets &= bits[p]
         dropped |= supersets ^ (1 << i)
     if not dropped:
-        return hg  # keeps its cached positions and index; nothing to revalidate
+        return hg  # keeps its positions and cached index; nothing to revalidate
     kept = tuple(e for k, e in enumerate(hg.edges) if not dropped >> k & 1)
     return DirectedHypergraph(hg.vertices, kept)
 

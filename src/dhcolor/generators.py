@@ -134,7 +134,6 @@ def _draws(rng: random.Random, n: int, lo: int, hi: int):
     width = hi - lo + 1
     width_bits = width.bit_length()
     n_bits = n.bit_length()
-    base = [1 << p for p in range(n)]  # the pool, as the bit of each position
     # Per tail size: None for sample's rejection branch, else the bound and
     # bit width of each pool draw.
     plans = []
@@ -143,6 +142,9 @@ def _draws(rng: random.Random, n: int, lo: int, hi: int):
         pool_max = 21 + (4 ** ceil(log(k * 3, 4)) if k > 5 else 0)
         plans.append((k, [(w, w.bit_length()) for w in range(n, n - k, -1)]
                       if n <= pool_max else None))
+    # The pool, as the bit of each position, built only if some size draws
+    # from it: at large n it would be the biggest object here.
+    base = [1 << p for p in range(n)] if any(steps for _, steps in plans) else None
     while True:
         r = getrandbits(width_bits)
         while r >= width:

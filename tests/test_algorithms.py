@@ -36,6 +36,7 @@ from dhcolor import (
     run_fuzz,
     serialize,
 )
+from dhcolor import algorithms
 from dhcolor.algorithms import RUNNERS
 from dhcolor.fuzzing import fuzz_instance
 
@@ -381,6 +382,46 @@ def test_unchecked_headless_edge_is_reported_not_raised(algo):
     assert any("not a proper coloring" in v for v in trace.violations)
     coloring, _ = algo(hg, checked=False)
     assert set(coloring.assignment) == set(hg.vertices)
+
+
+class TestAuditsFire:
+    """Audits that no correct run trips, each driven by an injected fault: an
+    unchecked run reports the message on its trace, a checked run raises it."""
+
+    @staticmethod
+    def _assert_reported(run, hg, message):
+        assert message in run(hg, checked=False)[1].violations
+        with pytest.raises(InvariantViolationError) as exc:
+            run(hg)
+        assert message in exc.value.violations
+
+    @pytest.mark.parametrize("name, hg, skipped, message", [
+        ("ht3", paper_r(), RED, "tail-ending edge 0 has no red vertex after pass 1"),
+        ("i0-4", paper_i(), RED, "E3 edge 0 still all blue after step 1"),
+        ("i0-4", paper_i(), RED, "E1/E3 edge 1 still all blue after step 2"),
+        ("i0-4", paper_i(), GREEN, "E1 edge 3 has no green vertex after step 2"),
+    ])
+    def test_skipped_pass(self, monkeypatch, name, hg, skipped, message):
+        # The pass that paints the skipped color leaves every vertex as it is.
+        sweep = algorithms._Run.sweep
+
+        def faulty(run, order, keys, c, gate=BLUE):
+            if c != skipped:
+                sweep(run, order, keys, c, gate)
+
+        monkeypatch.setattr(algorithms._Run, "sweep", faulty)
+        self._assert_reported(ALGORITHMS[name].run, hg, message)
+
+    def test_vertex_processed_twice(self, monkeypatch):
+        # A bisect_left that points at the last unprocessed position removes
+        # f in place of each forced head, so e is processed twice: red, blue
+        # again as the previous vertex of d, then red.  No input that meets
+        # the one-head hypothesis was seen to reach this audit under such a
+        # fault, so the checked run skips the hypothesis check as well.
+        monkeypatch.setattr(algorithms, "bisect_left", lambda a, x: len(a) - 1)
+        monkeypatch.setattr(algorithms, "_require_hypothesis", lambda hn, spec: None)
+        hg = parse("v a\nv b\nv c\nv d\nv e\nv f\ne b d > a\ne b e > a\ne a c > e\ne d e > c\n")
+        self._assert_reported(ALGORITHMS["one-head"].run, hg, "vertex e changed color more than twice")
 
 
 class TestOrderingRobustness:

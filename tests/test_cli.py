@@ -345,6 +345,9 @@ class TestBoundAndGoodcheck:
                           ' "valid": false}'],
         "e a b > c\ne a b > d\ne c d > e\n": [
             '{"edges": 3, "f": 7, "n": 5, "valid": true, "within_bound": true}'],
+        # Repeated edges are one hyperedge, so they count once against f(n).
+        "e a b > c\ne a b > c\ne a b > c\n": [
+            '{"edges": 1, "f": 2, "n": 3, "valid": true, "within_bound": true}'],
     }
 
     @pytest.mark.parametrize("text", GOODCHECK_JSON)

@@ -278,13 +278,11 @@ class TestHypergraphIndex:
                                       for v in hg.vertices]
             assert index.edges_at == [[k for k in ks if v in hg.edges[k].vertices]
                                       for v in hg.vertices]
-            assert index.edge_bits == [sum(1 << k for k in ks if v in hg.edges[k].vertices)
-                                       for v in hg.vertices]
 
     def test_not_part_of_the_value(self):
         for hg in (paper_i(), parse("e a b > c\nv d\n"), parse("")):
             fresh = parse(serialize(hg))
-            hg.index.edge_bits
+            hg.index.edges_at
             assert hg == fresh and hash(hg) == hash(fresh) and repr(hg) == repr(fresh)
             assert "index" not in repr(hg)
             back = pickle.loads(pickle.dumps(hg))
@@ -305,7 +303,7 @@ class TestHypergraphIndex:
         check_condition(hg, "lovasz")
         check_condition(hg, "tails-only-2-intersect")
         chromatic_number(hg)
-        assert normalize(hg) is hg and hg.index.edge_bits
+        assert normalize(hg) is hg and hg.index.edges_at
         ref = weakref.ref(hg)
         gc.disable()
         try:

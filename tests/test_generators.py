@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -320,6 +321,19 @@ class TestGenRandom:
                         (lo, hi, seed)
                     assert listed is None or listed == picks, (lo, hi, seed)
                 assert ours.getstate() == twin.getstate(), (lo, hi, seed)
+
+    def test_memory_stays_linear_in_n(self):
+        # At n = 20,000 every default tail size takes sample's rejection
+        # branch, so no pool of per-position bits (n^2 / 16 bytes, ~25 MB
+        # here) should be built.  What is left (the names, the per-vertex
+        # lists, the hypergraph's positions) is a few MB.
+        tracemalloc.start()
+        try:
+            gen_random(20_000, 5, cond="r4-free", seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000, peak
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):

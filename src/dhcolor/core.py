@@ -222,9 +222,12 @@ def parse(text: str) -> DirectedHypergraph:
     """Parse the line-oriented .dhg format.
 
     Lines: ``v <name>`` declares a vertex, ``e <tails…> > <heads…>`` an edge
-    (the leading ``e`` may be omitted in hand-written files).  ``#`` starts a
-    comment, blank lines are skipped.  Vertex order is: explicitly declared
-    vertices in declaration order, then edge-line vertices by first
+    (the leading ``e`` may be omitted in hand-written files).  A line holding
+    the token ``>`` is an edge line, so ``v b > c`` is the edge with tails v
+    and b; a line whose first token is ``e`` always takes it as the keyword,
+    so an edge whose first tail is named e is written ``e e b > c``.  ``#``
+    starts a comment, blank lines are skipped.  Vertex order is: explicitly
+    declared vertices in declaration order, then edge-line vertices by first
     appearance, tails before heads within a line.  One pass, linear in the
     length of the text.
     """
@@ -237,20 +240,14 @@ def parse(text: str) -> DirectedHypergraph:
         if not line:
             continue
         tokens = line.split()
-        if tokens[0] == "v":
-            if len(tokens) != 2:
-                raise ParseError(f"line {lineno}: vertex line needs exactly one name")
-            name = _parse_name(tokens[1], lineno)
-            if name in declared:
-                raise ParseError(f"line {lineno}: duplicate declaration of {name}")
-            declared[name] = None
-        elif tokens[0] == "e" or ">" in tokens:
+        # No token needs a name check here: after the '#' cut and split() a
+        # token is non-empty with no whitespace and no '#', a '>' makes the
+        # line an edge line, and its only '>' is the cut.
+        # DirectedHypergraph checks every name once.
+        if tokens[0] == "e" or ">" in tokens:
             body = tokens[1:] if tokens[0] == "e" else tokens
             if body.count(">") != 1:
                 raise ParseError(f"line {lineno}: edge line needs exactly one '>'")
-            # Edge tokens need no name check: after the '#' cut and split()
-            # a token is non-empty with no whitespace and no '#', and the
-            # only '>' is the cut.  DirectedHypergraph checks every name once.
             cut = body.index(">")
             tails, heads = body[:cut], body[cut + 1:]
             if not tails and not heads:
@@ -261,6 +258,13 @@ def parse(text: str) -> DirectedHypergraph:
                 raise ParseError(f"line {lineno}: {exc}") from exc
             for name in body:  # the cut '>' too; it is dropped below
                 from_edges[name] = None
+        elif tokens[0] == "v":
+            if len(tokens) != 2:
+                raise ParseError(f"line {lineno}: vertex line needs exactly one name")
+            name = tokens[1]
+            if name in declared:
+                raise ParseError(f"line {lineno}: duplicate declaration of {name}")
+            declared[name] = None
         else:
             raise ParseError(f"line {lineno}: unrecognized line {line!r}")
 

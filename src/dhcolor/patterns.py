@@ -15,23 +15,29 @@ Because every pattern has exactly two edges, containment reduces to
 classifying each edge pair; no general subhypergraph isomorphism is needed.
 
 Cost model.  Each edge is held as a head bitmask and a tail bitmask over
-vertex positions, from ``hg.index``, and ``matching_partners`` classifies
-pairs from those masks alone; the pattern of a pair and its verdict under
-each condition are table lookups on its code.  Pairs with no shared vertex
-are never examined: they match no pattern and satisfy every condition.
-Candidate pairs are found through shared keys: each edge is filed under
-each of its keys, with the role it gives the key (tail, or head), and edges
-are paired up only inside a key's lists, in the role combinations the
-requested codes need.
+vertex positions, from ``hg.index``, and a pair's code is read from those
+masks alone; the pattern of a pair and its verdict under each condition
+are table lookups on its code.  Pairs with no shared vertex are never
+examined: they match no pattern and satisfy every condition.  Candidate
+pairs are found through shared keys: each edge is filed under each of its
+keys, with the role it gives the key (tail, or head), and edges are paired
+up only inside a key's lists, in the role combinations the requested codes
+need.
 
 Vertex keys.  Every code guarantees a role class at some shared vertex:
 head of both edges (I0, I1), tail of both (H1, H2), or head of one and tail
 of the other (R4, R3, E).  The index keeps each position's head-incidence
-list (edges it heads) and tail-incidence list, each built on first use, and
-the partner walk pairs up only the lists the requested classes need, so a
-check costs the sum over vertices of the products of those list sizes (head
-x head for I0 or i0-free, head x tail for R4 or r4-free, and the squared
-degree when every class is needed) rather than m^2.
+list (edges it heads) and tail-incidence list, each built on first use.
+The checks for I0, H1 and R4 (and so ``onehead-h1``, ``i0-free``,
+``r4-free``, ``i0r4-free`` and ``lovasz``) need one shared vertex; for each
+edge they cross its keys with only the lists the requested classes need
+(head x head for I0, tail x tail for H1, head x tail both ways for R4), so a
+check costs the sum over vertices of the products of those list sizes
+rather than m^2.  A later edge in a list whose mask meets the edge's in
+that key alone shares exactly that vertex, in the roles the crossing names,
+so the crossing gives the pair's code and its row: no kernel call, and no
+deduplication of pairs met under several keys, which fail that test under
+each.
 
 Pair keys.  H2, I1, R3 and E (and so ``h2-two-intersect`` and
 ``tails-only-2-intersect``) need exactly two shared vertices.  A check
@@ -44,14 +50,15 @@ E).  Such a check costs the sum of C(|e|, 2) over the edges to file the
 keys plus the candidate pairs met in the lists it needs: at most the pairs
 sharing two or more vertices, rather than every vertex-sharing pair.  On a
 2->1 input with n = 200 and m = 800 avoiding R3 and E, the R3 and E checks
-meet no candidate where the vertex walk hands each 6,383 pairs to the
-kernel, and ``tails-only-2-intersect`` meets 15 where it would hand 14,185.
+meet no candidate where a walk over vertex keys would meet 6,383 pairs
+each, and ``tails-only-2-intersect`` meets 15 where it would meet 14,185.
 Which keys a check walks follows from its codes alone.
 
-Each edge's whole partner list goes to the kernel in one call, which yields
-only the matching partners, so no pair costs a function call.  A witness is
-a named tuple, and each distinct shared-vertex row is built once and shared
-by every witness that has it.  Witnesses come out in ascending (i, j) order.
+The pair walk hands each edge's whole partner list to the kernel,
+``matching_partners``, in one call, which yields only the matching
+partners, so no pair costs a function call.  A witness is a named tuple,
+and each distinct shared-vertex row is built once and shared by every
+witness that has it.  Witnesses come out in ascending (i, j) order.
 """
 
 from __future__ import annotations
@@ -108,8 +115,10 @@ class PatternReport:
     pattern: str
     avoided: bool
     witnesses: tuple[IntersectionProfile, ...]
-    # Candidate pairs the check handed to the pair kernel; a measure of its
-    # cost, not of its outcome, so it takes no part in equality or repr.
+    # Candidate pairs the check examined: those the pair walk handed to the
+    # kernel, or those the vertex walk's mask test saw, where a pair met
+    # under two keys counts twice.  A measure of its cost, not of its
+    # outcome, so it takes no part in equality or repr.
     pairs_examined: int = field(default=0, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -179,10 +188,12 @@ def matching_partners(h1: int, t1: int, partners: Iterable[int], heads: Sequence
     (h1, t1) has an intersection code in the codes mask, in partner order.
 
     heads[j] and tails[j] are edge j's head and tail bitmasks.  Code 0 (no
-    shared vertex, or three or more) never matches.  This is the one place
-    pairs are classified: a check makes one call per edge over its whole
-    partner list, so no pair costs a function call, and a caller that needs
-    only the first match stops there.
+    shared vertex, or three or more) never matches.  This classifies the
+    two-vertex pairs and arbitrary ones (``pair_code``, the generator's
+    accept tests); a one-vertex check reads its pairs' codes off the key
+    lists that found them instead.  A caller makes one call per edge over
+    its whole partner list, so no pair costs a function call, and a caller
+    that needs only the first match stops there.
     """
     v1 = h1 | t1
     for j in partners:
@@ -241,6 +252,23 @@ class _PairKeys:
     tails_at = property(lambda self: file_under_keys(self.tail_rows, defaultdict(list)))
 
 
+def _crossings(keys: HypergraphIndex | _PairKeys,
+               roles: int) -> list[tuple]:
+    """(the keys each edge holds in one role, the lists it scans there, that
+    role and the role the lists give their edges) for each crossing the
+    classes in `roles` need: head rows x head lists, tail rows x tail lists,
+    and for head/tail pairs the two crossings over.  With ALL_ROLES the four
+    crossings meet every pair sharing a key."""
+    # only the lists some class scans are read, and so built
+    heads = keys.heads_at if roles & (HEAD_HEAD | HEAD_TAIL) else None
+    tails = keys.tails_at if roles & (TAIL_TAIL | HEAD_TAIL) else None
+    return [(rows, lists, role_i, role_j) for role, rows, lists, role_i, role_j in (
+        (HEAD_HEAD, keys.head_rows, heads, "head", "head"),
+        (TAIL_TAIL, keys.tail_rows, tails, "tail", "tail"),
+        (HEAD_TAIL, keys.head_rows, tails, "head", "tail"),
+        (HEAD_TAIL, keys.tail_rows, heads, "tail", "head")) if roles & role]
+
+
 def _partners(keys: HypergraphIndex | _PairKeys,
               roles: int) -> Iterator[tuple[int, list[int]]]:
     """(i, [j > i sharing a key with edge i in a class of `roles`, ascending])
@@ -249,23 +277,14 @@ def _partners(keys: HypergraphIndex | _PairKeys,
 
     Each key keeps the list of edges holding it as a head and the list of
     edges holding it as a tail, and a pair is found only through the lists
-    its role classes need: head/head pairs through the head lists, tail/tail
-    pairs through the tail lists, head/tail pairs by crossing over.  With
-    ALL_ROLES the four crossings meet every pair sharing a key.  Walking the
-    lists in order gives each pair i < j once, in ascending (i, j) order,
-    however many keys it shares.
+    its role classes need (``_crossings``).  Walking the lists in order gives
+    each pair i < j once, in ascending (i, j) order, however many keys it
+    shares.
     """
-    head_rows, tail_rows = keys.head_rows, keys.tail_rows
-    # only the lists some class scans are read, and so built
-    heads = keys.heads_at if roles & (HEAD_HEAD | HEAD_TAIL) else None
-    tails = keys.tails_at if roles & (TAIL_TAIL | HEAD_TAIL) else None
-    # (the edge's own keys in one role, the lists it scans there)
-    classes = ((HEAD_HEAD, head_rows, heads), (TAIL_TAIL, tail_rows, tails),
-               (HEAD_TAIL, head_rows, tails), (HEAD_TAIL, tail_rows, heads))
-    sides = [(rows, lists) for role, rows, lists in classes if roles & role]
-    for i in range(len(head_rows)):
+    crossings = _crossings(keys, roles)
+    for i in range(len(keys.head_rows)):
         later: list[int] = []
-        for rows, lists in sides:
+        for rows, lists, _, _ in crossings:
             for key in rows[i]:
                 edges = lists[key]
                 if edges and edges[-1] > i:  # most keys of a sparse input end at i or before
@@ -283,16 +302,17 @@ def _rows(names: tuple[str, ...], common: int,
 def _witnesses(hg: DirectedHypergraph,
                codes: int) -> tuple[tuple[IntersectionProfile, ...], int]:
     """Profiles of the vertex-sharing pairs whose code is in the codes mask,
-    and the number of candidate pairs handed to the kernel.
+    and the number of candidate pairs the check examined.
 
     When every code in the mask needs two shared vertices the candidates come
-    from the walk over vertex-pair keys, otherwise from the walk over vertex
-    keys.
+    from the walk over vertex-pair keys and go to the kernel; otherwise the
+    mask holds one-vertex codes only, and the vertex walk names each pair's
+    code itself.
     """
     index = hg.index
     pair_roles = pair_roles_of(codes)
-    keys = _PairKeys(index) if pair_roles else index
-    walk = _partners(keys, pair_roles or roles_of(codes))
+    if not pair_roles:
+        return _one_vertex_witnesses(index, hg.vertices, roles_of(codes))
     heads = tails = ()  # the edge masks, read at the first candidate
     names = hg.vertices
     # Witnesses often repeat one shared vertex set with the same roles, so
@@ -301,7 +321,7 @@ def _witnesses(hg: DirectedHypergraph,
     out = []
     examined = 0
     new = tuple.__new__  # IntersectionProfile(i, j, rows) without the generated __new__'s frame
-    for i, later in walk:
+    for i, later in _partners(_PairKeys(index), pair_roles):
         if not later:  # most edges of a sparse input: skip the kernel call
             continue
         if not heads:  # a pair walk often meets no candidate, and needs no masks
@@ -315,6 +335,53 @@ def _witnesses(hg: DirectedHypergraph,
             if rows is None:
                 rows = rows_of[key] = _rows(names, common, h1, h2)
             out.append(new(IntersectionProfile, (i, j, rows)))
+    return tuple(out), examined
+
+
+def _one_vertex_witnesses(index: HypergraphIndex, names: tuple[str, ...],
+                          roles: int) -> tuple[tuple[IntersectionProfile, ...], int]:
+    """``_witnesses`` for a mask of one-vertex codes, which need the role
+    classes in ``roles``: the pairs sharing exactly one vertex in one of
+    those classes, and the number of candidates the mask test saw.
+
+    Each class is walked through its crossings (``_crossings``): head rows x
+    ``heads_at`` (I0), tail rows x ``tails_at`` (H1), head rows x
+    ``tails_at`` and tail rows x ``heads_at`` (R4).  A later edge j at key p
+    whose mask meets edge i's in bit p alone shares exactly p, in the roles
+    the crossing gives it, so the crossing names the pair's code and its
+    row, and no kernel call is needed.  A pair sharing two or more vertices
+    fails the mask test under each of its keys (and counts as a candidate
+    under each); a pair sharing one vertex passes under that key only, so
+    sorting each edge's hits by j gives ascending (i, j) order with no
+    deduplication.
+    """
+    masks = index.masks
+    # each crossing's rows by key, built at the key's first hit
+    crossings = [(*crossing, {}) for crossing in _crossings(index, roles)]
+    out = []
+    examined = 0
+    new = tuple.__new__  # IntersectionProfile(i, j, rows) without the generated __new__'s frame
+    for i, mask in enumerate(masks):
+        hits: list[IntersectionProfile] = []
+        merge = False  # hits from a second key interleave with the first's
+        for keys, lists, role_i, role_j, rows_at in crossings:
+            for p in keys[i]:
+                edges = lists[p]
+                if edges and edges[-1] > i:  # most keys of a sparse input end at i or before
+                    later = edges[bisect_right(edges, i):]
+                    examined += len(later)
+                    bit = 1 << p
+                    found = [j for j in later if masks[j] & mask == bit]
+                    if found:
+                        row = rows_at.get(p)
+                        if row is None:
+                            row = rows_at[p] = ((names[p], role_i, role_j),)
+                        if hits:
+                            merge = True
+                        hits += [new(IntersectionProfile, (i, j, row)) for j in found]
+        if merge:
+            hits.sort()  # one i, and each j is met once, so rows are never compared
+        out += hits
     return tuple(out), examined
 
 

@@ -203,14 +203,7 @@ def naive_parse(text: str) -> DirectedHypergraph:
         if not line:
             continue
         tokens = line.split()
-        if tokens[0] == "v":
-            if len(tokens) != 2:
-                raise ParseError(f"line {lineno}: vertex line needs exactly one name")
-            name = _naive_name(tokens[1], lineno)
-            if name in declared:
-                raise ParseError(f"line {lineno}: duplicate declaration of {name}")
-            declared.append(name)
-        elif tokens[0] == "e" or ">" in tokens:
+        if tokens[0] == "e" or ">" in tokens:  # '>' is never a name: "v b > c" is an edge
             body = tokens[1:] if tokens[0] == "e" else tokens
             if body.count(">") != 1:
                 raise ParseError(f"line {lineno}: edge line needs exactly one '>'")
@@ -226,6 +219,13 @@ def naive_parse(text: str) -> DirectedHypergraph:
             for name in tails + heads:
                 if name not in from_edges:
                     from_edges.append(name)
+        elif tokens[0] == "v":
+            if len(tokens) != 2:
+                raise ParseError(f"line {lineno}: vertex line needs exactly one name")
+            name = _naive_name(tokens[1], lineno)
+            if name in declared:
+                raise ParseError(f"line {lineno}: duplicate declaration of {name}")
+            declared.append(name)
         else:
             raise ParseError(f"line {lineno}: unrecognized line {line!r}")
     order = declared + [v for v in from_edges if v not in declared]

@@ -68,6 +68,16 @@ class TestParse:
         hg = parse("# intro\n\nv a  # trailing\ne a b > c\n")
         assert hg.vertices == ("a", "b", "c")
 
+    def test_bare_edge_line_with_first_tail_v(self):
+        # '>' is never a name, so a line holding it is an edge line.
+        hg = parse("v b > c\nv > a\nv d\n")
+        assert hg.vertices == ("d", "v", "b", "c", "a")
+        assert hg.edges == (edge(["v", "b"], ["c"]), edge(["v"], ["a"]))
+        assert parse(serialize(hg)) == hg
+
+    def test_leading_e_is_the_keyword(self):
+        assert parse("e b > c").edges == (edge(["b"], ["c"]),)
+
     def test_empty_side(self):
         hg = parse("e a b >\ne > c d\n")
         assert hg.edges[0].head == frozenset()
@@ -155,9 +165,11 @@ class TestParseAgainstNaiveReader:
             else:  # "line N: <first two words> ..."
                 kind = " ".join(got[1].split(": ", 1)[-1].split()[:2])
             outcomes[kind] = outcomes.get(kind, 0) + 1
-        # The grid reaches every outcome the reader has.
+        # The grid reaches every outcome the reader has.  No text holds an
+        # invalid name: a '>' token makes its line an edge line, where it is
+        # the cut.
         assert set(outcomes) == {
-            "parsed", "vertex line", "invalid vertex", "duplicate declaration",
+            "parsed", "vertex line", "duplicate declaration",
             "edge line", "edge has", "head and", "unrecognized line",
         }, outcomes
         assert min(outcomes.values()) >= 10, outcomes
@@ -166,7 +178,9 @@ class TestParseAgainstNaiveReader:
         for text in (
             "e a b > c\r\nv d\r\nv a\n",  # declared after use, CRLF
             "v b\nv b\n",  # duplicate declaration
-            "v >\n",  # the cut token as a name
+            "v >\n",  # an edge line, not the cut token as a name
+            "v b > c\n",  # an edge whose first tail is v
+            "v > a\n",
             "e a#b > c\n",  # the comment cuts the '>' away
             "e a b#> c\n",
             "e a\x1cb > c\n",  # \x1c ends a line

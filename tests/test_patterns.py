@@ -619,10 +619,45 @@ class TestPairWalk:
             assert any(contains_pattern(hg, pattern).witnesses for hg in TWO_ONE_TWO_VERTEX)
 
 
+ONE_VERTEX_CONDITIONS = ("onehead-h1", "i0-free", "r4-free", "i0r4-free", "lovasz")
+ONE_VERTEX_CODES = _PATTERN_CODES["I0"] | _PATTERN_CODES["H1"] | _PATTERN_CODES["R4"]
+
+
+class TestOneVertexWalk:
+    """The five one-vertex checks name each pair's code from the key list
+    that found it, with no kernel call; their witnesses must equal the
+    all-pairs oracle's, in order."""
+
+    INSTANCES = (gen_h2_tower(5), shared_count_instance())
+
+    def test_no_check_mixes_one_and_two_vertex_codes(self):
+        # A mask holding a one-vertex code takes the vertex walk, which finds
+        # no pair sharing two vertices.
+        for name, mask in CODE_MASKS.items():
+            assert mask & ONE_VERTEX_CODES in (0, mask), name
+        assert {c for c in CONDITION_IDS if VIOLATING_CODES[c] & ONE_VERTEX_CODES} == set(
+            ONE_VERTEX_CONDITIONS)
+
+    def test_conditions_against_the_oracle(self):
+        for idx, hg in enumerate(self.INSTANCES):
+            for cond in ONE_VERTEX_CONDITIONS:
+                rows = list(check_condition(hg, cond).witnesses)
+                assert rows == naive_condition_witnesses(hg, cond), (idx, cond)
+                assert rows, (idx, cond)
+
+    def test_equal_rows_share_one_object(self):
+        for idx, hg in enumerate(self.INSTANCES):
+            for cond in CONDITION_IDS:
+                first = {}
+                for w in check_condition(hg, cond).witnesses:
+                    assert first.setdefault(w.common, w.common) is w.common, (idx, cond, w)
+
+
 class TestPairsExamined:
-    """PatternReport.pairs_examined counts the candidate pairs handed to the
-    kernel: the pair walk's on the two-vertex checks, the vertex walk's on
-    the rest."""
+    """PatternReport.pairs_examined counts the candidate pairs a check
+    examined: those the pair walk hands the kernel on the two-vertex checks,
+    and on the rest those the vertex walk's mask test sees, once under each
+    key a pair shares."""
 
     @staticmethod
     def vertex_walk_count(hg, codes):
@@ -646,8 +681,10 @@ class TestPairsExamined:
         report = check_condition(hg, "tails-only-2-intersect")
         assert report.pairs_examined == len(report.witnesses) == 3810
         assert contains_pattern(hg, "R3").pairs_examined == 0
-        assert check_condition(hg, "lovasz").pairs_examined == self.vertex_walk_count(
-            hg, VIOLATING_CODES["lovasz"])
+        # lovasz needs every role class, so the walk meets each pair of edges
+        # through a vertex at that vertex: a pair sharing two vertices twice.
+        pairs_at = sum(len(es) * (len(es) - 1) // 2 for es in hg.index.edges_at)
+        assert check_condition(hg, "lovasz").pairs_examined == pairs_at == 38892
 
     def test_left_out_of_equality_and_repr(self):
         report = contains_pattern(gen_h2_tower(4), "I1")

@@ -118,7 +118,8 @@ def _require_hypothesis(hg: DirectedHypergraph, spec: Algorithm) -> None:
         raise PreconditionError(f"edges {bad} {text}")
     report = check_condition(hg, spec.condition)
     if not report.avoided:
-        pairs = ", ".join(f"({w.i},{w.j})" for w in report.witnesses[:5])
+        first, second, _ = report.columns
+        pairs = ", ".join(f"({i},{j})" for i, j in zip(first[:5], second[:5]))
         raise PreconditionError(f"condition {spec.condition} violated by edge pairs {pairs}", report)
 
 

@@ -110,8 +110,8 @@ def induce_good_coloring(hg: DirectedHypergraph) -> GoodColoring:
     for pattern in ("R3", "E"):
         report = contains_pattern(hg, pattern)
         if not report.avoided:
-            w = report.witnesses[0]
-            raise ValueError(f"hypergraph contains {pattern} (edges {w.i},{w.j})")
+            first, second, _ = report.columns
+            raise ValueError(f"hypergraph contains {pattern} (edges {first[0]},{second[0]})")
 
     colors: dict[frozenset[str], str] = {}
     orientation: dict[frozenset[str], tuple[str, str]] = {}

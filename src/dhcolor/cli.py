@@ -44,13 +44,17 @@ def _emit(payload: dict, as_json: bool, human: list[str]) -> None:
 
 
 def _witness_lines(report) -> list[str]:
-    # Witnesses share a few distinct common rows, so each row's text is built once.
+    # Witnesses share a few distinct common rows, so each row's text is built
+    # once; a run of witnesses holding one row object looks it up once.
     texts: dict[tuple, str] = {}
     lines = []
-    for i, j, common in report.witnesses:
-        roles = texts.get(common)
-        if roles is None:
-            roles = texts[common] = ", ".join(f"{v}:{r1}/{r2}" for v, r1, r2 in common)
+    last = None
+    for i, j, common in zip(*report.columns):
+        if common is not last:
+            last = common
+            roles = texts.get(common)
+            if roles is None:
+                roles = texts[common] = ", ".join(f"{v}:{r1}/{r2}" for v, r1, r2 in common)
         lines.append(f"edges {i} {j}  common [{roles}]")
     return lines
 
@@ -59,16 +63,20 @@ def _check_json(report) -> str:
     """``json.dumps(payload, sort_keys=True)`` of a check's payload, where
     payload is ``{"check", "avoided", "witnesses": [{"edges", "common"}]}``.
 
-    Each distinct common row goes through json.dumps once and the witness
-    entries are assembled around it, in sorted key order with json's
-    default separators.
+    Each distinct common row goes through json.dumps once (looked up once per
+    run of witnesses holding one row object, as ``_witness_lines`` does) and
+    the witness entries are assembled around it, in sorted key order with
+    json's default separators.  Witnesses are read off the report's columns.
     """
     texts: dict[tuple, str] = {}
     entries = []
-    for i, j, common in report.witnesses:
-        text = texts.get(common)
-        if text is None:
-            text = texts[common] = json.dumps(common)
+    last = None
+    for i, j, common in zip(*report.columns):
+        if common is not last:
+            last = common
+            text = texts.get(common)
+            if text is None:
+                text = texts[common] = json.dumps(common)
         entries.append(f'{{"common": {text}, "edges": [{i}, {j}]}}')
     return (f'{{"avoided": {json.dumps(report.avoided)}, "check": {json.dumps(report.pattern)}, '
             f'"witnesses": [{", ".join(entries)}]}}')

@@ -56,21 +56,28 @@ Which keys a check walks follows from its codes alone.
 
 The pair walk hands each edge's whole partner list to the kernel,
 ``matching_partners``, in one call, which yields only the matching
-partners, so no pair costs a function call.  A witness is a named tuple,
-and each distinct shared-vertex row is built once and shared by every
-witness that has it.  Witnesses come out in ascending (i, j) order.
+partners, so no pair costs a function call.
+
+Witnesses.  A check stores its witness pairs as three columns, edge i, edge
+j and the shared-vertex row (``PatternReport.columns``), and turns them
+into named-tuple records (``IntersectionProfile``) only when
+``PatternReport.witnesses`` is read; the CLI prints from the columns.  The
+vertex walk extends the columns a key list at a time.  Each distinct
+shared-vertex row is built once and shared by every witness that has it.
+Witnesses come out in ascending (i, j) order.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .core import (DirectedEdge, DirectedHypergraph, HypergraphIndex, _mask_row, _row_masks,
-                   file_under_keys, is_two_to_one)
+                   _setattr, file_under_keys, is_two_to_one)
 
 PATTERN_IDS = ("H2", "I1", "R3", "E", "I0", "H1", "R4")
 
@@ -108,22 +115,76 @@ class IntersectionProfile(NamedTuple):
     common: tuple[tuple[str, str, str], ...]  # (vertex, role in edge i, role in edge j)
 
 
-@dataclass(frozen=True)
+# The columns of a report with no witnesses, shared by every such report.
+_NO_WITNESSES: tuple = ((), (), ())
+
+
 class PatternReport:
-    """Outcome of a pattern or condition check; avoided iff no witnesses."""
+    """Outcome of a pattern or condition check; avoided iff no witnesses.
+
+    The witness pairs are kept as three columns, ``columns = (i, j, common)``:
+    three lists holding edge i, edge j and the shared-vertex row of each
+    witness (equal rows are one object), or one set of empty columns shared
+    by every report without witnesses.  ``witnesses`` turns the columns into
+    IntersectionProfile records on first read and keeps them.  A report is
+    immutable, and it equals, hashes, prints and pickles as the report built
+    by ``PatternReport(pattern, avoided, witnesses)`` from its own witnesses.
+    """
 
     pattern: str
     avoided: bool
-    witnesses: tuple[IntersectionProfile, ...]
+    columns: tuple[Sequence[int], Sequence[int], Sequence[tuple[tuple[str, str, str], ...]]]
     # Candidate pairs the check examined: those the pair walk handed to the
     # kernel, or those the vertex walk's mask test saw, where a pair met
     # under two keys counts twice.  A measure of its cost, not of its
-    # outcome, so it takes no part in equality or repr.
-    pairs_examined: int = field(default=0, compare=False, repr=False)
+    # outcome, so it takes no part in equality, hash or repr.
+    pairs_examined: int
 
-    def __post_init__(self) -> None:
-        if self.avoided != (not self.witnesses):
+    def __init__(self, pattern: str, avoided: bool,
+                 witnesses: Sequence[tuple[int, int, tuple]], pairs_examined: int = 0) -> None:
+        if avoided != (not witnesses):
             raise ValueError("avoided flag inconsistent with witness list")
+        self._fill(pattern, tuple(map(list, zip(*witnesses))) if witnesses else _NO_WITNESSES,
+                   pairs_examined)
+
+    @classmethod
+    def _of(cls, pattern: str, columns: tuple, pairs_examined: int) -> PatternReport:
+        """The report of a check, over the columns its walk filled."""
+        report = cls.__new__(cls)
+        report._fill(pattern, columns, pairs_examined)
+        return report
+
+    def _fill(self, pattern: str, columns: tuple, pairs_examined: int) -> None:
+        # past the frozen __setattr__, one attribute at a time: an instance
+        # whose __dict__ is never read keeps its attributes without building
+        # one, which keeps the many empty reports of small inputs small
+        _setattr(self, "pattern", pattern)
+        _setattr(self, "avoided", not columns[0])
+        _setattr(self, "columns", columns)
+        _setattr(self, "pairs_examined", pairs_examined)
+
+    @cached_property
+    def witnesses(self) -> tuple[IntersectionProfile, ...]:
+        return tuple(map(IntersectionProfile._make, zip(*self.columns)))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.pattern, self.avoided, self.columns)
+                == (other.pattern, other.avoided, other.columns))
+
+    def __hash__(self) -> int:
+        return hash((self.pattern, self.avoided, tuple(zip(*self.columns))))
+
+    def __repr__(self) -> str:
+        return (f"PatternReport(pattern={self.pattern!r}, avoided={self.avoided!r}, "
+                f"witnesses={self.witnesses!r})")
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 # Intersection codes of matching_partners and pair_code, one row each: the
@@ -299,10 +360,10 @@ def _rows(names: tuple[str, ...], common: int,
                  for p in _mask_row(common))
 
 
-def _witnesses(hg: DirectedHypergraph,
-               codes: int) -> tuple[tuple[IntersectionProfile, ...], int]:
-    """Profiles of the vertex-sharing pairs whose code is in the codes mask,
-    and the number of candidate pairs the check examined.
+def _witnesses(hg: DirectedHypergraph, codes: int) -> tuple[tuple, int]:
+    """The columns (i, j, common) of the vertex-sharing pairs whose code is
+    in the codes mask, in ascending (i, j) order, and the number of
+    candidate pairs the check examined.
 
     When every code in the mask needs two shared vertices the candidates come
     from the walk over vertex-pair keys and go to the kernel; otherwise the
@@ -318,9 +379,10 @@ def _witnesses(hg: DirectedHypergraph,
     # Witnesses often repeat one shared vertex set with the same roles, so
     # their rows are built once and shared.
     rows_of: dict[tuple[int, int, int], tuple[tuple[str, str, str], ...]] = {}
-    out = []
+    I: list[int] = []
+    J: list[int] = []
+    R: list[tuple[tuple[str, str, str], ...]] = []
     examined = 0
-    new = tuple.__new__  # IntersectionProfile(i, j, rows) without the generated __new__'s frame
     for i, later in _partners(_PairKeys(index), pair_roles):
         if not later:  # most edges of a sparse input: skip the kernel call
             continue
@@ -334,12 +396,14 @@ def _witnesses(hg: DirectedHypergraph,
             rows = rows_of.get(key)
             if rows is None:
                 rows = rows_of[key] = _rows(names, common, h1, h2)
-            out.append(new(IntersectionProfile, (i, j, rows)))
-    return tuple(out), examined
+            I.append(i)
+            J.append(j)
+            R.append(rows)
+    return (I, J, R) if I else _NO_WITNESSES, examined
 
 
 def _one_vertex_witnesses(index: HypergraphIndex, names: tuple[str, ...],
-                          roles: int) -> tuple[tuple[IntersectionProfile, ...], int]:
+                          roles: int) -> tuple[tuple, int]:
     """``_witnesses`` for a mask of one-vertex codes, which need the role
     classes in ``roles``: the pairs sharing exactly one vertex in one of
     those classes, and the number of candidates the mask test saw.
@@ -353,16 +417,18 @@ def _one_vertex_witnesses(index: HypergraphIndex, names: tuple[str, ...],
     fails the mask test under each of its keys (and counts as a candidate
     under each); a pair sharing one vertex passes under that key only, so
     sorting each edge's hits by j gives ascending (i, j) order with no
-    deduplication.
+    deduplication.  The hits of a key go onto the j and row columns as a
+    whole list, and each edge's count onto the i column at once.
     """
     masks = index.masks
     # each crossing's rows by key, built at the key's first hit
     crossings = [(*crossing, {}) for crossing in _crossings(index, roles)]
-    out = []
+    I: list[int] = []
+    J: list[int] = []
+    R: list[tuple[tuple[str, str, str], ...]] = []
     examined = 0
-    new = tuple.__new__  # IntersectionProfile(i, j, rows) without the generated __new__'s frame
     for i, mask in enumerate(masks):
-        hits: list[IntersectionProfile] = []
+        start = len(J)
         merge = False  # hits from a second key interleave with the first's
         for keys, lists, role_i, role_j, rows_at in crossings:
             for p in keys[i]:
@@ -376,13 +442,17 @@ def _one_vertex_witnesses(index: HypergraphIndex, names: tuple[str, ...],
                         row = rows_at.get(p)
                         if row is None:
                             row = rows_at[p] = ((names[p], role_i, role_j),)
-                        if hits:
+                        if len(J) > start:
                             merge = True
-                        hits += [new(IntersectionProfile, (i, j, row)) for j in found]
-        if merge:
-            hits.sort()  # one i, and each j is met once, so rows are never compared
-        out += hits
-    return tuple(out), examined
+                        J += found
+                        R += [row] * len(found)
+        count = len(J) - start
+        if count:
+            if merge:
+                # one i, and each j is met once, so rows are never compared
+                J[start:], R[start:] = zip(*sorted(zip(J[start:], R[start:])))
+            I += [i] * count
+    return (I, J, R) if I else _NO_WITNESSES, examined
 
 
 def classify_intersection(hg: DirectedHypergraph, i: int, j: int) -> IntersectionProfile:
@@ -415,8 +485,7 @@ def contains_pattern(hg: DirectedHypergraph, pattern: str) -> PatternReport:
         raise ValueError(f"unknown pattern {pattern!r}; expected one of {PATTERN_IDS}")
     if not is_two_to_one(hg):
         raise ValueError("pattern containment is defined for 2->1 hypergraphs only")
-    witnesses, examined = _witnesses(hg, _PATTERN_CODES[pattern])
-    return PatternReport(pattern, not witnesses, witnesses, examined)
+    return PatternReport._of(pattern, *_witnesses(hg, _PATTERN_CODES[pattern]))
 
 
 def check_condition(hg: DirectedHypergraph, cond: str) -> PatternReport:
@@ -427,5 +496,4 @@ def check_condition(hg: DirectedHypergraph, cond: str) -> PatternReport:
     """
     if cond not in CONDITION_IDS:
         raise ValueError(f"unknown condition {cond!r}; expected one of {CONDITION_IDS}")
-    witnesses, examined = _witnesses(hg, VIOLATING_CODES[cond])
-    return PatternReport(cond, not witnesses, witnesses, examined)
+    return PatternReport._of(cond, *_witnesses(hg, VIOLATING_CODES[cond]))

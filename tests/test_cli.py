@@ -13,6 +13,7 @@ from dhcolor import (
     CONDITION_IDS,
     PATTERN_IDS,
     Coloring,
+    PatternReport,
     check_condition,
     contains_pattern,
     gen_h2_tower,
@@ -140,10 +141,21 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+@pytest.fixture(params=[False, True], ids=["records", "no-records"])
+def record_guard(request, monkeypatch):
+    """With the "no-records" param, reading ``PatternReport.witnesses``
+    raises, so the run must print its witnesses from the report's columns."""
+    if request.param:
+        def refuse(report):
+            raise AssertionError("PatternReport.witnesses read")
+
+        monkeypatch.setattr(PatternReport, "witnesses", property(refuse))
+
+
 class TestGoldenOutput:
     """Witness output is byte-identical to the plain encoders' output."""
 
-    def test_check_stdout_on_h2_tower_5(self, tmp_path, capsys):
+    def test_check_stdout_on_h2_tower_5(self, tmp_path, capsys, record_guard):
         path = tmp_path / "h5.dhg"
         path.write_text(serialize(gen_h2_tower(5)))
         for check in CONDITION_IDS + PATTERN_IDS:
@@ -154,7 +166,7 @@ class TestGoldenOutput:
                 assert captured.err == ""
                 assert _sha256(captured.out) == H5_CHECK_DIGESTS[check, as_json], (check, as_json)
 
-    def test_ht3_rejection_stderr_on_h2_tower_6(self, tmp_path, capsys):
+    def test_ht3_rejection_stderr_on_h2_tower_6(self, tmp_path, capsys, record_guard):
         path = tmp_path / "h6.dhg"
         path.write_text(serialize(gen_h2_tower(6)))
         assert main(["color", str(path), "--algo", "ht3", "--json"]) == 1

@@ -1,3 +1,4 @@
+import hashlib
 import pickle
 import random
 from dataclasses import dataclass
@@ -692,3 +693,49 @@ class TestPairsExamined:
         bare = PatternReport(report.pattern, report.avoided, report.witnesses)
         assert bare.pairs_examined == 0
         assert report == bare and repr(report) == repr(bare)
+
+
+class TestReportValueSemantics:
+    """A report equals, hashes, prints and pickles like a copy rebuilt
+    through the public constructor from its own witnesses, whatever it
+    stores inside."""
+
+    # sha256 of repr(contains_pattern(gen_h2_tower(4), "I1")): 330 witnesses.
+    I1_REPR_DIGEST = "a57e81ae42e041ffc4666d1842e5b145708979a8376942d082b8ae4c085b3568"
+
+    @pytest.mark.parametrize("make, expected_repr", [
+        (lambda: contains_pattern(gen_h2_tower(4), "I1"), None),
+        (lambda: check_condition(paper_r(), "r4-free"),
+         "PatternReport(pattern='r4-free', avoided=True, witnesses=())"),
+    ], ids=["witnesses", "none"])
+    def test_against_a_rebuilt_copy(self, make, expected_repr):
+        report = make()
+        assert report.pairs_examined > 0
+        copy = PatternReport(report.pattern, report.avoided, report.witnesses)
+        assert report == copy and hash(report) == hash(copy)
+        assert not report != copy
+        assert repr(report) == repr(copy)
+        if expected_repr is None:
+            assert len(report.witnesses) == 330
+            assert hashlib.sha256(repr(report).encode()).hexdigest() == self.I1_REPR_DIGEST
+        else:
+            assert repr(report) == expected_repr
+        for r in (report, copy):
+            with pytest.raises(AttributeError):
+                r.avoided = not r.avoided
+            assert type(r.witnesses) is tuple
+            assert all(type(w) is IntersectionProfile for w in r.witnesses)
+        for r in (make(), copy):  # witnesses unread, and read
+            back = pickle.loads(pickle.dumps(r))
+            assert back == r and back.witnesses == r.witnesses
+            assert back.pairs_examined == r.pairs_examined
+            assert hash(back) == hash(r) and repr(back) == repr(r)
+
+    def test_other_checks_differ(self):
+        i1 = contains_pattern(gen_h2_tower(4), "I1")
+        h1 = contains_pattern(gen_h2_tower(4), "H1")
+        assert i1 != h1 and i1 != contains_pattern(gen_h2_tower(3), "I1")
+        assert i1 != (i1.pattern, i1.avoided, i1.witnesses)
+        empty = check_condition(paper_r(), "r4-free")
+        assert empty == PatternReport("r4-free", True, ())
+        assert empty != PatternReport("i0-free", True, ())

@@ -141,21 +141,33 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-@pytest.fixture(params=[False, True], ids=["records", "no-records"])
-def record_guard(request, monkeypatch):
-    """With the "no-records" param, reading ``PatternReport.witnesses``
-    raises, so the run must print its witnesses from the report's columns."""
-    if request.param:
-        def refuse(report):
-            raise AssertionError("PatternReport.witnesses read")
+@pytest.fixture
+def no_records(monkeypatch):
+    """Reading ``PatternReport.witnesses`` raises, so the run must print
+    its witnesses from the report's columns."""
+    def refuse(report):
+        raise AssertionError("PatternReport.witnesses read")
 
-        monkeypatch.setattr(PatternReport, "witnesses", property(refuse))
+    monkeypatch.setattr(PatternReport, "witnesses", property(refuse))
 
 
 class TestGoldenOutput:
     """Witness output is byte-identical to the plain encoders' output."""
 
-    def test_check_stdout_on_h2_tower_5(self, tmp_path, capsys, record_guard):
+    def test_check_stdout_on_h2_tower_5(self, tmp_path, capsys):
+        self._check_stdout_on_h2_tower_5(tmp_path, capsys)
+
+    def test_check_stdout_on_h2_tower_5_without_records(self, tmp_path, capsys, no_records):
+        self._check_stdout_on_h2_tower_5(tmp_path, capsys)
+
+    def test_ht3_rejection_stderr_on_h2_tower_6(self, tmp_path, capsys):
+        self._ht3_rejection_stderr_on_h2_tower_6(tmp_path, capsys)
+
+    def test_ht3_rejection_stderr_on_h2_tower_6_without_records(self, tmp_path, capsys, no_records):
+        self._ht3_rejection_stderr_on_h2_tower_6(tmp_path, capsys)
+
+    @staticmethod
+    def _check_stdout_on_h2_tower_5(tmp_path, capsys):
         path = tmp_path / "h5.dhg"
         path.write_text(serialize(gen_h2_tower(5)))
         for check in CONDITION_IDS + PATTERN_IDS:
@@ -166,7 +178,8 @@ class TestGoldenOutput:
                 assert captured.err == ""
                 assert _sha256(captured.out) == H5_CHECK_DIGESTS[check, as_json], (check, as_json)
 
-    def test_ht3_rejection_stderr_on_h2_tower_6(self, tmp_path, capsys, record_guard):
+    @staticmethod
+    def _ht3_rejection_stderr_on_h2_tower_6(tmp_path, capsys):
         path = tmp_path / "h6.dhg"
         path.write_text(serialize(gen_h2_tower(6)))
         assert main(["color", str(path), "--algo", "ht3", "--json"]) == 1

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from .core import (
@@ -45,7 +44,9 @@ from .core import (
     Coloring,
     DirectedEdge,
     DirectedHypergraph,
+    Value,
     _mask_row,
+    _setattr,
     is_proper,
     normalize,
 )
@@ -68,13 +69,21 @@ class InvariantViolationError(RuntimeError):
         self.violations = list(violations)
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(Value):
+    _fields = ("step", "vertex", "action", "edge", "next_vertex")
     step: int
     vertex: str
     action: str  # kept | colored-red | recolored-previous-blue | colored-green | colored-yellow
-    edge: int | None = None
-    next_vertex: str | None = None
+    edge: int | None
+    next_vertex: str | None
+
+    def __init__(self, step: int, vertex: str, action: str, edge: int | None = None,
+                 next_vertex: str | None = None) -> None:
+        _setattr(self, "step", step)
+        _setattr(self, "vertex", vertex)
+        _setattr(self, "action", action)
+        _setattr(self, "edge", edge)
+        _setattr(self, "next_vertex", next_vertex)
 
     def line(self) -> str:
         e = "-" if self.edge is None else str(self.edge)
@@ -82,12 +91,17 @@ class TraceEvent:
         return f"{self.step} {self.vertex} {self.action} {e} {nxt}"
 
 
-@dataclass
-class RunTrace:
+class RunTrace(Value, frozen=False):
     """Ordered event log of one algorithm run plus any invariant violations."""
 
-    events: list[TraceEvent] = field(default_factory=list)
-    violations: list[str] = field(default_factory=list)
+    _fields = ("events", "violations")
+    events: list[TraceEvent]
+    violations: list[str]
+
+    def __init__(self, events: list[TraceEvent] | None = None,
+                 violations: list[str] | None = None) -> None:
+        self.events = [] if events is None else events
+        self.violations = [] if violations is None else violations
 
     def add(self, vertex: str, action: str, edge: int | None = None,
             next_vertex: str | None = None) -> None:
@@ -351,12 +365,16 @@ def color_head_tail_3(
     return coloring, trace
 
 
-@dataclass(frozen=True)
-class HeadStar:
+class HeadStar(Value):
     """Shape of the set of edges headed by one vertex."""
 
+    _fields = ("kind", "vertices")
     kind: str  # empty | pivot | triangle
     vertices: tuple[str, ...]  # () | (pivot,) | (v, w, z)
+
+    def __init__(self, kind: str, vertices: tuple[str, ...]) -> None:
+        _setattr(self, "kind", kind)
+        _setattr(self, "vertices", vertices)
 
 
 def classify_head_star(hg: DirectedHypergraph, u: str, checked: bool = True) -> HeadStar:

@@ -23,10 +23,9 @@ apex shape from their three colors, reading the orientation of the red pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
-from .core import DirectedHypergraph
+from .core import DirectedHypergraph, Value, _setattr
 from .patterns import contains_pattern
 
 RED_PAIR = "red"
@@ -51,17 +50,19 @@ def f_bound(n: int) -> int:
     return table[n]
 
 
-@dataclass(frozen=True)
-class GoodColoring:
+class GoodColoring(Value):
     """Red/blue shadow-edge coloring with an orientation for the red edges."""
 
+    _fields = ("hypergraph", "colors", "orientation")
     hypergraph: DirectedHypergraph
-    colors: Mapping[frozenset[str], str]
-    orientation: Mapping[frozenset[str], tuple[str, str]]
+    colors: dict[frozenset[str], str]
+    orientation: dict[frozenset[str], tuple[str, str]]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "colors", dict(self.colors))
-        object.__setattr__(self, "orientation", dict(self.orientation))
+    def __init__(self, hypergraph: DirectedHypergraph, colors: Mapping[frozenset[str], str],
+                 orientation: Mapping[frozenset[str], tuple[str, str]]) -> None:
+        _setattr(self, "hypergraph", hypergraph)
+        _setattr(self, "colors", dict(colors))
+        _setattr(self, "orientation", dict(orientation))
 
 
 def verify_good_coloring(gc: GoodColoring) -> bool:

@@ -7,9 +7,8 @@ are immutable after construction; every operation is a pure function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from operator import add
+from operator import add, attrgetter
 from typing import Iterable, Mapping
 
 # Color indices used by every algorithm and trace in this package.
@@ -33,25 +32,74 @@ def _check_name(name: str) -> str:
     return name
 
 
-_setattr = object.__setattr__  # bypasses the frozen dataclasses' __setattr__
+_setattr = object.__setattr__  # bypasses the frozen values' __setattr__
 
 
-@dataclass(frozen=True)
-class DirectedEdge:
+class FrozenInstanceError(AttributeError):
+    """An attribute of an immutable value was assigned or deleted."""
+
+
+class Value:
+    """Base of the package's value classes.
+
+    A subclass names its fields, in order, in ``_fields`` and sets them in
+    its own ``__init__`` through ``_setattr``.  Instances are equal when
+    they are of the same class and their fields are equal (any other class
+    gets ``NotImplemented``), hash as the tuple of their fields, print as
+    ``Name(field=value, ...)`` and are frozen: assigning or deleting any
+    attribute raises ``FrozenInstanceError``.  ``class C(Value,
+    frozen=False)`` declares a mutable, unhashable record instead.  An
+    instance with a ``__dict__`` pickles and copies as any object does, as
+    pickle fills ``__dict__`` without calling ``__setattr__``; a subclass
+    with ``__slots__`` writes a ``__reduce__``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, frozen: bool = True, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # Called with an instance, the fields' values as a tuple (attrgetter
+        # returns a tuple for two or more names; every value has at least two).
+        cls._values = attrgetter(*cls._fields)
+        if not frozen:
+            cls.__setattr__ = object.__setattr__
+            cls.__delattr__ = object.__delattr__
+            cls.__hash__ = None
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class DirectedEdge(Value):
     """One hyperedge: disjoint tail and head vertex sets, union non-empty.
 
     ``vertices`` (tail | head) is computed once at construction.
     """
 
+    __slots__ = ("tail", "head", "vertices")
+    _fields = ("tail", "head")
     tail: frozenset[str]
     head: frozenset[str]
 
     def __init__(self, tail: Iterable[str], head: Iterable[str]) -> None:
-        # Written out (dataclass keeps an explicit __init__) so each attribute
-        # is set once.  frozenset() of a frozenset is the same object, so
-        # sides that are already frozen cost nothing here.  Setting through
-        # self.__dict__ would be faster still, but on CPython 3.11 it gives
-        # every edge a dict of its own, ~140 bytes more per edge.
+        # frozenset() of a frozenset is the same object, so sides that are
+        # already frozen cost nothing here.
         tail, head = frozenset(tail), frozenset(head)
         if tail & head:
             overlap = ",".join(sorted(tail & head))
@@ -66,6 +114,11 @@ class DirectedEdge:
 
     def __len__(self) -> int:
         return len(self.tail) + len(self.head)
+
+    def __reduce__(self):
+        # Slots would be restored through the frozen __setattr__; rebuilding
+        # from the fields also recomputes vertices.
+        return DirectedEdge, (self.tail, self.head)
 
 
 edge = DirectedEdge  # the short name; it takes any iterables of vertex names
@@ -143,8 +196,7 @@ def file_under_keys(rows: Iterable[Iterable[int]], lists):
     return lists
 
 
-@dataclass(frozen=True)
-class DirectedHypergraph:
+class DirectedHypergraph(Value):
     """Ordered vertex sequence plus edge sequence.
 
     The vertex ordering is part of the value: the coloring algorithms are
@@ -155,12 +207,13 @@ class DirectedHypergraph:
     ``repr``.
     """
 
+    _fields = ("vertices", "edges")
     vertices: tuple[str, ...]
     edges: tuple[DirectedEdge, ...]
 
-    def __post_init__(self) -> None:
-        _setattr(self, "vertices", tuple(self.vertices))
-        _setattr(self, "edges", tuple(self.edges))
+    def __init__(self, vertices: Iterable[str], edges: Iterable[DirectedEdge]) -> None:
+        _setattr(self, "vertices", tuple(vertices))
+        _setattr(self, "edges", tuple(edges))
         positions = {}
         for p, v in enumerate(self.vertices):
             _check_name(v)
@@ -198,21 +251,22 @@ def is_two_to_one(hg: DirectedHypergraph) -> bool:
     return all(len(e.tail) == 2 and len(e.head) == 1 for e in hg.edges)
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(Value):
     """Total assignment of color indices 0..k-1 to vertex names."""
 
-    assignment: Mapping[str, int]
+    _fields = ("assignment", "k")
+    assignment: dict[str, int]
     k: int
 
-    def __post_init__(self) -> None:
-        _setattr(self, "assignment", dict(self.assignment))
+    def __init__(self, assignment: Mapping[str, int], k: int) -> None:
+        _setattr(self, "assignment", dict(assignment))
+        _setattr(self, "k", k)
         # Only ints (not bools or floats) come back from the text form as they went in.
-        if type(self.k) is not int or self.k < 1:
-            raise ValidationError(f"a coloring needs an int count of colors >= 1, not {self.k!r}")
+        if type(k) is not int or k < 1:
+            raise ValidationError(f"a coloring needs an int count of colors >= 1, not {k!r}")
         for v, c in self.assignment.items():
-            if type(c) is not int or not 0 <= c < self.k:
-                raise ValidationError(f"color {c!r} of {v} is not an int in 0..{self.k - 1}")
+            if type(c) is not int or not 0 <= c < k:
+                raise ValidationError(f"color {c!r} of {v} is not an int in 0..{k - 1}")
 
     def colors_used(self) -> int:
         return len(set(self.assignment.values()))

@@ -20,7 +20,6 @@ reproducible from their seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Callable
 
 from .algorithms import (  # noqa: F401 -- the color_* names, see below
@@ -33,7 +32,7 @@ from .algorithms import (  # noqa: F401 -- the color_* names, see below
     color_i0_r4_2,
     color_one_head,
 )
-from .core import DirectedHypergraph, is_proper
+from .core import DirectedHypergraph, Value, _setattr, is_proper
 from .generators import gen_random
 from .solver import chromatic_number
 
@@ -44,19 +43,31 @@ from .solver import chromatic_number
 EXACT_CHECK_MAX_N = 8
 
 
-@dataclass(frozen=True)
-class FuzzFailure:
+class FuzzFailure(Value):
+    _fields = ("seed", "n", "m", "reason")
     seed: int
     n: int
     m: int
     reason: str
 
+    def __init__(self, seed: int, n: int, m: int, reason: str) -> None:
+        _setattr(self, "seed", seed)
+        _setattr(self, "n", n)
+        _setattr(self, "m", m)
+        _setattr(self, "reason", reason)
 
-@dataclass
-class FuzzReport:
+
+class FuzzReport(Value, frozen=False):
+    _fields = ("algorithm", "trials", "failures")
     algorithm: str
     trials: int
-    failures: list[FuzzFailure] = field(default_factory=list)
+    failures: list[FuzzFailure]
+
+    def __init__(self, algorithm: str, trials: int,
+                 failures: list[FuzzFailure] | None = None) -> None:
+        self.algorithm = algorithm
+        self.trials = trials
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self) -> bool:

@@ -8,11 +8,10 @@ All generators are deterministic functions of their parameters.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import ceil, comb, log
 
-from .core import DirectedEdge, DirectedHypergraph, _mask_row
+from .core import DirectedEdge, DirectedHypergraph, Value, _mask_row, _setattr
 from .patterns import CONDITION_IDS, VIOLATING_CODES, matching_partners
 
 GENERATOR_KINDS = ("paper-i", "paper-r", "h2-tower", "perm-tower", "random")
@@ -296,17 +295,27 @@ def gen_random(
     return DirectedHypergraph(names, edges)
 
 
-@dataclass(frozen=True)
-class GenSpec:
+class GenSpec(Value):
     """Parameters of one generator invocation; build() runs it."""
 
+    _fields = ("kind", "k", "n", "m", "cond", "seed", "tail_range")
     kind: str
-    k: int = 2
-    n: int = 5
-    m: int = 5
-    cond: str = "none"
-    seed: int = 0
-    tail_range: tuple[int, int] = (2, 2)
+    k: int
+    n: int
+    m: int
+    cond: str
+    seed: int
+    tail_range: tuple[int, int]
+
+    def __init__(self, kind: str, k: int = 2, n: int = 5, m: int = 5, cond: str = "none",
+                 seed: int = 0, tail_range: tuple[int, int] = (2, 2)) -> None:
+        _setattr(self, "kind", kind)
+        _setattr(self, "k", k)
+        _setattr(self, "n", n)
+        _setattr(self, "m", m)
+        _setattr(self, "cond", cond)
+        _setattr(self, "seed", seed)
+        _setattr(self, "tail_range", tail_range)
 
     def build(self) -> DirectedHypergraph:
         if self.kind == "paper-i":

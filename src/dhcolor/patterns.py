@@ -71,13 +71,12 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import defaultdict
-from dataclasses import FrozenInstanceError
 from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .core import (DirectedEdge, DirectedHypergraph, HypergraphIndex, _mask_row, _row_masks,
-                   _setattr, file_under_keys, is_two_to_one)
+from .core import (DirectedEdge, DirectedHypergraph, HypergraphIndex, Value, _mask_row,
+                   _row_masks, _setattr, file_under_keys, is_two_to_one)
 
 PATTERN_IDS = ("H2", "I1", "R3", "E", "I0", "H1", "R4")
 
@@ -119,7 +118,7 @@ class IntersectionProfile(NamedTuple):
 _NO_WITNESSES: tuple = ((), (), ())
 
 
-class PatternReport:
+class PatternReport(Value):
     """Outcome of a pattern or condition check; avoided iff no witnesses.
 
     The witness pairs are kept as three columns, ``columns = (i, j, common)``:
@@ -131,6 +130,8 @@ class PatternReport:
     by ``PatternReport(pattern, avoided, witnesses)`` from its own witnesses.
     """
 
+    # the fields of its repr; == and hash read the columns instead
+    _fields = ("pattern", "avoided", "witnesses")
     pattern: str
     avoided: bool
     columns: tuple[Sequence[int], Sequence[int], Sequence[tuple[tuple[str, str, str], ...]]]
@@ -175,16 +176,6 @@ class PatternReport:
 
     def __hash__(self) -> int:
         return hash((self.pattern, self.avoided, tuple(zip(*self.columns))))
-
-    def __repr__(self) -> str:
-        return (f"PatternReport(pattern={self.pattern!r}, avoided={self.avoided!r}, "
-                f"witnesses={self.witnesses!r})")
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 # Intersection codes of matching_partners and pair_code, one row each: the

@@ -71,9 +71,7 @@ explicit stacks, so its depth is not bounded by Python's recursion limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import Coloring, DirectedHypergraph, HypergraphIndex
+from .core import Coloring, DirectedHypergraph, HypergraphIndex, Value, _setattr
 
 DEFAULT_MAX_K = 8
 # chromatic_number lets the fixed order settle k alone, without the DSATUR
@@ -83,13 +81,18 @@ DEFAULT_MAX_K = 8
 _SMALL_TREE = 2 ** 16
 
 
-@dataclass(frozen=True)
-class ChromaticResult:
+class ChromaticResult(Value):
     """Chromatic number up to a search bound; chi is None beyond max_k."""
 
+    _fields = ("chi", "max_k", "witness")
     chi: int | None
     max_k: int
     witness: Coloring | None
+
+    def __init__(self, chi: int | None, max_k: int, witness: Coloring | None) -> None:
+        _setattr(self, "chi", chi)
+        _setattr(self, "max_k", max_k)
+        _setattr(self, "witness", witness)
 
     @property
     def exceeded(self) -> bool:

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import pickle
 import random
@@ -13,6 +12,7 @@ from dhcolor import (
     DirectedEdge,
     DirectedHypergraph,
     ParseError,
+    PatternReport,
     ValidationError,
     check_condition,
     chromatic_number,
@@ -28,10 +28,11 @@ from dhcolor import (
     serialize,
     serialize_coloring,
 )
-from dhcolor.core import _check_name
+from dhcolor.core import FrozenInstanceError, _check_name
 from oracles import naive_normalized_edges, naive_parse
 from test_algorithms import _pin_corpus
 from test_solver import general_instances
+from test_values import CASES as VALUE_CASES
 
 PAPER_I_TEXT = """\
 e v1 v2 > v3
@@ -437,10 +438,10 @@ class TestValidation:
             DirectedEdge(frozenset(), frozenset())
 
     def test_edge_constructor_semantics(self):
-        # DirectedEdge writes its own __init__; it must keep the dataclass
-        # value semantics: sides frozen from any iterable, vertices their
-        # union, the overlap check before the empty check, and equality,
-        # hash and repr over tail and head only.
+        # DirectedEdge writes its own __init__; it must keep the value
+        # semantics: sides frozen from any iterable, vertices their union,
+        # the overlap check before the empty check, and equality, hash and
+        # repr over tail and head only.
         rng = random.Random(6)
         names = [f"x{i}" for i in range(6)]
         wraps = (list, tuple, set, frozenset, iter)
@@ -470,12 +471,23 @@ class TestValidation:
                 assert e == built[0] and hash(e) == hash(built[0])
                 assert repr(e) == f"DirectedEdge(tail={e.tail!r}, head={e.head!r})"
                 assert len(e) == len(tail) + len(head)
-                assert e == dataclasses.replace(e) and pickle.loads(pickle.dumps(e)) == e
+                assert e == DirectedEdge(e.tail, e.head) and pickle.loads(pickle.dumps(e)) == e
                 assert pickle.loads(pickle.dumps(e)).vertices == e.vertices
-                with pytest.raises(dataclasses.FrozenInstanceError):
+                with pytest.raises(FrozenInstanceError):
                     e.tail = frozenset()
         assert refused == {"head and tail overlap", "edge has no vertices"}
-        assert [f.name for f in dataclasses.fields(DirectedEdge)] == ["tail", "head"]
+        assert DirectedEdge._fields == ("tail", "head")
+
+    def test_one_frozen_instance_error(self):
+        # Every frozen value, the pattern report too, raises the one error
+        # core defines, an AttributeError.
+        assert issubclass(FrozenInstanceError, AttributeError)
+        frozen = [value for value, *_, is_frozen in VALUE_CASES.values() if is_frozen]
+        for value in (*frozen, PatternReport("I1", True, ())):
+            with pytest.raises(FrozenInstanceError):
+                value.x = 1
+            with pytest.raises(FrozenInstanceError):
+                del value.x
 
     def test_non_str_names(self):
         with pytest.raises(ValidationError, match="invalid vertex name: 1"):

@@ -1,6 +1,8 @@
-"""The runtime stays stdlib-only: the package imports nothing else."""
+"""The runtime stays stdlib-only: the package imports nothing else, and its
+import chain leaves out the costly stdlib modules it does not need."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -22,3 +24,23 @@ def test_every_absolute_import_is_stdlib():
                 if module.split(".")[0] not in sys.stdlib_module_names:
                     outside.append(f"{path.name}:{node.lineno} {module}")
     assert outside == []
+
+
+def _modules_after(statement: str) -> set[str]:
+    """The module names a fresh isolated interpreter holds after statement."""
+    probe = f"import sys\nsys.path.insert(0, sys.argv[1])\n{statement}\nprint(*sys.modules)"
+    src = str(SOURCES[0].parent.parent)
+    out = subprocess.run([sys.executable, "-I", "-c", probe, src],
+                         capture_output=True, text=True, timeout=120, check=True).stdout
+    return set(out.split())
+
+
+def test_the_import_chain_leaves_out_dataclasses_and_inspect():
+    # dataclasses loads inspect (and with it ast, dis and tokenize); the
+    # value classes are written out so that the cold import pays for neither.
+    loaded = _modules_after("import dhcolor, dhcolor.cli, dhcolor.fuzzing")
+    assert {"dhcolor.cli", "dhcolor.fuzzing"} <= loaded
+    assert not {"dataclasses", "inspect"} & loaded
+    # The probe sees the modules when they are imported.
+    loaded = _modules_after("import dataclasses, dhcolor, dhcolor.cli, dhcolor.fuzzing")
+    assert {"dataclasses", "inspect", "dhcolor.cli"} <= loaded

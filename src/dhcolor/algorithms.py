@@ -42,8 +42,8 @@ from .core import (
     RED,
     YELLOW,
     Coloring,
-    DirectedEdge,
     DirectedHypergraph,
+    HypergraphIndex,
     Value,
     _mask_row,
     _setattr,
@@ -114,12 +114,13 @@ class RunTrace(Value, frozen=False):
         return "".join(ev.line() + "\n" for ev in self.events)
 
 
-# Each edge shape a hypothesis names: its predicate and its rejection text.
+# Each edge shape a hypothesis names: its predicate on an edge's head and
+# tail rows, and its rejection text.
 _SHAPES = {
-    "one-head": (lambda e: len(e.head) == 1 and len(e.tail) >= 2,
+    "one-head": (lambda heads, tails: len(heads) == 1 and len(tails) >= 2,
                  "lack the one-head, tails>=2 shape"),
-    "head-tail": (lambda e: bool(e.head and e.tail), "lack a head or a tail"),
-    "2->1": (lambda e: len(e.tail) == 2 and len(e.head) == 1, "are not of 2->1 shape"),
+    "head-tail": (lambda heads, tails: bool(heads and tails), "lack a head or a tail"),
+    "2->1": (lambda heads, tails: len(tails) == 2 and len(heads) == 1, "are not of 2->1 shape"),
 }
 
 
@@ -127,7 +128,8 @@ def _require_hypothesis(hg: DirectedHypergraph, spec: Algorithm) -> None:
     """Raise PreconditionError unless every edge has spec's shape and the
     edge pairs meet spec's condition, tested in that order."""
     fits, text = _SHAPES[spec.shape]
-    bad = [i for i, e in enumerate(hg.edges) if not fits(e)]
+    bad = [i for i, (heads, tails) in enumerate(zip(hg.index.head_rows, hg.index.tail_rows))
+           if not fits(heads, tails)]
     if bad:
         raise PreconditionError(f"edges {bad} {text}")
     report = check_condition(hg, spec.condition)
@@ -164,8 +166,9 @@ def _head_positions(hg: DirectedHypergraph) -> list[int | None]:
     """Each edge's head position (None for a headless edge).  An edge with
     several heads, which only unchecked runs meet, is filed under its
     smallest head name, as the pinned traces of those runs record."""
-    return [None if not row else row[0] if len(row) == 1 else hg.positions[min(e.head)]
-            for row, e in zip(hg.index.head_rows, hg.edges)]
+    name = hg.vertices.__getitem__
+    return [None if not row else row[0] if len(row) == 1 else min(row, key=name)
+            for row in hg.index.head_rows]
 
 
 class _Run:
@@ -337,8 +340,8 @@ def color_head_tail_3(
     a head vertex.
     """
     spec, hn, trace = _start(hg, "ht3", checked)
-    m = len(hn.edges)
     heads, tails = hn.index.head_masks, hn.index.tail_masks
+    m = len(heads)
     # An edge's last vertex is the top bit of its masks, which lies in the
     # larger of its head and tail masks.  Pass 1 closes the edges that end in
     # a tail there, pass 2 the others.
@@ -427,25 +430,28 @@ def augment_i0(hg: DirectedHypergraph, checked: bool = True) -> DirectedHypergra
     An empty star is filled around the smallest-index vertex other than u; a
     pivoted star is completed to every edge with head u through its pivot.
     The input's edges are kept, so any proper coloring of the result is proper
-    for the input.
+    for the input.  The result is built from position rows, the input's
+    followed by the added edges', so augmenting builds no ``DirectedEdge``,
+    checked or not.
     """
     if checked:
         _require_hypothesis(hg, ALGORITHMS["i0-4"])
-        vsets = [e.vertices for e in hg.edges]
-        if len(set(vsets)) != len(vsets):
+        masks = hg.index.masks
+        if len(set(masks)) != len(masks):
             raise PreconditionError("two edges share a vertex set")
-    names, n, tail_masks = hg.vertices, hg.n, hg.index.tail_masks
-    additions: list[DirectedEdge] = []
-    for u, ks in enumerate(hg.index.heads_at):
+    index, n = hg.index, hg.n
+    head_rows, tail_rows = list(index.head_rows), list(index.tail_rows)
+    for u, ks in enumerate(index.heads_at):
         pivot = _classify_star(hg, u)[2]
         if pivot is None:
             continue
-        existing = {tail_masks[k] for k in ks}
+        existing = {index.tail_masks[k] for k in ks}
         for w in range(n):
             if w != u and w != pivot and (1 << pivot | 1 << w) not in existing:
-                additions.append(DirectedEdge(frozenset((names[pivot], names[w])),
-                                              frozenset((names[u],))))
-    return DirectedHypergraph(names, hg.edges + tuple(additions))
+                head_rows.append((u,))
+                tail_rows.append((pivot, w))
+    return DirectedHypergraph._of(hg.vertices, hg.positions,
+                                  HypergraphIndex(n, head_rows, tail_rows))
 
 
 def _full_star_issues(hg: DirectedHypergraph) -> list[str]:
@@ -479,7 +485,7 @@ def color_i0_4(hg: DirectedHypergraph, checked: bool = True) -> tuple[Coloring, 
     refer to the augmented edge list.
     """
     spec, hn, trace = _start(hg, "i0-4", checked)
-    if not hn.edges:
+    if not hn.index.head_rows:
         for v in hn.vertices:
             trace.add(v, "kept")
         return _finish(hg, _Run(hn, trace), spec.palette, checked), trace
@@ -553,7 +559,7 @@ def color_i0_r4_2(hg: DirectedHypergraph, checked: bool = True) -> tuple[Colorin
     run = _Run(hn, trace)
     run.sweep(range(hn.n), _head_positions(hn), RED)
 
-    for idx in range(len(hn.edges)):
+    for idx in range(len(run.masks)):
         if not run.meets(idx, RED):
             trace.violate(f"edge {idx} ended with no red vertex")
         if run.monochromatic(idx):

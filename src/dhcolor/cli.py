@@ -182,7 +182,7 @@ def _cmd_goodcheck(args: argparse.Namespace) -> int:
     except ValueError as exc:  # RoleConflictError is a ValueError
         _emit({"valid": False, "error": str(exc)}, args.json, [f"no good coloring: {exc}"])
         return 1
-    edges = len({e.vertices for e in hg.edges})  # f bounds hyperedges; a repeat is one
+    edges = len(set(hg.index.masks))  # f bounds hyperedges; a repeat is one
     limit = f_bound(hg.n)
     within = edges <= limit
     payload = {"valid": valid, "edges": edges, "n": hg.n, "f": limit, "within_bound": within}

@@ -126,22 +126,26 @@ edge = DirectedEdge  # the short name; it takes any iterables of vertex names
 
 class HypergraphIndex:
     """A hypergraph's edges by vertex position (``hg.index``); the vertex at
-    position p is bit p of every mask.  ``head_rows[k]`` and ``tail_rows[k]``,
-    the positions of edge k's heads and tails in no set order, are found at
-    construction; each other view is built from them on first use and cached
-    (``functools.cached_property``): ``head_masks``, ``tail_masks`` and
-    ``masks`` give each edge's bitmask of its heads, its tails and all its
-    vertices; ``heads_at``, ``tails_at`` and ``edges_at`` give for each
-    position the ascending indices of the edges it heads, is a tail of, or
-    lies in.  It keeps no reference to the hypergraph, so both are freed by
-    reference counting alone.
+    position p is bit p of every mask.  ``head_rows[k]`` and ``tail_rows[k]``
+    hold the positions of edge k's heads and tails, each once, and are given
+    to the constructor: ``parse`` lists them in the order the names are
+    written on the edge line, and a hypergraph built from edges in its
+    frozensets' iteration order, which follows the string hash, so nothing
+    may depend on the order inside a row.  Each other view is built from the
+    rows on first use and cached (``functools.cached_property``):
+    ``head_masks``, ``tail_masks`` and ``masks`` give each edge's bitmask of
+    its heads, its tails and all its vertices; ``heads_at``, ``tails_at`` and
+    ``edges_at`` give for each position the ascending indices of the edges
+    it heads, is a tail of, or lies in.  No view builds a ``DirectedEdge``.
+    It keeps no reference to the hypergraph, so both are freed by reference
+    counting alone.
     """
 
-    def __init__(self, hg: DirectedHypergraph) -> None:
-        get = hg.positions.__getitem__
-        self.n = len(hg.vertices)
-        self.head_rows = [tuple(map(get, e.head)) for e in hg.edges]
-        self.tail_rows = [tuple(map(get, e.tail)) for e in hg.edges]
+    def __init__(self, n: int, head_rows: list[tuple[int, ...]],
+                 tail_rows: list[tuple[int, ...]]) -> None:
+        self.n = n
+        self.head_rows = head_rows
+        self.tail_rows = tail_rows
 
     @cached_property
     def head_masks(self) -> list[int]:
@@ -202,14 +206,25 @@ class DirectedHypergraph(Value):
     The vertex ordering is part of the value: the coloring algorithms are
     stated for an arbitrary but fixed ordering, and freezing it makes runs
     deterministic and reproducible.  ``positions`` (vertex name to position)
-    is built at construction and ``index`` (a ``HypergraphIndex``) on first
-    read; neither is a field, so neither takes part in ``==``, ``hash`` or
-    ``repr``.
+    and ``index`` (a ``HypergraphIndex``) are not fields, so neither takes
+    part in ``==``, ``hash`` or ``repr``.
+
+    A hypergraph is built one of two ways.  The constructor takes
+    ``DirectedEdge`` records, checks them and the names and builds
+    ``positions``; ``index`` is built from the records on first read.
+    ``parse``, ``normalize`` and ``augment_i0`` hand over position rows
+    instead (``_of``): ``index`` holds them, and ``edges`` is built from them
+    on first read and kept.  The two are one value.  ``==``, ``hash``,
+    ``repr``, ``with_vertex_order`` and ``serialize`` read ``edges``, so on a
+    hypergraph built from rows they build its records; pickling and copying
+    keep whichever of the two it holds.  ``is_two_to_one``, ``is_proper``,
+    ``normalize``, the pattern checks, the colorings and the solver read
+    ``index`` alone, so ``dhcolor check``, ``color`` and ``chromatic`` build
+    no record for a parsed file.
     """
 
     _fields = ("vertices", "edges")
     vertices: tuple[str, ...]
-    edges: tuple[DirectedEdge, ...]
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[DirectedEdge]) -> None:
         _setattr(self, "vertices", tuple(vertices))
@@ -229,7 +244,31 @@ class DirectedHypergraph(Value):
                 missing = ",".join(sorted(map(str, e.vertices - names)))
                 raise ValidationError(f"edge {idx} uses undeclared vertices: {missing}")
 
-    index = cached_property(HypergraphIndex)
+    @classmethod
+    def _of(cls, vertices: tuple[str, ...], positions: dict[str, int],
+            index: HypergraphIndex) -> DirectedHypergraph:
+        """The hypergraph whose edges are index's rows, unchecked: the names
+        must be valid and distinct, positions must map them to their
+        positions, and each row must hold distinct positions below
+        len(vertices), with an edge's two rows disjoint and not both empty."""
+        hg = cls.__new__(cls)
+        _setattr(hg, "vertices", vertices)
+        _setattr(hg, "positions", positions)
+        _setattr(hg, "index", index)
+        return hg
+
+    @cached_property
+    def index(self) -> HypergraphIndex:
+        get = self.positions.__getitem__
+        return HypergraphIndex(self.n, [tuple(map(get, e.head)) for e in self.edges],
+                               [tuple(map(get, e.tail)) for e in self.edges])
+
+    @cached_property
+    def edges(self) -> tuple[DirectedEdge, ...]:
+        name = self.vertices.__getitem__
+        index = self.index
+        return tuple(DirectedEdge(map(name, tails), map(name, heads))
+                     for heads, tails in zip(index.head_rows, index.tail_rows))
 
     @property
     def n(self) -> int:
@@ -248,7 +287,8 @@ class DirectedHypergraph(Value):
 
 def is_two_to_one(hg: DirectedHypergraph) -> bool:
     """True iff every edge has exactly two tail vertices and one head vertex."""
-    return all(len(e.tail) == 2 and len(e.head) == 1 for e in hg.edges)
+    index = hg.index
+    return all(len(h) == 1 and len(t) == 2 for h, t in zip(index.head_rows, index.tail_rows))
 
 
 class Coloring(Value):
@@ -282,37 +322,49 @@ def parse(text: str) -> DirectedHypergraph:
     so an edge whose first tail is named e is written ``e e b > c``.  ``#``
     starts a comment, blank lines are skipped.  Vertex order is: explicitly
     declared vertices in declaration order, then edge-line vertices by first
-    appearance, tails before heads within a line.  One pass, linear in the
-    length of the text.
+    appearance, tails before heads within a line.
+
+    Each line is split into tokens once and checked in line order, so the
+    first bad line is the one reported.  After the last line the vertex
+    order is fixed and each edge line's names become head and tail position
+    rows, which the hypergraph's ``index`` holds; no ``DirectedEdge`` is
+    built until ``edges`` is read.  Linear in the length of the text.
     """
     declared: dict[str, None] = {}
-    from_edges: dict[str, None] = {}
-    edges: list[DirectedEdge] = []
+    written: list[str] = []  # the edge lines' tokens, in order, cuts included
+    cuts: list[int] = []  # where in written each edge line's '>' is
+    ends: list[int] = []  # where in written each edge line ends
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
-        # No token needs a name check here: after the '#' cut and split() a
-        # token is non-empty with no whitespace and no '#', a '>' makes the
-        # line an edge line, and its only '>' is the cut.
-        # DirectedHypergraph checks every name once.
-        if tokens[0] == "e" or ">" in tokens:
-            body = tokens[1:] if tokens[0] == "e" else tokens
+        # No token needs a name check: after the '#' cut and split() a token
+        # is non-empty with no whitespace and no '#', a '>' makes the line an
+        # edge line, and its only '>' is the cut.
+        first = tokens[0]
+        if first == "e" or ">" in tokens:
+            body = tokens[1:] if first == "e" else tokens
             if body.count(">") != 1:
                 raise ParseError(f"line {lineno}: edge line needs exactly one '>'")
-            cut = body.index(">")
-            tails, heads = body[:cut], body[cut + 1:]
-            if not tails and not heads:
+            if len(body) == 1:
                 raise ParseError(f"line {lineno}: edge has no vertices")
-            try:
-                edges.append(DirectedEdge(tails, heads))
-            except ValidationError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from exc
-            for name in body:  # the cut '>' too; it is dropped below
-                from_edges[name] = None
-        elif tokens[0] == "v":
+            cut = body.index(">")
+            if len(set(body)) != len(body):
+                # A name written twice on one side is one vertex, on both
+                # sides an error.  Each side keeps its names' first
+                # appearances in order, so the vertex order is unchanged.
+                tails, heads = list(dict.fromkeys(body[:cut])), list(dict.fromkeys(body[cut + 1:]))
+                overlap = set(tails).intersection(heads)
+                if overlap:
+                    raise ParseError(f"line {lineno}: head and tail overlap on "
+                                     f"{{{','.join(sorted(overlap))}}}")
+                body = tails + [">"] + heads
+                cut = len(tails)
+            cuts.append(len(written) + cut)
+            written += body
+            ends.append(len(written))
+        elif first == "v":
             if len(tokens) != 2:
                 raise ParseError(f"line {lineno}: vertex line needs exactly one name")
             name = tokens[1]
@@ -320,15 +372,19 @@ def parse(text: str) -> DirectedHypergraph:
                 raise ParseError(f"line {lineno}: duplicate declaration of {name}")
             declared[name] = None
         else:
+            line = raw.split("#", 1)[0].strip()
             raise ParseError(f"line {lineno}: unrecognized line {line!r}")
 
     # Dict union keeps the declared names first, then adds the rest in order.
-    order = declared | from_edges
+    order = declared | dict.fromkeys(written)
     order.pop(">", None)
-    try:
-        return DirectedHypergraph(tuple(order), tuple(edges))
-    except ValidationError as exc:
-        raise ParseError(str(exc)) from exc
+    vertices = tuple(order)
+    positions = dict(zip(vertices, range(len(vertices))))
+    at = tuple(map(positions.get, written))  # None at each cut; its slices are tuples
+    tail_rows = [at[start:cut] for start, cut in zip([0, *ends], cuts)]
+    head_rows = [at[cut + 1:end] for cut, end in zip(cuts, ends)]
+    return DirectedHypergraph._of(vertices, positions,
+                                  HypergraphIndex(len(vertices), head_rows, tail_rows))
 
 
 def _parse_name(token: str, lineno: int) -> str:
@@ -360,7 +416,9 @@ def normalize(hg: DirectedHypergraph) -> DirectedHypergraph:
     identical vertex sets the first survives.  Any proper coloring of the
     result is a proper coloring of the input, because a dropped edge is a
     superset of a kept one and monochromaticity only depends on vertex sets.
-    When no edge is dropped the result is ``hg`` itself.
+    When no edge is dropped the result is ``hg`` itself; otherwise it is
+    built from the kept edges' position rows, and builds no record until
+    its ``edges`` is read.
 
     It builds each position's bitset of the edges through it from
     ``hg.index.edges_at``, so the edges whose vertex set contains edge i's
@@ -382,20 +440,29 @@ def normalize(hg: DirectedHypergraph) -> DirectedHypergraph:
         dropped |= supersets ^ (1 << i)
     if not dropped:
         return hg  # keeps its positions and cached index; nothing to revalidate
-    kept = tuple(e for k, e in enumerate(hg.edges) if not dropped >> k & 1)
-    return DirectedHypergraph(hg.vertices, kept)
+    index = hg.index
+    kept = [k for k in range(len(index.head_rows)) if not dropped >> k & 1]
+    return DirectedHypergraph._of(hg.vertices, hg.positions, HypergraphIndex(
+        hg.n, [index.head_rows[k] for k in kept], [index.tail_rows[k] for k in kept]))
 
 
 def is_proper(hg: DirectedHypergraph, coloring: Coloring) -> bool:
-    """True iff no edge is monochromatic (roles play no part in properness)."""
+    """True iff no edge is monochromatic (roles play no part in properness).
+
+    Each color's vertices become one mask of positions, and an edge is
+    monochromatic when its mask from ``hg.index`` lies inside one of them.
+    """
     assignment = coloring.assignment
-    for v in hg.vertices:
+    classes: dict[int, int] = {}
+    for p, v in enumerate(hg.vertices):
         if v not in assignment:
             raise ValidationError(f"vertex {v} has no color")
-    for e in hg.edges:
-        it = iter(e.vertices)
-        first = assignment[next(it)]
-        if all(assignment[v] == first for v in it):
+        c = assignment[v]
+        classes[c] = classes.get(c, 0) | 1 << p
+    masks = hg.index.masks
+    for cls in classes.values():
+        outside = ~cls
+        if not all(mask & outside for mask in masks):
             return False
     return True
 

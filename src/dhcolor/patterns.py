@@ -448,9 +448,9 @@ def _one_vertex_witnesses(index: HypergraphIndex, names: tuple[str, ...],
 
 def classify_intersection(hg: DirectedHypergraph, i: int, j: int) -> IntersectionProfile:
     """Exact intersection of edges i < j, listed in vertex-sequence order."""
-    if not 0 <= i < j < len(hg.edges):
-        raise IndexError(f"edge pair ({i}, {j}) out of range")
     heads, masks = hg.index.head_masks, hg.index.masks
+    if not 0 <= i < j < len(masks):
+        raise IndexError(f"edge pair ({i}, {j}) out of range")
     return IntersectionProfile(i, j, _rows(hg.vertices, masks[i] & masks[j], heads[i], heads[j]))
 
 

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -13,10 +15,12 @@ from dhcolor import (
     CONDITION_IDS,
     PATTERN_IDS,
     Coloring,
+    DirectedEdge,
     PatternReport,
     check_condition,
     contains_pattern,
     gen_h2_tower,
+    gen_random,
     is_proper,
     normalize,
     paper_i,
@@ -151,38 +155,65 @@ def no_records(monkeypatch):
     monkeypatch.setattr(PatternReport, "witnesses", property(refuse))
 
 
+@pytest.fixture
+def no_edge_records(monkeypatch):
+    """Building a ``DirectedEdge`` raises, so a run on a parsed file must
+    read the hypergraph's index alone.  Input files come from module-scoped
+    fixtures, which pytest sets up before this one."""
+    def refuse(self, tail, head):
+        raise AssertionError("DirectedEdge built")
+
+    monkeypatch.setattr(DirectedEdge, "__init__", refuse)
+
+
+@pytest.fixture(scope="module")
+def tower_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("towers")
+    paths = {}
+    for level in (5, 6):
+        path = folder / f"h{level}.dhg"
+        path.write_text(serialize(gen_h2_tower(level)))
+        paths[level] = str(path)
+    return paths
+
+
 class TestGoldenOutput:
     """Witness output is byte-identical to the plain encoders' output."""
 
-    def test_check_stdout_on_h2_tower_5(self, tmp_path, capsys):
-        self._check_stdout_on_h2_tower_5(tmp_path, capsys)
+    def test_check_stdout_on_h2_tower_5(self, tower_files, capsys):
+        self._check_stdout_on_h2_tower_5(tower_files[5], capsys)
 
-    def test_check_stdout_on_h2_tower_5_without_records(self, tmp_path, capsys, no_records):
-        self._check_stdout_on_h2_tower_5(tmp_path, capsys)
+    def test_check_stdout_on_h2_tower_5_without_records(self, tower_files, capsys, no_records):
+        self._check_stdout_on_h2_tower_5(tower_files[5], capsys)
 
-    def test_ht3_rejection_stderr_on_h2_tower_6(self, tmp_path, capsys):
-        self._ht3_rejection_stderr_on_h2_tower_6(tmp_path, capsys)
+    def test_check_stdout_on_h2_tower_5_without_edge_records(self, tower_files, capsys,
+                                                             no_edge_records):
+        self._check_stdout_on_h2_tower_5(tower_files[5], capsys)
 
-    def test_ht3_rejection_stderr_on_h2_tower_6_without_records(self, tmp_path, capsys, no_records):
-        self._ht3_rejection_stderr_on_h2_tower_6(tmp_path, capsys)
+    def test_ht3_rejection_stderr_on_h2_tower_6(self, tower_files, capsys):
+        self._ht3_rejection_stderr_on_h2_tower_6(tower_files[6], capsys)
+
+    def test_ht3_rejection_stderr_on_h2_tower_6_without_records(self, tower_files, capsys,
+                                                                no_records):
+        self._ht3_rejection_stderr_on_h2_tower_6(tower_files[6], capsys)
+
+    def test_ht3_rejection_stderr_on_h2_tower_6_without_edge_records(self, tower_files, capsys,
+                                                                     no_edge_records):
+        self._ht3_rejection_stderr_on_h2_tower_6(tower_files[6], capsys)
 
     @staticmethod
-    def _check_stdout_on_h2_tower_5(tmp_path, capsys):
-        path = tmp_path / "h5.dhg"
-        path.write_text(serialize(gen_h2_tower(5)))
+    def _check_stdout_on_h2_tower_5(path, capsys):
         for check in CONDITION_IDS + PATTERN_IDS:
             flag = "--pattern" if check in PATTERN_IDS else "--cond"
             for as_json in (False, True):
-                main(["check", str(path), flag, check] + ["--json"] * as_json)
+                main(["check", path, flag, check] + ["--json"] * as_json)
                 captured = capsys.readouterr()
                 assert captured.err == ""
                 assert _sha256(captured.out) == H5_CHECK_DIGESTS[check, as_json], (check, as_json)
 
     @staticmethod
-    def _ht3_rejection_stderr_on_h2_tower_6(tmp_path, capsys):
-        path = tmp_path / "h6.dhg"
-        path.write_text(serialize(gen_h2_tower(6)))
-        assert main(["color", str(path), "--algo", "ht3", "--json"]) == 1
+    def _ht3_rejection_stderr_on_h2_tower_6(path, capsys):
+        assert main(["color", path, "--algo", "ht3", "--json"]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") > 27_000
         assert _sha256(captured.err) == H6_HT3_STDERR_DIGEST
@@ -214,6 +245,48 @@ class TestGoldenOutput:
         }
         assert main(["check", str(path), flag, check, "--json"]) == int(not report.avoided)
         assert capsys.readouterr().out == json.dumps(payload, sort_keys=True) + "\n"
+
+
+# Runs on parsed files that must build no DirectedEdge.  A color run is
+# checked, on a gen_random draw (n=24, m=72) under the algorithm's condition
+# with this seed, plus a second edge on the vertex set of the draw's first
+# edge, which normalize drops.
+COLOR_DRAWS = {"one-head": ("onehead-h1", 1), "ht3": ("r4-free", 2),
+               "i0r4-2": ("i0r4-free", 3), "i0-4": ("i0-free", 4)}
+PARSED_RUNS = ["chromatic-paper-i", "chromatic-h2-tower-4", *(f"color-{a}" for a in COLOR_DRAWS)]
+
+
+@pytest.fixture(scope="module")
+def parsed_runs(tmp_path_factory):
+    """Each run's command line and what main returns and prints for it,
+    recorded with edge records allowed."""
+    folder = tmp_path_factory.mktemp("parsed")
+    runs = {}
+    for name in PARSED_RUNS:
+        command, which = name.split("-", 1)
+        path = folder / f"{which}.dhg"
+        if command == "chromatic":
+            path.write_text(serialize(paper_i() if which == "paper-i" else gen_h2_tower(4)))
+            argv = ["chromatic", str(path), "--json"]
+        else:
+            cond, seed = COLOR_DRAWS[which]
+            hg = gen_random(24, 72, cond=cond, seed=seed)
+            first = sorted(hg.edges[0].vertices)
+            path.write_text(serialize(hg) + f"e {first[1]} {first[2]} > {first[0]}\n")
+            argv = ["color", str(path), "--algo", which, "--json"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        runs[name] = argv, (code, out.getvalue(), err.getvalue())
+    return runs
+
+
+@pytest.mark.parametrize("name", PARSED_RUNS)
+def test_run_on_a_parsed_file_builds_no_edge_records(name, parsed_runs, capsys, no_edge_records):
+    argv, recorded = parsed_runs[name]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == recorded and code == 0
 
 
 class TestColor:

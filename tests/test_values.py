@@ -27,6 +27,8 @@ HG = DirectedHypergraph(("a", "b", "c"), (edge(["a"], ["c"]), edge(["b"], ["a"])
 HG_REPR = ("DirectedHypergraph(vertices=('a', 'b', 'c'), edges=("
            "DirectedEdge(tail=frozenset({'a'}), head=frozenset({'c'})), "
            "DirectedEdge(tail=frozenset({'b'}), head=frozenset({'a'}))))")
+# HG as parse builds it: from position rows, its edges built when read.
+HG_TEXT = "v a\nv b\nv c\ne a > c\ne b > a\n"
 COLORING = Coloring({"a": 0, "b": 1, "c": 1}, 2)
 COLORING_REPR = "Coloring(assignment={'a': 0, 'b': 1, 'c': 1}, k=2)"
 GOOD = induce_good_coloring(parse("e a b > c"))
@@ -51,6 +53,7 @@ CASES = {
     "DirectedEdge": (DirectedEdge(["a"], ["c"]), ("tail", "head"),
                      "DirectedEdge(tail=frozenset({'a'}), head=frozenset({'c'}))", True, True),
     "DirectedHypergraph": (HG, ("vertices", "edges"), HG_REPR, True, True),
+    "DirectedHypergraph-parsed": (parse(HG_TEXT), ("vertices", "edges"), HG_REPR, True, True),
     "Coloring": (COLORING, ("assignment", "k"), COLORING_REPR, False, True),
     "TraceEvent": (TraceEvent(3, "b", "colored-red", 1, "c"),
                    ("step", "vertex", "action", "edge", "next_vertex"),
@@ -175,6 +178,28 @@ class TestNonFields:
             assert back.index.masks == hg.index.masks
         reordered = hg.with_vertex_order(("d", "c", "b", "a"))
         assert reordered != hg and reordered.positions != hg.positions
+
+    @pytest.mark.parametrize("edges_read", (False, True))
+    def test_parsed_hypergraph_is_the_value_built_from_edges(self, edges_read):
+        def parsed():
+            hg = parse(HG_TEXT)
+            if edges_read:
+                hg.edges  # noqa: B018 -- built and kept on first read
+            assert ("edges" in vars(hg)) == edges_read
+            return hg
+
+        assert parsed() == HG and HG == parsed() and hash(parsed()) == hash(HG)
+        assert repr(parsed()) == HG_REPR
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(parsed(), protocol))
+            assert back == HG and hash(back) == hash(HG) and repr(back) == HG_REPR
+            assert back.positions == HG.positions and back.index.masks == HG.index.masks
+        for back in (copy.copy(parsed()), copy.deepcopy(parsed())):
+            assert back == HG and hash(back) == hash(HG) and back.positions == HG.positions
+        order = ("c", "a", "b")
+        reordered = parsed().with_vertex_order(order)
+        assert reordered == HG.with_vertex_order(order) != HG
+        assert reordered.index.masks == HG.with_vertex_order(order).index.masks
 
     def test_coloring_equality_reads_the_assignment_as_a_dict(self):
         assert Coloring({"a": 0, "b": 1}, 2) == Coloring({"b": 1, "a": 0}, 2)

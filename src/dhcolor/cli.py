@@ -160,10 +160,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
-    payload = {"kind": args.kind, "vertices": hg.n, "edges": len(hg.edges),
-               "output": args.output}
+    m = len(hg.index.head_rows)
+    payload = {"kind": args.kind, "vertices": hg.n, "edges": m, "output": args.output}
     human = [] if args.output else [text.rstrip("\n")] if text else []
-    human.append(f"generated {args.kind}: {hg.n} vertices, {len(hg.edges)} edges")
+    human.append(f"generated {args.kind}: {hg.n} vertices, {m} edges")
     _emit(payload, args.json, human)
     return 0
 

@@ -129,16 +129,16 @@ class HypergraphIndex:
     position p is bit p of every mask.  ``head_rows[k]`` and ``tail_rows[k]``
     hold the positions of edge k's heads and tails, each once, and are given
     to the constructor: ``parse`` lists them in the order the names are
-    written on the edge line, and a hypergraph built from edges in its
-    frozensets' iteration order, which follows the string hash, so nothing
-    may depend on the order inside a row.  Each other view is built from the
-    rows on first use and cached (``functools.cached_property``):
-    ``head_masks``, ``tail_masks`` and ``masks`` give each edge's bitmask of
-    its heads, its tails and all its vertices; ``heads_at``, ``tails_at`` and
-    ``edges_at`` give for each position the ascending indices of the edges
-    it heads, is a tail of, or lies in.  No view builds a ``DirectedEdge``.
-    It keeps no reference to the hypergraph, so both are freed by reference
-    counting alone.
+    written on the edge line, the generators in ascending order, and a
+    hypergraph built from edges in its frozensets' iteration order, which
+    follows the string hash, so nothing may depend on the order inside a
+    row.  Each other view is built from the rows on first use and cached
+    (``functools.cached_property``): ``head_masks``, ``tail_masks`` and
+    ``masks`` give each edge's bitmask of its heads, its tails and all its
+    vertices; ``heads_at``, ``tails_at`` and ``edges_at`` give for each
+    position the ascending indices of the edges it heads, is a tail of, or
+    lies in.  No view builds a ``DirectedEdge``.  It keeps no reference to
+    the hypergraph, so both are freed by reference counting alone.
     """
 
     def __init__(self, n: int, head_rows: list[tuple[int, ...]],
@@ -212,15 +212,15 @@ class DirectedHypergraph(Value):
     A hypergraph is built one of two ways.  The constructor takes
     ``DirectedEdge`` records, checks them and the names and builds
     ``positions``; ``index`` is built from the records on first read.
-    ``parse``, ``normalize`` and ``augment_i0`` hand over position rows
-    instead (``_of``): ``index`` holds them, and ``edges`` is built from them
-    on first read and kept.  The two are one value.  ``==``, ``hash``,
-    ``repr``, ``with_vertex_order`` and ``serialize`` read ``edges``, so on a
+    ``parse``, ``normalize``, ``augment_i0`` and the generators hand over
+    position rows instead (``_of``): ``index`` holds them, and ``edges`` is
+    built from them on first read and kept.  The two are one value.  ``==``,
+    ``hash``, ``repr`` and ``with_vertex_order`` read ``edges``, so on a
     hypergraph built from rows they build its records; pickling and copying
-    keep whichever of the two it holds.  ``is_two_to_one``, ``is_proper``,
-    ``normalize``, the pattern checks, the colorings and the solver read
-    ``index`` alone, so ``dhcolor check``, ``color`` and ``chromatic`` build
-    no record for a parsed file.
+    keep whichever of the two it holds.  ``serialize``, ``is_two_to_one``,
+    ``is_proper``, ``normalize``, the pattern checks, the colorings and the
+    solver read ``index`` alone, so ``dhcolor check``, ``color``,
+    ``chromatic`` and ``gen`` and a fuzz trial build no record.
     """
 
     _fields = ("vertices", "edges")
@@ -398,14 +398,15 @@ def serialize(hg: DirectedHypergraph) -> str:
     """Canonical text form: all v lines, then all e lines, vertex-order sides.
 
     ``parse(serialize(hg))`` reproduces ``hg`` exactly, including vertex and
-    edge order.  The empty hypergraph serializes to the empty string.
+    edge order.  The empty hypergraph serializes to the empty string.  The
+    e lines are written from ``hg.index``'s rows, each sorted by position,
+    as the order inside a row is not fixed; no ``DirectedEdge`` is built.
     """
-    pos = hg.positions
+    name = hg.vertices.__getitem__
+    index = hg.index
     lines = [f"v {v}" for v in hg.vertices]
-    for e in hg.edges:
-        tails = " ".join(sorted(e.tail, key=pos.__getitem__))
-        heads = " ".join(sorted(e.head, key=pos.__getitem__))
-        lines.append(f"e{' ' if tails else ''}{tails} >{' ' if heads else ''}{heads}")
+    for heads, tails in zip(index.head_rows, index.tail_rows):
+        lines.append(" ".join(["e", *map(name, sorted(tails)), ">", *map(name, sorted(heads))]))
     return "".join(line + "\n" for line in lines)
 
 

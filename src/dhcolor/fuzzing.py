@@ -140,7 +140,7 @@ def run_fuzz(
         tie_rng = random.Random(random.Random(inst_seed).randrange(2**62)) if random_ties else None
         reason = _trial_failure(run, hg, tie_rng)
         if reason is not None:
-            report.failures.append(FuzzFailure(inst_seed, hg.n, len(hg.edges), reason))
+            report.failures.append(FuzzFailure(inst_seed, hg.n, len(hg.index.head_rows), reason))
     return report
 
 

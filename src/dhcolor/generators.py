@@ -11,7 +11,7 @@ import random
 from itertools import combinations, permutations
 from math import ceil, comb, log
 
-from .core import DirectedEdge, DirectedHypergraph, Value, _mask_row, _setattr
+from .core import DirectedHypergraph, HypergraphIndex, Value, _mask_row, _setattr
 from .patterns import CONDITION_IDS, VIOLATING_CODES, matching_partners
 
 GENERATOR_KINDS = ("paper-i", "paper-r", "h2-tower", "perm-tower", "random")
@@ -20,74 +20,74 @@ PERM_TOWER_MAX_LEVEL = 3
 REJECTION_ATTEMPTS_PER_EDGE = 100
 
 
+def _of_rows(vertices: tuple[str, ...], head_rows: list[tuple[int, ...]],
+             tail_rows: list[tuple[int, ...]]) -> DirectedHypergraph:
+    """The hypergraph on vertices whose edge k has heads head_rows[k] and
+    tails tail_rows[k], as positions; no ``DirectedEdge`` is built."""
+    return DirectedHypergraph._of(vertices, dict(zip(vertices, range(len(vertices)))),
+                                  HypergraphIndex(len(vertices), head_rows, tail_rows))
+
+
+def _paper(triples: list[tuple[int, int, int]]) -> DirectedHypergraph:
+    """The hypergraph on v1..v5 with the edge va vb > vc for each (a, b, c)."""
+    return _of_rows(("v1", "v2", "v3", "v4", "v5"), [(c - 1,) for _, _, c in triples],
+                    [(a - 1, b - 1) for a, b, _ in triples])
+
+
 def paper_i() -> DirectedHypergraph:
     """The 5-vertex hypergraph I: every 3-subset is an edge, heads arranged so
     that every one-vertex intersection is a tail somewhere (I0 avoided).
     Chromatic number 3 by pigeonhole: any 2-coloring leaves three vertices of
     one color, and those three form an edge."""
-    v = ("v1", "v2", "v3", "v4", "v5")
-    triples = [
+    return _paper([
         (1, 2, 3), (2, 3, 4), (3, 4, 5), (4, 5, 1), (1, 5, 2),
         (1, 3, 4), (2, 4, 5), (3, 5, 1), (1, 4, 2), (2, 5, 3),
-    ]
-    edges = tuple(DirectedEdge((f"v{a}", f"v{b}"), (f"v{c}",)) for a, b, c in triples)
-    return DirectedHypergraph(v, edges)
+    ])
 
 
 def paper_r() -> DirectedHypergraph:
     """The 5-vertex hypergraph R: every 3-subset is an edge, heads arranged so
     that no one-vertex intersection mixes a head role with a tail role (R4
     avoided).  Chromatic number 3."""
-    v = ("v1", "v2", "v3", "v4", "v5")
-    rows = [
+    return _paper([
         (2, 3, 1), (2, 4, 3), (3, 4, 5), (4, 5, 1), (1, 2, 5),
         (1, 4, 2), (3, 5, 2), (1, 3, 4), (2, 5, 4), (1, 5, 3),
-    ]
-    edges = tuple(DirectedEdge((f"v{a}", f"v{b}"), (f"v{c}",)) for a, b, c in rows)
-    return DirectedHypergraph(v, edges)
-
-
-def _prefixed(hg: DirectedHypergraph, prefix: str) -> DirectedHypergraph:
-    rename = {v: prefix + v for v in hg.vertices}
-    edges = tuple(
-        DirectedEdge(frozenset(rename[v] for v in e.tail), frozenset(rename[v] for v in e.head))
-        for e in hg.edges
-    )
-    return DirectedHypergraph(tuple(rename[v] for v in hg.vertices), edges)
+    ])
 
 
 def _tower(k: int, max_level: int, join) -> DirectedHypergraph:
     """Level k of a tower whose level 2 is the edge v1 v2 > v3 and whose level
-    l + 1 is two prefixed copies a_, b_ of level l plus ``join(l + 1, a, b)``,
-    the apexes and cross edges over the copies' vertex tuples a and b."""
+    l + 1 is two copies of level l, named a_ and b_ + each name, plus
+    ``join(l + 1, n)``: the apexes' names and the head and tail rows of the
+    cross edges, for copies at positions 0..n-1 and n..2n-1 and apexes from
+    2n.  A level is built from position rows, copy a's, copy b's shifted by
+    n and the join's, in that order; no ``DirectedEdge`` is built."""
     if k < 2:
         raise ValueError("tower level must be at least 2")
     if k > max_level:
         raise ValueError(f"tower level {k} exceeds the resource guard {max_level}")
-    hg = DirectedHypergraph(("v1", "v2", "v3"), (DirectedEdge(("v1", "v2"), ("v3",)),))
+    names, head_rows, tail_rows = ("v1", "v2", "v3"), [(2,)], [(0, 1)]
     for level in range(3, k + 1):
-        a = _prefixed(hg, "a_")
-        b = _prefixed(hg, "b_")
-        apexes, cross = join(level, a.vertices, b.vertices)
-        hg = DirectedHypergraph(a.vertices + b.vertices + apexes, a.edges + b.edges + cross)
-    return hg
+        n = len(names)
+        apexes, cross_heads, cross_tails = join(level, n)
+        head_rows = head_rows + [(h + n,) for h, in head_rows] + cross_heads
+        tail_rows = tail_rows + [(s + n, t + n) for s, t in tail_rows] + cross_tails
+        names = tuple("a_" + v for v in names) + tuple("b_" + v for v in names) + apexes
+    return _of_rows(names, head_rows, tail_rows)
 
 
-def _h2_join(k: int, a: tuple[str, ...], b: tuple[str, ...]):
-    apex = f"x_{k}"
-    return (apex,), tuple(DirectedEdge((av, bv), (apex,)) for av in a for bv in b)
+def _h2_join(k: int, n: int):
+    return (f"x_{k}",), [(2 * n,)] * (n * n), [(a, b) for a in range(n) for b in range(n, 2 * n)]
 
 
-def _perm_join(k: int, a: tuple[str, ...], b: tuple[str, ...]):
-    n = len(a)
+def _perm_join(k: int, n: int):
     sep = "" if n <= 9 else "-"
-    apexes = []
-    cross = []
-    for sigma in permutations(range(1, n + 1)):
-        apex = f"x_{k}_" + sep.join(str(i) for i in sigma)
-        apexes.append(apex)
-        cross.extend(DirectedEdge((av, b[s - 1]), (apex,)) for av, s in zip(a, sigma))
-    return tuple(apexes), tuple(cross)
+    apexes, heads, tails = [], [], []
+    for sigma in permutations(range(n)):
+        heads += [(2 * n + len(apexes),)] * n
+        apexes.append(f"x_{k}_" + sep.join(str(s + 1) for s in sigma))
+        tails += [(a, n + s) for a, s in enumerate(sigma)]
+    return tuple(apexes), heads, tails
 
 
 def gen_h2_tower(k: int) -> DirectedHypergraph:
@@ -217,7 +217,9 @@ def gen_random(
     positions on ``random.Random(seed)`` would give, replayed on
     ``getrandbits`` by ``_draws``: the stdlib's argument checks cost about
     four times the drawing itself, and the replay keeps every instance
-    unchanged, draw for draw.
+    unchanged, draw for draw.  Each kept edge is held as a head bit and a
+    tail mask, and the hypergraph on v1..vn is built from their position
+    rows, tails ascending; no ``DirectedEdge`` is built.
     """
     if n < 3:
         raise ValueError("need at least 3 vertices")
@@ -287,12 +289,9 @@ def gen_random(
         dead[full] = full
         live -= (full ^ gone).bit_count()
 
-    names = tuple(f"v{i + 1}" for i in range(n))
-    name = names.__getitem__
-    edges = tuple(DirectedEdge(frozenset(map(name, _mask_row(tail))),
-                               (name(head.bit_length() - 1),))
-                  for head, tail in zip(heads, tails))
-    return DirectedHypergraph(names, edges)
+    return _of_rows(tuple(f"v{i + 1}" for i in range(n)),
+                    [(head.bit_length() - 1,) for head in heads],
+                    [tuple(_mask_row(tail)) for tail in tails])
 
 
 class GenSpec(Value):

@@ -15,7 +15,6 @@ from dhcolor import (
     CONDITION_IDS,
     PATTERN_IDS,
     Coloring,
-    DirectedEdge,
     PatternReport,
     check_condition,
     contains_pattern,
@@ -155,17 +154,6 @@ def no_records(monkeypatch):
     monkeypatch.setattr(PatternReport, "witnesses", property(refuse))
 
 
-@pytest.fixture
-def no_edge_records(monkeypatch):
-    """Building a ``DirectedEdge`` raises, so a run on a parsed file must
-    read the hypergraph's index alone.  Input files come from module-scoped
-    fixtures, which pytest sets up before this one."""
-    def refuse(self, tail, head):
-        raise AssertionError("DirectedEdge built")
-
-    monkeypatch.setattr(DirectedEdge, "__init__", refuse)
-
-
 @pytest.fixture(scope="module")
 def tower_files(tmp_path_factory):
     folder = tmp_path_factory.mktemp("towers")
@@ -287,6 +275,48 @@ def test_run_on_a_parsed_file_builds_no_edge_records(name, parsed_runs, capsys, 
     code = main(argv)
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == recorded and code == 0
+
+
+# dhcolor gen runs that must build no DirectedEdge: the generators hand the
+# index position rows, serialize writes from them and the summary counts them.
+GEN_RUNS = {
+    "random": ["--n", "60", "--m", "120", "--cond", "r4-free", "--seed", "5"],
+    "h2-tower": ["--k", "4"],
+    "perm-tower": ["--k", "3"],
+    "paper-i": [],
+    "paper-r": [],
+}
+
+
+@pytest.fixture(scope="module")
+def gen_runs(tmp_path_factory):
+    """Each gen run's command lines, to stdout and to a file with --json, and
+    what main returns, prints and writes for them, recorded with edge
+    records allowed."""
+    folder = tmp_path_factory.mktemp("gen")
+    runs = {}
+    for kind, extra in GEN_RUNS.items():
+        path = folder / f"{kind}.dhg"
+        argvs = (["gen", "--kind", kind, *extra],
+                 ["gen", "--kind", kind, *extra, "-o", str(path), "--json"])
+        outputs = []
+        for argv in argvs:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                outputs.append((main(argv), out.getvalue(), err.getvalue()))
+        runs[kind] = argvs, outputs, path, path.read_text()
+    return runs
+
+
+@pytest.mark.parametrize("kind", GEN_RUNS)
+def test_gen_builds_no_edge_records(kind, gen_runs, capsys, no_edge_records):
+    argvs, recorded, path, text = gen_runs[kind]
+    path.unlink()
+    for argv, expected in zip(argvs, recorded):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == expected and code == 0
+    assert path.read_text() == text and recorded[0][1].startswith(text)
 
 
 class TestColor:

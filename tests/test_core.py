@@ -1,8 +1,13 @@
 import gc
+import json
+import os
 import pickle
 import random
+import subprocess
+import sys
 import weakref
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -108,6 +113,35 @@ class TestSerialize:
     def test_roundtrip_paper_i(self):
         hg = paper_i()
         assert parse(serialize(hg)) == hg
+
+    def test_rows_out_of_position_order(self):
+        # parse lists an edge line's names as written, so the tail row is (2, 0).
+        hg = parse("v a\nv b\nv c\ne c a > b\n")
+        assert hg.index.tail_rows == [(2, 0)]
+        record_built = DirectedHypergraph(hg.vertices, hg.edges)
+        assert serialize(hg) == serialize(record_built) == "v a\nv b\nv c\ne a c > b\n"
+
+    def test_bytes_do_not_follow_the_string_hash(self):
+        # A hypergraph built from edge records gets its rows in its
+        # frozensets' iteration order, which the string hash sets; the text
+        # must not follow it.  Hash seeds are tried until two runs list a
+        # row in different orders.
+        probe = ("import json\nfrom dhcolor import DirectedHypergraph, edge, serialize\n"
+                 "hg = DirectedHypergraph('abcdefgh', [edge('bdfhc', 'a'), edge('gc', 'eh')])\n"
+                 "print(json.dumps([serialize(hg), hg.index.tail_rows]))")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        texts, rows = set(), set()
+        for seed in range(1, 11):
+            env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}
+            out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                                 text=True, timeout=60, check=True).stdout
+            text, tail_rows = json.loads(out)
+            texts.add(text)
+            rows.add(str(tail_rows))
+            if len(rows) == 2:
+                break
+        assert len(rows) == 2
+        assert texts == {"v a\nv b\nv c\nv d\nv e\nv f\nv g\nv h\ne b c d f h > a\ne c g > e h\n"}
 
 
 # Adversarial .dhg text: the format's own tokens as names, '#' inside and

@@ -159,6 +159,25 @@ def test_on_instance_sees_each_trial_instance(monkeypatch):
     assert [(f.n, f.m) for f in report.failures] == [(hg.n, len(hg.edges)) for hg in seen]
 
 
+# Fuzz runs that must build no DirectedEdge: each algorithm on 2->1
+# instances, and one-head on tails of 2..5 with random ties.
+RECORD_FREE_RUNS = [(algo, (2, 2), False) for algo in ALGORITHMS] + [("one-head", (2, 5), True)]
+
+
+@pytest.mark.parametrize("algo, tails, random_ties", RECORD_FREE_RUNS)
+def test_a_trial_builds_no_edge_records(algo, tails, random_ties, no_edge_records):
+    report = run_fuzz(algo, 200, seed=1, tail_range=tails, random_ties=random_ties)
+    assert report.ok and report.trials == 200
+
+
+def test_a_failing_trial_builds_no_edge_records(monkeypatch, no_edge_records):
+    monkeypatch.setitem(RUNNERS, "i0-4", _rejects)
+    seen = []
+    report = run_fuzz("i0-4", TRIALS, seed=SEED, on_instance=seen.append)
+    assert [(f.n, f.m) for f in report.failures] == [(hg.n, len(hg.index.head_rows)) for hg in seen]
+    assert len(seen) == TRIALS and any(f.m for f in report.failures)
+
+
 def test_rejects_negative_trials():
     with pytest.raises(ValueError) as err:
         run_fuzz("ht3", trials=-1)

@@ -6,6 +6,7 @@ import pytest
 
 from dhcolor import (
     CONDITION_IDS,
+    DirectedHypergraph,
     GenSpec,
     check_condition,
     contains_pattern,
@@ -344,3 +345,38 @@ class TestGenRandom:
             gen_random(5, 3, cond="bogus")
         with pytest.raises(ValueError):
             gen_random(5, 3, tail_range=(0, 0))
+
+
+# Builds that must make no DirectedEdge, the serialized text included: the
+# generators and parse hand the index position rows, and serialize writes
+# from them.  The parsed file lists a tail row out of position order.
+ROW_BUILDS = {
+    "gen_random": lambda: gen_random(9, 18, cond="i0-free", seed=3),
+    "gen_random-tails": lambda: gen_random(40, 80, cond="onehead-h1", seed=2, tail_range=(2, 5)),
+    "gen_h2_tower": lambda: gen_h2_tower(5),
+    "gen_perm_tower": lambda: gen_perm_tower(3),
+    "paper_i": paper_i,
+    "paper_r": paper_r,
+    "parse": lambda: parse("v a\nv b\nv c\ne c a > b\ne b > a c\n"),
+}
+
+
+@pytest.fixture(scope="module")
+def record_built():
+    """Each build's twin built from its edge records, the twin's text and its
+    head and tail masks, made with records allowed."""
+    twins = {}
+    for name, build in ROW_BUILDS.items():
+        hg = build()
+        twin = DirectedHypergraph(hg.vertices, hg.edges)
+        twins[name] = twin, serialize(twin), twin.index.head_masks, twin.index.tail_masks
+    return twins
+
+
+@pytest.mark.parametrize("name", ROW_BUILDS)
+def test_builds_no_edge_records(name, record_built, no_edge_records):
+    twin, text, head_masks, tail_masks = record_built[name]
+    hg = ROW_BUILDS[name]()
+    assert hg.vertices == twin.vertices and hg.positions == twin.positions
+    assert (hg.index.head_masks, hg.index.tail_masks) == (head_masks, tail_masks)
+    assert serialize(hg) == text

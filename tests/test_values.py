@@ -19,6 +19,8 @@ from dhcolor import (
     RunTrace,
     TraceEvent,
     edge,
+    gen_h2_tower,
+    gen_random,
     induce_good_coloring,
     parse,
 )
@@ -29,6 +31,13 @@ HG_REPR = ("DirectedHypergraph(vertices=('a', 'b', 'c'), edges=("
            "DirectedEdge(tail=frozenset({'b'}), head=frozenset({'a'}))))")
 # HG as parse builds it: from position rows, its edges built when read.
 HG_TEXT = "v a\nv b\nv c\ne a > c\ne b > a\n"
+# Hypergraphs the generators build from position rows.  Their tails have two
+# names, and the order in which a two-name frozenset prints follows the
+# string hash, so their repr is built from the value's own fields.
+ROW_BUILDS = {
+    "gen_random": lambda: gen_random(9, 18, cond="i0-free", seed=3),
+    "gen_h2_tower": lambda: gen_h2_tower(3),
+}
 COLORING = Coloring({"a": 0, "b": 1, "c": 1}, 2)
 COLORING_REPR = "Coloring(assignment={'a': 0, 'b': 1, 'c': 1}, k=2)"
 GOOD = induce_good_coloring(parse("e a b > c"))
@@ -43,6 +52,10 @@ def _good_repr(gc):
             f"orientation={gc.orientation!r})")
 
 
+def _hg_repr(hg):
+    return f"DirectedHypergraph(vertices={hg.vertices!r}, edges={hg.edges!r})"
+
+
 def _repr_of(value, expected):
     return expected(value) if callable(expected) else expected
 
@@ -54,6 +67,8 @@ CASES = {
                      "DirectedEdge(tail=frozenset({'a'}), head=frozenset({'c'}))", True, True),
     "DirectedHypergraph": (HG, ("vertices", "edges"), HG_REPR, True, True),
     "DirectedHypergraph-parsed": (parse(HG_TEXT), ("vertices", "edges"), HG_REPR, True, True),
+    **{f"DirectedHypergraph-{name}": (build(), ("vertices", "edges"), _hg_repr, True, True)
+       for name, build in ROW_BUILDS.items()},
     "Coloring": (COLORING, ("assignment", "k"), COLORING_REPR, False, True),
     "TraceEvent": (TraceEvent(3, "b", "colored-red", 1, "c"),
                    ("step", "vertex", "action", "edge", "next_vertex"),
@@ -181,25 +196,44 @@ class TestNonFields:
 
     @pytest.mark.parametrize("edges_read", (False, True))
     def test_parsed_hypergraph_is_the_value_built_from_edges(self, edges_read):
-        def parsed():
-            hg = parse(HG_TEXT)
+        assert repr(HG) == HG_REPR
+        self._is_the_value(lambda: parse(HG_TEXT), edges_read, HG, HG_REPR)
+
+    @pytest.mark.parametrize("edges_read", (False, True))
+    @pytest.mark.parametrize("name", ROW_BUILDS)
+    def test_generated_hypergraph_is_the_value_built_from_edges(self, name, edges_read):
+        source = ROW_BUILDS[name]()
+        self._is_the_value(ROW_BUILDS[name], edges_read,
+                           DirectedHypergraph(source.vertices, source.edges), _hg_repr)
+
+    @staticmethod
+    def _is_the_value(build, edges_read, twin, expected):
+        """Fresh hypergraphs from build, with edges unread or read, are the
+        value twin, which is built from edge records: ==, hash, repr,
+        pickling at every protocol, copying and with_vertex_order agree.
+        A pickled copy's repr is expected's, as in ``CASES``: unpickling
+        rebuilds each frozenset, and a two-name one can then print its names
+        in the other order (see ``_good_repr``)."""
+        def built():
+            hg = build()
             if edges_read:
                 hg.edges  # noqa: B018 -- built and kept on first read
             assert ("edges" in vars(hg)) == edges_read
             return hg
 
-        assert parsed() == HG and HG == parsed() and hash(parsed()) == hash(HG)
-        assert repr(parsed()) == HG_REPR
+        assert built() == twin and twin == built() and hash(built()) == hash(twin)
+        assert repr(built()) == repr(twin)
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-            back = pickle.loads(pickle.dumps(parsed(), protocol))
-            assert back == HG and hash(back) == hash(HG) and repr(back) == HG_REPR
-            assert back.positions == HG.positions and back.index.masks == HG.index.masks
-        for back in (copy.copy(parsed()), copy.deepcopy(parsed())):
-            assert back == HG and hash(back) == hash(HG) and back.positions == HG.positions
-        order = ("c", "a", "b")
-        reordered = parsed().with_vertex_order(order)
-        assert reordered == HG.with_vertex_order(order) != HG
-        assert reordered.index.masks == HG.with_vertex_order(order).index.masks
+            back = pickle.loads(pickle.dumps(built(), protocol))
+            assert back == twin and hash(back) == hash(twin)
+            assert repr(back) == _repr_of(back, expected)
+            assert back.positions == twin.positions and back.index.masks == twin.index.masks
+        for back in (copy.copy(built()), copy.deepcopy(built())):
+            assert back == twin and hash(back) == hash(twin) and back.positions == twin.positions
+        order = (*twin.vertices[2:], *twin.vertices[:2])
+        reordered = built().with_vertex_order(order)
+        assert reordered == twin.with_vertex_order(order) != twin
+        assert reordered.index.masks == twin.with_vertex_order(order).index.masks
 
     def test_coloring_equality_reads_the_assignment_as_a_dict(self):
         assert Coloring({"a": 0, "b": 1}, 2) == Coloring({"b": 1, "a": 0}, 2)

@@ -19,6 +19,8 @@ edge's three shadow pairs once and looks each up in the color table before
 storing it: O(m) set and dict operations past the checks.
 ``verify_good_coloring`` builds each edge's three pairs once and decides the
 apex shape from their three colors, reading the orientation of the red pairs.
+Both read the edges off the index's head and tail rows and name their
+positions through ``hg.vertices``, so neither builds a ``DirectedEdge``.
 """
 
 from __future__ import annotations
@@ -73,8 +75,10 @@ def verify_good_coloring(gc: GoodColoring) -> bool:
     """
     colors = gc.colors
     orient = gc.orientation
-    for e in gc.hypergraph.edges:
-        verts = sorted(e.vertices)
+    hg = gc.hypergraph
+    name = hg.vertices.__getitem__
+    for heads, tails in zip(hg.index.head_rows, hg.index.tail_rows):
+        verts = sorted(map(name, heads + tails))
         if len(verts) != 3:
             raise ValueError("good colorings are defined for 3-uniform hypergraphs")
         a, b, c = verts
@@ -116,9 +120,10 @@ def induce_good_coloring(hg: DirectedHypergraph) -> GoodColoring:
 
     colors: dict[frozenset[str], str] = {}
     orientation: dict[frozenset[str], tuple[str, str]] = {}
-    for e in hg.edges:
-        head = min(e.head)
-        t1, t2 = sorted(e.tail)
+    name = hg.vertices.__getitem__
+    for heads, tails in zip(hg.index.head_rows, hg.index.tail_rows):
+        head = min(map(name, heads))
+        t1, t2 = sorted(map(name, tails))
         # A pair met again must get its first color, and a red pair its first
         # arrow; a blue pair has no arrow.  (A membership test and a store
         # run faster here than one dict.setdefault call.)

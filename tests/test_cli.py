@@ -19,6 +19,7 @@ from dhcolor import (
     check_condition,
     contains_pattern,
     gen_h2_tower,
+    gen_perm_tower,
     gen_random,
     is_proper,
     normalize,
@@ -138,6 +139,9 @@ H5_CHECK_DIGESTS = {  # (check, --json) -> stdout digest
     ("R4", True): "e85612a9361ea6af0ffc3986c2bffbff3c1bc46d431d6225dd8ffa1793c05c74",
 }
 H6_HT3_STDERR_DIGEST = "e7647c70494a3a28199f0109989b3416d2501f3ca88736babab082205bda00c5"
+# `check h2-tower-6 --cond r4-free --json`, recorded before the printers took
+# edge numbers from one table per report: 27,678 witnesses, ids up to 1,694.
+H6_R4_FREE_JSON_DIGEST = "759aaf7b6b3c155c499af3026d9cc9f5325cdea6b88174dbbc689248d6f30326"
 
 
 def _sha256(text: str) -> str:
@@ -189,6 +193,12 @@ class TestGoldenOutput:
                                                                      no_edge_records):
         self._ht3_rejection_stderr_on_h2_tower_6(tower_files[6], capsys)
 
+    def test_r4_free_json_on_h2_tower_6(self, tower_files, capsys):
+        assert main(["check", tower_files[6], "--cond", "r4-free", "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert _sha256(captured.out) == H6_R4_FREE_JSON_DIGEST
+
     @staticmethod
     def _check_stdout_on_h2_tower_5(path, capsys):
         for check in CONDITION_IDS + PATTERN_IDS:
@@ -233,6 +243,61 @@ class TestGoldenOutput:
         }
         assert main(["check", str(path), flag, check, "--json"]) == int(not report.avoided)
         assert capsys.readouterr().out == json.dumps(payload, sort_keys=True) + "\n"
+
+
+def plain_check_json(report):
+    """The check payload as one json.dumps call, as the CLI printed it first."""
+    return json.dumps({
+        "check": report.pattern,
+        "avoided": report.avoided,
+        "witnesses": [{"edges": [i, j], "common": common} for i, j, common in zip(*report.columns)],
+    }, sort_keys=True)
+
+
+def plain_witness_lines(report):
+    """One f-string per witness, as the CLI printed them first."""
+    return [f"edges {i} {j}  common [{', '.join(f'{v}:{r1}/{r2}' for v, r1, r2 in common)}]"
+            for i, j, common in zip(*report.columns)]
+
+
+class TestPrinters:
+    """The two witness printers match the plain encoders on every report."""
+
+    @pytest.fixture(scope="class")
+    def tower_reports(self):
+        reports = [check_condition(gen_h2_tower(6), "r4-free")]
+        h5 = gen_h2_tower(5)
+        reports += [check_condition(h5, cond) for cond in ("lovasz", "i0-free")]
+        h4 = gen_h2_tower(4)
+        reports += [contains_pattern(h4, pattern) for pattern in PATTERN_IDS]
+        return reports
+
+    def test_ids_cross_each_power_of_ten(self, tower_reports):
+        # h2-tower(6) r4-free holds ids of one to four digits, on both sides
+        # of 9/10, 99/100 and 999/1000
+        first, second, _ = tower_reports[0].columns
+        ids = set(first) | set(second)
+        assert {9, 10, 99, 100, 999} <= ids and max(ids) == 1694
+
+    def test_tower_reports(self, tower_reports):
+        for report in tower_reports:
+            assert cli._check_json(report) == plain_check_json(report), report.pattern
+            assert cli._witness_lines(report) == plain_witness_lines(report), report.pattern
+
+    def test_constructor_report_with_i_above_j_and_a_repeated_pair(self):
+        row = (("a", "head", "tail"), ("b", "tail", "tail"))
+        other = (("c", "tail", "head"),)
+        report = PatternReport("R4", False, [(1000, 3, row), (7, 12, other), (1000, 3, row),
+                                             (9, 9, other), (0, 99, row), (100, 10, other)])
+        assert cli._check_json(report) == plain_check_json(report)
+        assert cli._witness_lines(report) == plain_witness_lines(report)
+        assert cli._witness_lines(report)[0] == "edges 1000 3  common [a:head/tail, b:tail/tail]"
+
+    def test_empty_report(self):
+        for report in (PatternReport("H2", True, ()), contains_pattern(paper_i(), "H2")):
+            assert report.avoided
+            assert cli._check_json(report) == plain_check_json(report)
+            assert cli._witness_lines(report) == plain_witness_lines(report) == []
 
 
 # Runs on parsed files that must build no DirectedEdge.  A color run is
@@ -317,6 +382,49 @@ def test_gen_builds_no_edge_records(kind, gen_runs, capsys, no_edge_records):
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == expected and code == 0
     assert path.read_text() == text and recorded[0][1].startswith(text)
+
+
+# dhcolor goodcheck runs on parsed files that must build no DirectedEdge: the
+# inducer and the verifier read the index's rows.  Each is (file text, exit
+# code); the failing ones stop at the R3 check, at a shadow-edge conflict,
+# at an off-shape edge and at the E check.
+GOODCHECK_RUNS = {
+    "perm-tower-3": (serialize(gen_perm_tower(3)), 0),
+    "random-9": (serialize(gen_random(n=9, m=12, cond="tails-only-2-intersect", seed=4)), 0),
+    "r3": ("e a b > c\ne b c > d\n", 1),
+    "conflict": ("e a b > c\ne a c > b\n", 1),
+    "off-shape": ("e a b c > d\n", 1),
+    "e": ("e a b > c\ne d c > b\n", 1),
+}
+
+
+@pytest.fixture(scope="module")
+def goodcheck_runs(tmp_path_factory):
+    """Each goodcheck run's command lines, plain and with --json, and what
+    main returns and prints for them, recorded with edge records allowed."""
+    folder = tmp_path_factory.mktemp("goodcheck")
+    runs = {}
+    for name, (text, _) in GOODCHECK_RUNS.items():
+        path = folder / f"{name}.dhg"
+        path.write_text(text)
+        argvs = (["goodcheck", str(path)], ["goodcheck", str(path), "--json"])
+        outputs = []
+        for argv in argvs:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                outputs.append((main(argv), out.getvalue(), err.getvalue()))
+        runs[name] = argvs, outputs
+    return runs
+
+
+@pytest.mark.parametrize("name", GOODCHECK_RUNS)
+def test_goodcheck_builds_no_edge_records(name, goodcheck_runs, capsys, no_edge_records):
+    argvs, recorded = goodcheck_runs[name]
+    for argv, expected in zip(argvs, recorded):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == expected
+        assert code == GOODCHECK_RUNS[name][1]
 
 
 class TestColor:

@@ -484,15 +484,17 @@ def parse_coloring(text: str, k: int | None = None) -> Coloring:
         if len(parts) != 2:
             raise ParseError(f"line {lineno}: expected '<name> <color>'")
         name = _parse_name(parts[0], lineno)
-        try:
-            color = int(parts[1])
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: bad color index {parts[1]!r}") from exc
-        if color < 0:
+        color = parts[1]
+        digits = color.removeprefix("-")
+        # ASCII decimal digits only: int() would also read "1_0", "+1" and
+        # other scripts' digits
+        if not (digits.isascii() and digits.isdigit()):
+            raise ParseError(f"line {lineno}: bad color index {color!r}")
+        if digits != color:
             raise ParseError(f"line {lineno}: negative color index")
         if name in assignment:
             raise ParseError(f"line {lineno}: {name} colored twice")
-        assignment[name] = color
+        assignment[name] = int(color)
     if k is None:
         k = max(assignment.values(), default=0) + 1
     return Coloring(assignment, k)

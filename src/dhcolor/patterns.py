@@ -15,56 +15,50 @@ Because every pattern has exactly two edges, containment reduces to
 classifying each edge pair; no general subhypergraph isomorphism is needed.
 
 Cost model.  Each edge is held as a head bitmask and a tail bitmask over
-vertex positions, from ``hg.index``, and a pair's code is read from those
-masks alone; the pattern of a pair and its verdict under each condition
-are table lookups on its code.  Pairs with no shared vertex are never
-examined: they match no pattern and satisfy every condition.  Candidate
-pairs are found through shared keys: each edge is filed under each of its
-keys, with the role it gives the key (tail, or head), and edges are paired
-up only inside a key's lists, in the role combinations the requested codes
-need.
+vertex positions, from ``hg.index``; the pattern of a pair and its verdict
+under each condition are table lookups on its intersection code.  Pairs
+with no shared vertex are never examined: they match no pattern and satisfy
+every condition.  One walk (``_witnesses``) serves every check.
 
-Vertex keys.  Every code guarantees a role class at some shared vertex:
-head of both edges (I0, I1), tail of both (H1, H2), or head of one and tail
-of the other (R4, R3, E).  The index keeps each position's head-incidence
-list (edges it heads) and tail-incidence list, each built on first use.
-The checks for I0, H1 and R4 (and so ``onehead-h1``, ``i0-free``,
-``r4-free``, ``i0r4-free`` and ``lovasz``) need one shared vertex; for each
-edge they cross its keys with only the lists the requested classes need
-(head x head for I0, tail x tail for H1, head x tail both ways for R4), so a
-check costs the sum over vertices of the products of those list sizes
-rather than m^2.  A later edge in a list whose mask meets the edge's in
-that key alone shares exactly that vertex, in the roles the crossing names,
-so the crossing gives the pair's code and its row: no kernel call, and no
-deduplication of pairs met under several keys, which fail that test under
-each.
+Keys.  Each condition constrains pairs sharing exactly one vertex (I0, H1,
+R4: ``onehead-h1``, ``i0-free``, ``r4-free``, ``i0r4-free``, ``lovasz``) or
+exactly two (H2, I1, R3, E: ``h2-two-intersect``,
+``tails-only-2-intersect``).  A check asking for one-vertex codes keys the
+edges by vertex position, as a head or as a tail, from the index's
+head-incidence and tail-incidence lists.  A check asking only for
+two-vertex codes keys them by vertex pair instead, each edge under each of
+its C(|e|, 2) pairs: as a tail pair (both vertices tails) or a headed pair
+(it holds a head).  Which keys a check walks follows from its codes alone.
 
-Pair keys.  H2, I1, R3 and E (and so ``h2-two-intersect`` and
-``tails-only-2-intersect``) need exactly two shared vertices.  A check
-asking only for such codes files each edge under each of its C(|e|, 2)
-vertex pairs instead (from the index's positions), as a tail pair (both
-vertices tails) or a headed pair (it holds a head), and the codes again
-guarantee a class at the shared pair: tail pair of both edges (H2), tail
-pair of one and headed pair of the other (R3), headed pair of both (I1,
-E).  Such a check costs the sum of C(|e|, 2) over the edges to file the
-keys plus the candidate pairs met in the lists it needs: at most the pairs
-sharing two or more vertices, rather than every vertex-sharing pair.  On a
-2->1 input with n = 200 and m = 800 avoiding R3 and E, the R3 and E checks
-meet no candidate where a walk over vertex keys would meet 6,383 pairs
-each, and ``tails-only-2-intersect`` meets 15 where it would meet 14,185.
-Which keys a check walks follows from its codes alone.
+Crossings.  Every code guarantees one role class at its shared key: head
+of both edges (I0; I1 and E at a pair), tail of both (H1; H2), or head of
+one and tail of the other (R4; R3).  For each edge the walk crosses its
+keys with only the lists its classes need (head x head, tail x tail, and
+head x tail both ways), so a check costs the sum over keys of the products
+of those list sizes rather than m^2.
 
-The pair walk hands each edge's whole partner list to the kernel,
-``matching_partners``, in one call, which yields only the matching
-partners, so no pair costs a function call.
+The exact-share test.  A later edge j in a key's list is a hit only when
+its mask meets edge i's in exactly that key's own mask (one bit, or the
+pair's two).  So a pair is met once, under the key that is its whole
+intersection, with no deduplication: a pair sharing more fails the test
+under each of its keys.  The crossing that met it names its code and its
+row, with no classifying call: at a vertex, head x head is I0, tail x tail
+H1 and the two crossed roles R4; at a pair, tail x tail is H2 (the code
+``tails-only-2-intersect`` forbids when either tail is wider than the pair),
+the crossed roles R3, and head x head I1 when the pair holds a head of both
+edges and E otherwise.  On a 2->1 input with n = 200 and m = 800 avoiding
+R3 and E, the R3 and E checks meet no candidate where a walk over vertex
+keys would meet 6,383 pairs each.  ``matching_partners`` classifies
+arbitrary pairs, for ``pair_code`` and the generator's accept tests.
 
 Witnesses.  A check stores its witness pairs as three columns, edge i, edge
 j and the shared-vertex row (``PatternReport.columns``), and turns them
 into named-tuple records (``IntersectionProfile``) only when
-``PatternReport.witnesses`` is read; the CLI prints from the columns.  The
-vertex walk extends the columns a key list at a time.  Each distinct
+``PatternReport.witnesses`` is read; the CLI prints from the columns.  A
+one-vertex check extends the columns a key list at a time.  Each distinct
 shared-vertex row is built once and shared by every witness that has it.
-Witnesses come out in ascending (i, j) order.
+Hits from two keys of one edge are merged by j, so witnesses come out in
+ascending (i, j) order.
 """
 
 from __future__ import annotations
@@ -135,10 +129,10 @@ class PatternReport(Value):
     pattern: str
     avoided: bool
     columns: tuple[Sequence[int], Sequence[int], Sequence[tuple[tuple[str, str, str], ...]]]
-    # Candidate pairs the check examined: those the pair walk handed to the
-    # kernel, or those the vertex walk's mask test saw, where a pair met
-    # under two keys counts twice.  A measure of its cost, not of its
-    # outcome, so it takes no part in equality, hash or repr.
+    # Candidates the check's exact-share test saw: a pair once under each
+    # key it shares in a role class the check needs, so a pair met under two
+    # keys counts twice.  A measure of its cost, not of its outcome, so it
+    # takes no part in equality, hash or repr.
     pairs_examined: int
 
     def __init__(self, pattern: str, avoided: bool,
@@ -235,17 +229,17 @@ def _column_union(codes: int, column: int) -> int:
 
 
 def matching_partners(h1: int, t1: int, partners: Iterable[int], heads: Sequence[int],
-                      tails: Sequence[int], codes: int) -> Iterator[tuple[int, int, int]]:
-    """(j, code, common mask) for each j in partners whose pair with the edge
-    (h1, t1) has an intersection code in the codes mask, in partner order.
+                      tails: Sequence[int], codes: int) -> Iterator[tuple[int, int]]:
+    """(j, code) for each j in partners whose pair with the edge (h1, t1)
+    has an intersection code in the codes mask, in partner order.
 
     heads[j] and tails[j] are edge j's head and tail bitmasks.  Code 0 (no
-    shared vertex, or three or more) never matches.  This classifies the
-    two-vertex pairs and arbitrary ones (``pair_code``, the generator's
-    accept tests); a one-vertex check reads its pairs' codes off the key
-    lists that found them instead.  A caller makes one call per edge over
-    its whole partner list, so no pair costs a function call, and a caller
-    that needs only the first match stops there.
+    shared vertex, or three or more) never matches.  This classifies
+    arbitrary pairs, for ``pair_code`` and the generator's accept tests;
+    the checks name their pairs' codes from the keys that found them
+    (``_witnesses``).  A caller makes one call per edge over its whole
+    partner list, so no pair costs a function call, and a caller that needs
+    only the first match stops there.
     """
     v1 = h1 | t1
     for j in partners:
@@ -270,7 +264,7 @@ def matching_partners(h1: int, t1: int, partners: Iterable[int], heads: Sequence
         else:
             continue
         if codes >> code & 1:
-            yield j, code, common
+            yield j, code
 
 
 _ANY_CODE = (1 << len(_CODE_TABLE)) - 2  # every code but 0
@@ -278,7 +272,7 @@ _ANY_CODE = (1 << len(_CODE_TABLE)) - 2  # every code but 0
 
 def pair_code(h1: int, t1: int, h2: int, t2: int) -> int:
     """Intersection code of two edges given as head/tail vertex bitmasks."""
-    for _, code, _ in matching_partners(h1, t1, (0,), (h2,), (t2,), _ANY_CODE):
+    for _, code in matching_partners(h1, t1, (0,), (h2,), (t2,), _ANY_CODE):
         return code
     return 0
 
@@ -321,29 +315,6 @@ def _crossings(keys: HypergraphIndex | _PairKeys,
         (HEAD_TAIL, keys.tail_rows, heads, "tail", "head")) if roles & role]
 
 
-def _partners(keys: HypergraphIndex | _PairKeys,
-              roles: int) -> Iterator[tuple[int, list[int]]]:
-    """(i, [j > i sharing a key with edge i in a class of `roles`, ascending])
-    for every edge i, given ``keys``: the keys each edge holds as a head and
-    as a tail (``head_rows``, ``tail_rows``), and the lists at each key.
-
-    Each key keeps the list of edges holding it as a head and the list of
-    edges holding it as a tail, and a pair is found only through the lists
-    its role classes need (``_crossings``).  Walking the lists in order gives
-    each pair i < j once, in ascending (i, j) order, however many keys it
-    shares.
-    """
-    crossings = _crossings(keys, roles)
-    for i in range(len(keys.head_rows)):
-        later: list[int] = []
-        for rows, lists, _, _ in crossings:
-            for key in rows[i]:
-                edges = lists[key]
-                if edges and edges[-1] > i:  # most keys of a sparse input end at i or before
-                    later += edges[bisect_right(edges, i):]
-        yield i, sorted(set(later)) if later else later
-
-
 def _rows(names: tuple[str, ...], common: int,
           h1: int, h2: int) -> tuple[tuple[str, str, str], ...]:
     """(vertex, role in edge 1, role in edge 2) for each vertex in the common mask."""
@@ -354,66 +325,24 @@ def _rows(names: tuple[str, ...], common: int,
 def _witnesses(hg: DirectedHypergraph, codes: int) -> tuple[tuple, int]:
     """The columns (i, j, common) of the vertex-sharing pairs whose code is
     in the codes mask, in ascending (i, j) order, and the number of
-    candidate pairs the check examined.
+    candidates the exact-share test saw.
 
-    When every code in the mask needs two shared vertices the candidates come
-    from the walk over vertex-pair keys and go to the kernel; otherwise the
-    mask holds one-vertex codes only, and the vertex walk names each pair's
-    code itself.
+    The keys are vertex positions when the mask holds a one-vertex code,
+    and vertex pairs (``_PairKeys``) otherwise.  Each edge i crosses its keys
+    with the lists the codes' role classes need (``_crossings``); a later
+    edge j at a key is a hit only when ``masks[i] & masks[j]`` is that key's
+    own mask, and the crossing names the hit's code (see the module
+    docstring).
     """
     index = hg.index
-    pair_roles = pair_roles_of(codes)
-    if not pair_roles:
-        return _one_vertex_witnesses(index, hg.vertices, roles_of(codes))
-    heads = tails = ()  # the edge masks, read at the first candidate
-    names = hg.vertices
+    vertex_keys = codes & _ONE_VERTEX_CODES
+    keys = index if vertex_keys else _PairKeys(index)
     # Witnesses often repeat one shared vertex set with the same roles, so
-    # their rows are built once and shared.
-    rows_of: dict[tuple[int, int, int], tuple[tuple[str, str, str], ...]] = {}
-    I: list[int] = []
-    J: list[int] = []
-    R: list[tuple[tuple[str, str, str], ...]] = []
-    examined = 0
-    for i, later in _partners(_PairKeys(index), pair_roles):
-        if not later:  # most edges of a sparse input: skip the kernel call
-            continue
-        if not heads:  # a pair walk often meets no candidate, and needs no masks
-            heads, tails = index.head_masks, index.tail_masks
-        examined += len(later)
-        h1 = heads[i]
-        for j, _, common in matching_partners(h1, tails[i], later, heads, tails, codes):
-            h2 = heads[j]
-            key = (common, h1 & common, h2 & common)
-            rows = rows_of.get(key)
-            if rows is None:
-                rows = rows_of[key] = _rows(names, common, h1, h2)
-            I.append(i)
-            J.append(j)
-            R.append(rows)
-    return (I, J, R) if I else _NO_WITNESSES, examined
-
-
-def _one_vertex_witnesses(index: HypergraphIndex, names: tuple[str, ...],
-                          roles: int) -> tuple[tuple, int]:
-    """``_witnesses`` for a mask of one-vertex codes, which need the role
-    classes in ``roles``: the pairs sharing exactly one vertex in one of
-    those classes, and the number of candidates the mask test saw.
-
-    Each class is walked through its crossings (``_crossings``): head rows x
-    ``heads_at`` (I0), tail rows x ``tails_at`` (H1), head rows x
-    ``tails_at`` and tail rows x ``heads_at`` (R4).  A later edge j at key p
-    whose mask meets edge i's in bit p alone shares exactly p, in the roles
-    the crossing gives it, so the crossing names the pair's code and its
-    row, and no kernel call is needed.  A pair sharing two or more vertices
-    fails the mask test under each of its keys (and counts as a candidate
-    under each); a pair sharing one vertex passes under that key only, so
-    sorting each edge's hits by j gives ascending (i, j) order with no
-    deduplication.  The hits of a key go onto the j and row columns as a
-    whole list, and each edge's count onto the i column at once.
-    """
-    masks = index.masks
-    # each crossing's rows by key, built at the key's first hit
-    crossings = [(*crossing, {}) for crossing in _crossings(index, roles)]
+    # each crossing builds a row once and shares it.
+    crossings = [(*crossing, {}) for crossing in _crossings(
+        keys, roles_of(codes) if vertex_keys else pair_roles_of(codes))]
+    n, names = index.n, hg.vertices
+    masks, heads, tails = index.masks, index.head_masks, index.tail_masks
     I: list[int] = []
     J: list[int] = []
     R: list[tuple[tuple[str, str, str], ...]] = []
@@ -421,22 +350,42 @@ def _one_vertex_witnesses(index: HypergraphIndex, names: tuple[str, ...],
     for i, mask in enumerate(masks):
         start = len(J)
         merge = False  # hits from a second key interleave with the first's
-        for keys, lists, role_i, role_j, rows_at in crossings:
-            for p in keys[i]:
-                edges = lists[p]
+        for rows, lists, role_i, role_j, rows_at in crossings:
+            for key in rows[i]:
+                edges = lists[key]
                 if edges and edges[-1] > i:  # most keys of a sparse input end at i or before
                     later = edges[bisect_right(edges, i):]
                     examined += len(later)
-                    bit = 1 << p
-                    found = [j for j in later if masks[j] & mask == bit]
-                    if found:
-                        row = rows_at.get(p)
+                    bits = 1 << key if vertex_keys else 1 << key // n | 1 << key % n
+                    found = [j for j in later if masks[j] & mask == bits]
+                    if not found:
+                        continue
+                    merge |= len(J) > start
+                    if vertex_keys:  # the crossing is one code in the mask, and one row
+                        row = rows_at.get(key)
                         if row is None:
-                            row = rows_at[p] = ((names[p], role_i, role_j),)
-                        if len(J) > start:
-                            merge = True
+                            row = rows_at[key] = ((names[key], role_i, role_j),)
                         J += found
                         R += [row] * len(found)
+                        continue
+                    # at a pair, the crossing is R3, or leaves H2's exact and
+                    # wide codes, or I1 and E, to the edges' masks
+                    h1, t1 = heads[i], tails[i]
+                    for j in found:
+                        h2 = heads[j]
+                        if role_i != role_j:
+                            code = _R3
+                        elif role_i == "tail":
+                            code = _H2 if t1 == bits == tails[j] else _H2_WIDE
+                        else:
+                            code = _I1 if h1 & h2 & bits else _E
+                        if codes >> code & 1:
+                            at = (key, h1 & bits, h2 & bits)
+                            row = rows_at.get(at)
+                            if row is None:
+                                row = rows_at[at] = _rows(names, bits, h1, h2)
+                            J.append(j)
+                            R.append(row)
         count = len(J) - start
         if count:
             if merge:

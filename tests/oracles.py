@@ -130,6 +130,34 @@ def naive_condition_witnesses(hg: DirectedHypergraph, cond: str) -> list[Witness
     return rows
 
 
+# The shared keys each check's walk tests, from the paper's shapes: the key
+# size (one vertex, or a vertex pair for the checks that constrain only
+# two-vertex intersections) and the role classes its violations can show at
+# such a key ("hh" head of both edges, "tt" tail of both, "ht" head of one and
+# tail of the other; a pair of two tails counts as a tail, a pair holding a
+# head as a head).
+ALL_CLASSES = frozenset(("hh", "tt", "ht"))
+CANDIDATE_KEYS = {
+    "I0": (1, {"hh"}), "H1": (1, {"tt"}), "R4": (1, {"ht"}),
+    "H2": (2, {"tt"}), "I1": (2, {"hh"}), "R3": (2, {"ht"}), "E": (2, {"hh"}),
+    "onehead-h1": (1, {"tt"}), "i0-free": (1, {"hh"}), "r4-free": (1, {"ht"}),
+    "i0r4-free": (1, {"hh", "ht"}), "lovasz": (1, ALL_CLASSES),
+    "h2-two-intersect": (2, {"tt"}), "tails-only-2-intersect": (2, ALL_CLASSES),
+}
+
+
+def naive_candidates(hg: DirectedHypergraph, size: int, classes) -> list[tuple[int, int]]:
+    """(i, j) once for each set of `size` vertices the pair i < j shares
+    whose role class is in `classes`, scanning all m^2 pairs."""
+    out = []
+    for (i, e1), (j, e2) in combinations(enumerate(hg.edges), 2):
+        for key in combinations(sorted(e1.vertices & e2.vertices), size):
+            tail1, tail2 = set(key) <= e1.tail, set(key) <= e2.tail
+            if ("tt" if tail1 and tail2 else "ht" if tail1 or tail2 else "hh") in classes:
+                out.append((i, j))
+    return out
+
+
 @cache
 def _renamed_pair_contains(pair: tuple[tuple[frozenset, frozenset], ...], pattern: str) -> bool:
     e1, e2 = (DirectedEdge(tail, head) for tail, head in pair)

@@ -574,6 +574,15 @@ class TestColoringFile:
         for text in ("a", "a x", "a -1", "a 0\na 1"):
             with pytest.raises(ParseError):
                 parse_coloring(text)
+        # only ASCII decimal digits are a color index; int() alone reads
+        # "1_0" as 10 and also takes "+1" and the Arabic-Indic three
+        for token in ("1_0", "\u0663", "+1", "1.0", "-", "--1", "0x1"):
+            with pytest.raises(ParseError, match="bad color index"):
+                parse_coloring(f"a {token}")
+        for token in ("-1", "-0", "-12"):
+            with pytest.raises(ParseError, match="negative color index"):
+                parse_coloring(f"a {token}")
+        assert parse_coloring("a 007\nb 10") == Coloring({"a": 7, "b": 10}, 11)
 
     def test_k_defaults_past_the_largest_index_and_comments_are_skipped(self):
         text = "# a coloring\n\na 0  # blue\n   \nb 2\n"

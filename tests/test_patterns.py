@@ -25,6 +25,7 @@ from dhcolor import (
     paper_r,
     parse,
 )
+from dhcolor import patterns
 from dhcolor.patterns import (
     _PATTERN_CODES,
     ALL_ROLES,
@@ -34,15 +35,16 @@ from dhcolor.patterns import (
     VIOLATING_CODES,
     IntersectionProfile,
     PatternReport,
-    _PairKeys,
-    _partners,
     matching_partners,
     pair_code,
     pair_roles_of,
     roles_of,
 )
 from oracles import (
+    ALL_CLASSES,
+    CANDIDATE_KEYS,
     all_two_one_edges,
+    naive_candidates,
     naive_condition_witnesses,
     naive_normalized_edges,
     naive_pair_contains,
@@ -287,17 +289,6 @@ class TestPairKernelAgainstAllPairs:
                 assert roles_of(1 << code) in (classes if code else {0}), (i, j, code)
         assert seen == set(range(9))
 
-    def test_role_filtered_walk(self):
-        for idx, hg in enumerate(KERNEL_INSTANCES):
-            classes = {
-                (i, j): {_role(v, e1, e2) for v in e1.vertices & e2.vertices}
-                for (i, e1), (j, e2) in combinations(enumerate(hg.edges), 2)
-            }
-            for roles in range(1, ALL_ROLES + 1):  # ALL_ROLES: every vertex-sharing pair
-                walked = [(i, j) for i, later in _partners(hg.index, roles) for j in later]
-                assert walked == [p for p, c in classes.items() if any(r & roles for r in c)], (
-                    idx, roles)
-
     def test_violating_codes_need_their_role_classes(self):
         assert roles_of(VIOLATING_CODES["i0-free"]) == HEAD_HEAD
         assert roles_of(VIOLATING_CODES["r4-free"]) == HEAD_TAIL
@@ -383,8 +374,7 @@ class TestMatchingPartners:
                 rng.shuffle(partners)  # any order, kept as given
                 for name, mask in CODE_MASKS.items():
                     got = list(matching_partners(h1, t1, partners, heads, tails, mask))
-                    want = [(j, codes[i][j], (h1 | t1) & (heads[j] | tails[j]))
-                            for j in partners if mask >> codes[i][j] & 1]
+                    want = [(j, codes[i][j]) for j in partners if mask >> codes[i][j] & 1]
                     assert got == want, (idx, i, name)
 
     def test_condition_verdicts_match_the_naive_oracle(self):
@@ -393,7 +383,7 @@ class TestMatchingPartners:
             masks = list(zip(heads, tails))
             for i, e1 in enumerate(hg.edges):
                 for cond in CONDITION_IDS:
-                    hits = {j for j, _, _ in matching_partners(
+                    hits = {j for j, _ in matching_partners(
                         *masks[i], range(len(masks)), heads, tails, VIOLATING_CODES[cond])}
                     want = {j for j, e2 in enumerate(hg.edges)
                             if j != i and naive_pair_violates(e1, e2, cond)}
@@ -406,7 +396,7 @@ class TestMatchingPartners:
         tails = [sum(1 << pos[v] for v in e.tail) for e in edges]
         for i, e1 in enumerate(edges):
             for pattern in PATTERN_IDS:
-                hits = [j for j, _, _ in matching_partners(
+                hits = [j for j, _ in matching_partners(
                     heads[i], tails[i], range(len(edges)), heads, tails, _PATTERN_CODES[pattern])]
                 want = [j for j, e2 in enumerate(edges)
                         if j != i and naive_pair_contains(e1, e2, pattern)]
@@ -484,12 +474,20 @@ class TestIntersectionProfile:
 
 TWO_VERTEX_PATTERNS = ("H2", "I1", "R3", "E")
 TWO_VERTEX_CONDITIONS = ("h2-two-intersect", "tails-only-2-intersect")
+TWO_VERTEX_CHECKS = TWO_VERTEX_PATTERNS + TWO_VERTEX_CONDITIONS
 # The seven inputs of the ladder-sparse benchmark at seed 1: (cond, n, m, seed).
 LADDER_DRAWS = (
     ("onehead-h1", 100, 200, 1000), ("r4-free", 100, 400, 1001), ("r4-free", 200, 800, 1002),
     ("i0r4-free", 100, 200, 1003), ("i0-free", 24, 96, 1004),
     ("tails-only-2-intersect", 100, 400, 1100), ("tails-only-2-intersect", 200, 800, 1101),
 )
+
+
+def run_check(hg, check):
+    """The report of a pattern or a condition check."""
+    if check in PATTERN_IDS:
+        return contains_pattern(hg, check)
+    return check_condition(hg, check)
 
 
 def two_vertex_instance(seed):
@@ -524,11 +522,6 @@ def two_one_instance(seed):
     names = tuple(f"w{i}" for i in range(rng.randint(4, 7)))
     pool = all_two_one_edges(names)
     return DirectedHypergraph(names, tuple(rng.sample(pool, rng.randint(2, min(14, len(pool))))))
-
-
-def pair_walk(hg, roles):
-    """The partner walk over vertex-pair keys, as _witnesses runs it."""
-    return _partners(_PairKeys(hg.index), roles)
 
 
 def _pair_role(pair, e1, e2):
@@ -579,17 +572,23 @@ class TestPairWalk:
                 rows = list(contains_pattern(hg, pattern).witnesses)
                 assert rows == naive_pattern_witnesses(hg, pattern), (n, seed, pattern)
 
-    def test_walk_meets_the_pairs_sharing_a_vertex_pair_in_its_classes(self):
-        for idx, hg in enumerate(GENERAL_TWO_VERTEX[:200] + TWO_ONE_TWO_VERTEX[:20]):
-            classes = {
-                (i, j): {_pair_role(frozenset(q), e1, e2)
-                         for q in combinations(e1.vertices & e2.vertices, 2)}
-                for (i, e1), (j, e2) in combinations(enumerate(hg.edges), 2)
-            }
-            for roles in range(1, ALL_ROLES + 1):
-                walked = [(i, j) for i, later in pair_walk(hg, roles) for j in later]
-                assert walked == [p for p, c in classes.items() if any(r & roles for r in c)], (
-                    idx, roles)
+    def test_no_check_calls_the_kernel(self, monkeypatch):
+        # the crossing that meets a pair names its code; matching_partners
+        # is left to pair_code and the generator
+        inputs = (gen_h2_tower(5), gen_random(200, 800, cond="tails-only-2-intersect", seed=1101))
+        want = [{c: len(run_check(hg, c).columns[0]) for c in TWO_VERTEX_CHECKS} for hg in inputs]
+        assert want == [
+            {"H2": 0, "I1": 3810, "R3": 0, "E": 0, "h2-two-intersect": 0,
+             "tails-only-2-intersect": 3810},
+            {"H2": 15, "I1": 0, "R3": 0, "E": 0, "h2-two-intersect": 15,
+             "tails-only-2-intersect": 0}]
+
+        def kernel(*args):
+            raise AssertionError("matching_partners called")
+
+        monkeypatch.setattr(patterns, "matching_partners", kernel)
+        got = [{c: len(run_check(hg, c).columns[0]) for c in TWO_VERTEX_CHECKS} for hg in inputs]
+        assert got == want
 
     def test_every_two_vertex_code_guarantees_its_pair_class(self):
         seen = set()
@@ -655,21 +654,25 @@ class TestOneVertexWalk:
 
 
 class TestPairsExamined:
-    """PatternReport.pairs_examined counts the candidate pairs a check
-    examined: those the pair walk hands the kernel on the two-vertex checks,
-    and on the rest those the vertex walk's mask test sees, once under each
-    key a pair shares."""
+    """PatternReport.pairs_examined counts the candidates a check's
+    exact-share test saw: a pair once under each key it shares (a vertex,
+    or a vertex pair on the two-vertex checks) in a role class the check
+    needs."""
 
-    @staticmethod
-    def vertex_walk_count(hg, codes):
-        return sum(len(later) for _, later in _partners(hg.index, roles_of(codes)))
+    def test_equals_the_naive_candidate_count(self):
+        instances = KERNEL_INSTANCES + GENERAL_TWO_VERTEX[:200] + TWO_ONE_TWO_VERTEX[:20]
+        for idx, hg in enumerate(instances):
+            for check in (*PATTERN_IDS, *CONDITION_IDS) if is_two_to_one(hg) else CONDITION_IDS:
+                want = len(naive_candidates(hg, *CANDIDATE_KEYS[check]))
+                assert run_check(hg, check).pairs_examined == want, (idx, check)
 
     def test_goodcheck_input(self):
         # ladder-sparse's n=200 goodcheck input: every pair sharing two
         # vertices shares them as both edges' tails, so R3 (tail pair of one
-        # edge, headed pair of the other) and E (headed in both) meet none.
+        # edge, headed pair of the other) and E (headed in both) meet none,
+        # where a walk over vertices in R3's class would meet 6,383.
         hg = gen_random(200, 800, cond="tails-only-2-intersect", seed=1101)
-        assert self.vertex_walk_count(hg, _PATTERN_CODES["R3"]) == 6383
+        assert len(naive_candidates(hg, 1, CANDIDATE_KEYS["R3"][1])) == 6383
         assert contains_pattern(hg, "R3").pairs_examined == 0
         assert contains_pattern(hg, "E").pairs_examined == 0
         assert contains_pattern(hg, "H2").pairs_examined == 15
@@ -677,15 +680,16 @@ class TestPairsExamined:
 
     def test_h2_tower_5(self):
         hg = gen_h2_tower(5)
-        codes = VIOLATING_CODES["tails-only-2-intersect"]
-        assert self.vertex_walk_count(hg, codes) == 35082
         report = check_condition(hg, "tails-only-2-intersect")
         assert report.pairs_examined == len(report.witnesses) == 3810
         assert contains_pattern(hg, "R3").pairs_examined == 0
         # lovasz needs every role class, so the walk meets each pair of edges
-        # through a vertex at that vertex: a pair sharing two vertices twice.
+        # through a vertex at that vertex: a pair sharing two vertices twice,
+        # and the 35,082 vertex-sharing pairs 38,892 times.
+        at_vertices = naive_candidates(hg, 1, ALL_CLASSES)
+        assert len(set(at_vertices)) == 35082
         pairs_at = sum(len(es) * (len(es) - 1) // 2 for es in hg.index.edges_at)
-        assert check_condition(hg, "lovasz").pairs_examined == pairs_at == 38892
+        assert check_condition(hg, "lovasz").pairs_examined == pairs_at == len(at_vertices) == 38892
 
     def test_left_out_of_equality_and_repr(self):
         report = contains_pattern(gen_h2_tower(4), "I1")

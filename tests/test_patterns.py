@@ -253,6 +253,17 @@ def _role(v, e1, e2):
     return HEAD_HEAD if h1 and h2 else HEAD_TAIL if h1 or h2 else TAIL_TAIL
 
 
+def walked_pairs(keys, roles):
+    """The pairs i < j that the crossings for `roles` meet at some key, in
+    ascending order, each once: the pairs _witnesses tests."""
+    met = set()
+    for rows, lists, _, _ in patterns._crossings(keys, roles):
+        for i, row in enumerate(rows):
+            for key in row:
+                met.update((i, j) for j in lists[key] if j > i)
+    return sorted(met)
+
+
 KERNEL_INSTANCES = (
     [general_instance(seed) for seed in range(150)]
     + [gen_random(n=12, m=30, cond=cond, seed=seed, tail_range=(2, 5))
@@ -288,6 +299,17 @@ class TestPairKernelAgainstAllPairs:
                 classes = {_role(v, e1, e2) for v in e1.vertices & e2.vertices}
                 assert roles_of(1 << code) in (classes if code else {0}), (i, j, code)
         assert seen == set(range(9))
+
+    def test_role_filtered_walk(self):
+        for idx, hg in enumerate(KERNEL_INSTANCES):
+            classes = {
+                (i, j): {_role(v, e1, e2) for v in e1.vertices & e2.vertices}
+                for (i, e1), (j, e2) in combinations(enumerate(hg.edges), 2)
+            }
+            for roles in range(1, ALL_ROLES + 1):  # ALL_ROLES: every vertex-sharing pair
+                walked = walked_pairs(hg.index, roles)
+                assert walked == [p for p, c in classes.items() if any(r & roles for r in c)], (
+                    idx, roles)
 
     def test_violating_codes_need_their_role_classes(self):
         assert roles_of(VIOLATING_CODES["i0-free"]) == HEAD_HEAD
@@ -589,6 +611,18 @@ class TestPairWalk:
         monkeypatch.setattr(patterns, "matching_partners", kernel)
         got = [{c: len(run_check(hg, c).columns[0]) for c in TWO_VERTEX_CHECKS} for hg in inputs]
         assert got == want
+
+    def test_walk_meets_the_pairs_sharing_a_vertex_pair_in_its_classes(self):
+        for idx, hg in enumerate(GENERAL_TWO_VERTEX[:200] + TWO_ONE_TWO_VERTEX[:20]):
+            classes = {
+                (i, j): {_pair_role(frozenset(q), e1, e2)
+                         for q in combinations(e1.vertices & e2.vertices, 2)}
+                for (i, e1), (j, e2) in combinations(enumerate(hg.edges), 2)
+            }
+            for roles in range(1, ALL_ROLES + 1):
+                walked = walked_pairs(patterns._PairKeys(hg.index), roles)
+                assert walked == [p for p, c in classes.items() if any(r & roles for r in c)], (
+                    idx, roles)
 
     def test_every_two_vertex_code_guarantees_its_pair_class(self):
         seen = set()

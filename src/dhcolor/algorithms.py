@@ -43,7 +43,6 @@ from .core import (
     YELLOW,
     Coloring,
     DirectedHypergraph,
-    HypergraphIndex,
     Value,
     _mask_row,
     _setattr,
@@ -450,8 +449,7 @@ def augment_i0(hg: DirectedHypergraph, checked: bool = True) -> DirectedHypergra
             if w != u and w != pivot and (1 << pivot | 1 << w) not in existing:
                 head_rows.append((u,))
                 tail_rows.append((pivot, w))
-    return DirectedHypergraph._of(hg.vertices, hg.positions,
-                                  HypergraphIndex(n, head_rows, tail_rows))
+    return DirectedHypergraph._of(hg.vertices, head_rows, tail_rows)
 
 
 def _full_star_issues(hg: DirectedHypergraph) -> list[str]:

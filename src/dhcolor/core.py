@@ -127,12 +127,13 @@ edge = DirectedEdge  # the short name; it takes any iterables of vertex names
 class HypergraphIndex:
     """A hypergraph's edges by vertex position (``hg.index``); the vertex at
     position p is bit p of every mask.  ``head_rows[k]`` and ``tail_rows[k]``
-    hold the positions of edge k's heads and tails, each once, and are given
-    to the constructor: ``parse`` lists them in the order the names are
-    written on the edge line, the generators in ascending order, and a
-    hypergraph built from edges in its frozensets' iteration order, which
-    follows the string hash, so nothing may depend on the order inside a
-    row.  Each other view is built from the rows on first use and cached
+    hold the positions of edge k's heads and tails, each once.  A hypergraph
+    builds its index as it is built (``DirectedHypergraph._of``, or its
+    constructor): ``parse`` lists the rows in the order the names are
+    written on the edge line, the generators in ascending order, and the
+    constructor in its records' frozensets' iteration order, which follows
+    the string hash, so nothing may depend on the order inside a row.  Each
+    other view is built from the rows on first use and cached
     (``functools.cached_property``): ``head_masks``, ``tail_masks`` and
     ``masks`` give each edge's bitmask of its heads, its tails and all its
     vertices; ``heads_at``, ``tails_at`` and ``edges_at`` give for each
@@ -209,18 +210,19 @@ class DirectedHypergraph(Value):
     and ``index`` (a ``HypergraphIndex``) are not fields, so neither takes
     part in ``==``, ``hash`` or ``repr``.
 
-    A hypergraph is built one of two ways.  The constructor takes
-    ``DirectedEdge`` records, checks them and the names and builds
-    ``positions``; ``index`` is built from the records on first read.
-    ``parse``, ``normalize``, ``augment_i0`` and the generators hand over
-    position rows instead (``_of``): ``index`` holds them, and ``edges`` is
-    built from them on first read and kept.  The two are one value.  ``==``,
-    ``hash``, ``repr`` and ``with_vertex_order`` read ``edges``, so on a
-    hypergraph built from rows they build its records; pickling and copying
-    keep whichever of the two it holds.  ``serialize``, ``is_two_to_one``,
-    ``is_proper``, ``normalize``, the pattern checks, the colorings and the
-    solver read ``index`` alone, so ``dhcolor check``, ``color``,
-    ``chromatic`` and ``gen`` and a fuzz trial build no record.
+    Every hypergraph holds ``positions`` and ``index`` from the moment it
+    exists, and ``_of`` is the one place that assembles them from position
+    rows.  ``parse``, ``normalize``, ``augment_i0`` and the generators hand
+    ``_of`` the rows, and ``edges`` is built from them on first read and
+    kept.  The constructor takes ``DirectedEdge`` records, checks them and
+    the names, and builds ``positions`` and the index's rows from them.
+    Both give one value.  ``==``, ``hash``, ``repr`` and
+    ``with_vertex_order`` read ``edges``, so on a hypergraph built from rows
+    they build its records; pickling and copying keep the records only if
+    they were built.  ``serialize``, ``is_two_to_one``, ``is_proper``,
+    ``normalize``, the pattern checks, the colorings and the solver read
+    ``index`` alone, so ``dhcolor check``, ``color``, ``chromatic`` and
+    ``gen`` and a fuzz trial build no record.
     """
 
     _fields = ("vertices", "edges")
@@ -243,25 +245,23 @@ class DirectedHypergraph(Value):
             if not e.vertices <= names:
                 missing = ",".join(sorted(map(str, e.vertices - names)))
                 raise ValidationError(f"edge {idx} uses undeclared vertices: {missing}")
+        get = positions.__getitem__
+        _setattr(self, "index", HypergraphIndex(self.n, [tuple(map(get, e.head)) for e in self.edges],
+                                                [tuple(map(get, e.tail)) for e in self.edges]))
 
     @classmethod
-    def _of(cls, vertices: tuple[str, ...], positions: dict[str, int],
-            index: HypergraphIndex) -> DirectedHypergraph:
-        """The hypergraph whose edges are index's rows, unchecked: the names
-        must be valid and distinct, positions must map them to their
-        positions, and each row must hold distinct positions below
-        len(vertices), with an edge's two rows disjoint and not both empty."""
+    def _of(cls, vertices: tuple[str, ...], head_rows: list[tuple[int, ...]],
+            tail_rows: list[tuple[int, ...]]) -> DirectedHypergraph:
+        """The hypergraph on vertices whose edge k has heads head_rows[k] and
+        tails tail_rows[k], as positions, unchecked: the names must be valid
+        and distinct, and each row must hold distinct positions below
+        len(vertices), with an edge's two rows disjoint and not both empty.
+        It builds ``positions`` and ``index``; no ``DirectedEdge`` is built."""
         hg = cls.__new__(cls)
         _setattr(hg, "vertices", vertices)
-        _setattr(hg, "positions", positions)
-        _setattr(hg, "index", index)
+        _setattr(hg, "positions", dict(zip(vertices, range(len(vertices)))))
+        _setattr(hg, "index", HypergraphIndex(len(vertices), head_rows, tail_rows))
         return hg
-
-    @cached_property
-    def index(self) -> HypergraphIndex:
-        get = self.positions.__getitem__
-        return HypergraphIndex(self.n, [tuple(map(get, e.head)) for e in self.edges],
-                               [tuple(map(get, e.tail)) for e in self.edges])
 
     @cached_property
     def edges(self) -> tuple[DirectedEdge, ...]:
@@ -383,8 +383,7 @@ def parse(text: str) -> DirectedHypergraph:
     at = tuple(map(positions.get, written))  # None at each cut; its slices are tuples
     tail_rows = [at[start:cut] for start, cut in zip([0, *ends], cuts)]
     head_rows = [at[cut + 1:end] for cut, end in zip(cuts, ends)]
-    return DirectedHypergraph._of(vertices, positions,
-                                  HypergraphIndex(len(vertices), head_rows, tail_rows))
+    return DirectedHypergraph._of(vertices, head_rows, tail_rows)
 
 
 def _parse_name(token: str, lineno: int) -> str:
@@ -440,11 +439,11 @@ def normalize(hg: DirectedHypergraph) -> DirectedHypergraph:
             supersets &= bits[p]
         dropped |= supersets ^ (1 << i)
     if not dropped:
-        return hg  # keeps its positions and cached index; nothing to revalidate
+        return hg  # keeps its positions and index; nothing to revalidate
     index = hg.index
     kept = [k for k in range(len(index.head_rows)) if not dropped >> k & 1]
-    return DirectedHypergraph._of(hg.vertices, hg.positions, HypergraphIndex(
-        hg.n, [index.head_rows[k] for k in kept], [index.tail_rows[k] for k in kept]))
+    return DirectedHypergraph._of(hg.vertices, [index.head_rows[k] for k in kept],
+                                  [index.tail_rows[k] for k in kept])
 
 
 def is_proper(hg: DirectedHypergraph, coloring: Coloring) -> bool:

@@ -11,7 +11,7 @@ import random
 from itertools import combinations, permutations
 from math import ceil, comb, log
 
-from .core import DirectedHypergraph, HypergraphIndex, Value, _mask_row, _setattr
+from .core import DirectedHypergraph, Value, _mask_row, _setattr
 from .patterns import CONDITION_IDS, VIOLATING_CODES, matching_partners
 
 GENERATOR_KINDS = ("paper-i", "paper-r", "h2-tower", "perm-tower", "random")
@@ -20,18 +20,10 @@ PERM_TOWER_MAX_LEVEL = 3
 REJECTION_ATTEMPTS_PER_EDGE = 100
 
 
-def _of_rows(vertices: tuple[str, ...], head_rows: list[tuple[int, ...]],
-             tail_rows: list[tuple[int, ...]]) -> DirectedHypergraph:
-    """The hypergraph on vertices whose edge k has heads head_rows[k] and
-    tails tail_rows[k], as positions; no ``DirectedEdge`` is built."""
-    return DirectedHypergraph._of(vertices, dict(zip(vertices, range(len(vertices)))),
-                                  HypergraphIndex(len(vertices), head_rows, tail_rows))
-
-
 def _paper(triples: list[tuple[int, int, int]]) -> DirectedHypergraph:
     """The hypergraph on v1..v5 with the edge va vb > vc for each (a, b, c)."""
-    return _of_rows(("v1", "v2", "v3", "v4", "v5"), [(c - 1,) for _, _, c in triples],
-                    [(a - 1, b - 1) for a, b, _ in triples])
+    return DirectedHypergraph._of(("v1", "v2", "v3", "v4", "v5"), [(c - 1,) for _, _, c in triples],
+                                  [(a - 1, b - 1) for a, b, _ in triples])
 
 
 def paper_i() -> DirectedHypergraph:
@@ -73,7 +65,7 @@ def _tower(k: int, max_level: int, join) -> DirectedHypergraph:
         head_rows = head_rows + [(h + n,) for h, in head_rows] + cross_heads
         tail_rows = tail_rows + [(s + n, t + n) for s, t in tail_rows] + cross_tails
         names = tuple("a_" + v for v in names) + tuple("b_" + v for v in names) + apexes
-    return _of_rows(names, head_rows, tail_rows)
+    return DirectedHypergraph._of(names, head_rows, tail_rows)
 
 
 def _h2_join(k: int, n: int):
@@ -289,9 +281,9 @@ def gen_random(
         dead[full] = full
         live -= (full ^ gone).bit_count()
 
-    return _of_rows(tuple(f"v{i + 1}" for i in range(n)),
-                    [(head.bit_length() - 1,) for head in heads],
-                    [tuple(_mask_row(tail)) for tail in tails])
+    return DirectedHypergraph._of(tuple(f"v{i + 1}" for i in range(n)),
+                                  [(head.bit_length() - 1,) for head in heads],
+                                  [tuple(_mask_row(tail)) for tail in tails])
 
 
 class GenSpec(Value):

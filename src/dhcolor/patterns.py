@@ -399,7 +399,7 @@ def classify_intersection(hg: DirectedHypergraph, i: int, j: int) -> Intersectio
     """Exact intersection of edges i < j, listed in vertex-sequence order."""
     heads, masks = hg.index.head_masks, hg.index.masks
     if not 0 <= i < j < len(masks):
-        raise IndexError(f"edge pair ({i}, {j}) out of range")
+        raise IndexError(f"edge pair ({i}, {j}) needs 0 <= i < j < {len(masks)}")
     return IntersectionProfile(i, j, _rows(hg.vertices, masks[i] & masks[j], heads[i], heads[j]))
 
 

@@ -19,15 +19,18 @@ from dhcolor import (
     ParseError,
     PatternReport,
     ValidationError,
+    augment_i0,
     check_condition,
     chromatic_number,
     color_head_tail_3,
     edge,
     gen_h2_tower,
+    gen_perm_tower,
     gen_random,
     is_proper,
     normalize,
     paper_i,
+    paper_r,
     parse,
     parse_coloring,
     serialize,
@@ -307,6 +310,40 @@ def nested_instance(seed):
 
 class TestHypergraphIndex:
     """hg.index against builds from vertex names, and its place in the value."""
+
+    # Every way a hypergraph is made: (build, whether it is built from rows).
+    # normalize's input has an edge holding another's vertex set, so an edge
+    # is dropped and the result is built anew.
+    BUILDS = {
+        "records": (lambda: DirectedHypergraph("abc", (edge("ab", "c"), edge("c", "a"))), False),
+        "parse": (lambda: parse("v a\ne a b > c\ne c d > a\n"), True),
+        "normalize": (lambda: normalize(parse("e a b > c\ne a b d > c\ne c d > a")), True),
+        "augment_i0": (lambda: augment_i0(paper_i()), True),
+        "paper_i": (paper_i, True),
+        "paper_r": (paper_r, True),
+        "gen_h2_tower": (lambda: gen_h2_tower(3), True),
+        "gen_perm_tower": (lambda: gen_perm_tower(3), True),
+        "gen_random": (lambda: gen_random(9, 18, cond="i0-free", seed=3), True),
+        "with_vertex_order": (lambda: parse("e a b > c\ne c d > a").with_vertex_order("dcba"),
+                              False),
+    }
+
+    @pytest.mark.parametrize("name", BUILDS)
+    def test_held_from_construction(self, name):
+        build, from_rows = self.BUILDS[name]
+        hg = build()
+        assert "positions" in vars(hg) and "index" in vars(hg)
+        assert ("edges" in vars(hg)) is not from_rows
+        assert hg.positions == {v: p for p, v in enumerate(hg.vertices)}
+        assert hg.index.n == hg.n == len(hg.positions)
+        # The views stay lazy; reading edges builds the records from the rows.
+        assert not {"masks", "heads_at", "edges_at"} & vars(hg.index).keys()
+        assert DirectedHypergraph(hg.vertices, hg.edges).index.masks == hg.index.masks
+
+    def test_index_is_held_not_cached(self):
+        assert "index" not in vars(DirectedHypergraph)  # no cached_property
+        # The normalize build drops its second edge, so _of builds the result.
+        assert len(self.BUILDS["normalize"][0]().index.head_rows) == 2
 
     def test_views_match_a_naive_build(self):
         for hg in (*_pin_corpus(), *general_instances()):

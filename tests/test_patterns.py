@@ -88,6 +88,14 @@ class TestClassifyIntersection:
             with pytest.raises(IndexError):
                 classify_intersection(hg, *pair)
 
+    def test_pair_out_of_order_names_the_rule(self):
+        # Both indices are in range here; the pair must still ascend.
+        hg = parse("e a b > c\ne a d > e")
+        for pair in ((1, 0), (0, 0)):
+            with pytest.raises(IndexError, match=rf"^edge pair \({pair[0]}, {pair[1]}\) "
+                                                 r"needs 0 <= i < j < 2$"):
+                classify_intersection(hg, *pair)
+
 
 class TestContainsPattern:
     def test_each_pattern_recognizes_itself(self):

@@ -18,10 +18,13 @@ from dhcolor import (
     HeadStar,
     RunTrace,
     TraceEvent,
+    augment_i0,
     edge,
     gen_h2_tower,
     gen_random,
     induce_good_coloring,
+    normalize,
+    paper_i,
     parse,
 )
 
@@ -31,12 +34,15 @@ HG_REPR = ("DirectedHypergraph(vertices=('a', 'b', 'c'), edges=("
            "DirectedEdge(tail=frozenset({'b'}), head=frozenset({'a'}))))")
 # HG as parse builds it: from position rows, its edges built when read.
 HG_TEXT = "v a\nv b\nv c\ne a > c\ne b > a\n"
-# Hypergraphs the generators build from position rows.  Their tails have two
-# names, and the order in which a two-name frozenset prints follows the
+# Hypergraphs built from position rows: by the generators, by normalize when
+# it drops an edge (here the second) and by augment_i0.  Their tails have
+# two names, and the order in which a two-name frozenset prints follows the
 # string hash, so their repr is built from the value's own fields.
 ROW_BUILDS = {
     "gen_random": lambda: gen_random(9, 18, cond="i0-free", seed=3),
     "gen_h2_tower": lambda: gen_h2_tower(3),
+    "normalize": lambda: normalize(parse("e a b > c\ne a b d > c\ne c d > a")),
+    "augment_i0": lambda: augment_i0(paper_i()),
 }
 COLORING = Coloring({"a": 0, "b": 1, "c": 1}, 2)
 COLORING_REPR = "Coloring(assignment={'a': 0, 'b': 1, 'c': 1}, k=2)"

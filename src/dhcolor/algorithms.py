@@ -24,9 +24,13 @@ position (None for an edge not in the pass); the sweep files the edges
 under those positions itself and paints position ``p`` when it closes an
 edge that is still all blue, or (i0-4's step 2 only) still has no green
 vertex.  One ``paint`` serves them all: an all-blue edge through ``p``
-makes ``p`` blue, so only step 2 can meet a red ``p``.  One
-``_classify_star`` gives a head-star's kind and the pivot of the full star
-that ``augment_i0`` builds and its audit checks.
+makes ``p`` blue, so only step 2 can meet a red ``p``.  Their audits scan
+the edge masks once per check against one class mask (the edges inside a
+class, or meeting none of it) and hand the offenders to one
+``_Run.audit``, which reports them by edge index, an edge's failures in
+the order of the checks.  One ``_classify_star`` gives a head-star's kind
+and the pivot of the full star that ``augment_i0`` builds and its audit
+checks.
 """
 
 from __future__ import annotations
@@ -202,14 +206,27 @@ class _Run:
         mask = self.masks[idx]
         return self.classes[c] & mask == mask
 
-    def meets(self, idx: int, c: int) -> bool:
-        """Edge idx has a vertex of color c."""
-        return bool(self.classes[c] & self.masks[idx])
+    def missing(self, out: int) -> list[int]:
+        """The ascending indices of the edges with no vertex in the mask
+        out: with out a class, the edges that meet no vertex of its color."""
+        return [idx for idx, mask in enumerate(self.masks) if not mask & out]
 
-    def monochromatic(self, idx: int) -> bool:
-        """Edge idx lies inside one color class."""
-        mask = self.masks[idx]
-        return any(cls & mask == mask for cls in self.classes)
+    def inside(self, c: int) -> list[int]:
+        """The ascending indices of the edges inside color class c."""
+        return self.missing(~self.classes[c])
+
+    def inside_any(self) -> list[int]:
+        """The ascending indices of the edges inside some color class (an
+        empty class holds no edge, as every edge has a vertex)."""
+        return sorted(idx for c, cls in enumerate(self.classes) if cls for idx in self.inside(c))
+
+    def audit(self, *checks: tuple[list[int], str]) -> None:
+        """Report each check's offenders, a check being the ascending edge
+        indices that fail it and its message with ``{}`` for the index: by
+        edge index, and an edge's failures in the order of the checks."""
+        found = sorted((idx, k) for k, (offenders, _) in enumerate(checks) for idx in offenders)
+        for idx, k in found:
+            self.trace.violate(checks[k][1].format(idx))
 
     def sweep(self, order, keys: list[int | None], c: int, gate: int = BLUE) -> None:
         """Paint each position p of order c when it closes an edge of this
@@ -340,7 +357,6 @@ def color_head_tail_3(
     """
     spec, hn, trace = _start(hg, "ht3", checked)
     heads, tails = hn.index.head_masks, hn.index.tail_masks
-    m = len(heads)
     # An edge's last vertex is the top bit of its masks, which lies in the
     # larger of its head and tail masks.  Pass 1 closes the edges that end in
     # a tail there, pass 2 the others.
@@ -350,18 +366,14 @@ def color_head_tail_3(
     run = _Run(hn, trace)
     run.sweep(range(hn.n), pass_1, RED)
 
-    for idx in range(m):
-        if pass_1[idx] is not None and not run.meets(idx, RED):
-            trace.violate(f"tail-ending edge {idx} has no red vertex after pass 1")
-        if run.mono(idx, RED):
-            trace.violate(f"edge {idx} is monochromatic red after pass 1")
+    run.audit(([idx for idx in run.missing(run.classes[RED]) if pass_1[idx] is not None],
+               "tail-ending edge {} has no red vertex after pass 1"),
+              (run.inside(RED), "edge {} is monochromatic red after pass 1"))
 
     run.sweep(range(hn.n), pass_2, GREEN)
 
-    for idx in range(m):
-        if run.monochromatic(idx):
-            # Covers all-blue head-ending edges as well as mono red/green.
-            trace.violate(f"edge {idx} is monochromatic at termination")
+    # Covers all-blue head-ending edges as well as mono red/green.
+    run.audit((run.inside_any(), "edge {} is monochromatic at termination"))
 
     coloring = _finish(hg, run, spec.palette, checked)
     return coloring, trace
@@ -506,7 +518,6 @@ def color_i0_4(hg: DirectedHypergraph, checked: bool = True) -> tuple[Coloring, 
         trace.violate(issue)
 
     masks = ha.index.masks
-    m = len(masks)
     heads = _head_positions(ha)
     # The count of an edge's vertices below its head: 0 lowest (E1), 1 middle
     # (E2), 2 highest (E3); an edge with more than two tails (unchecked runs
@@ -521,29 +532,22 @@ def color_i0_4(hg: DirectedHypergraph, checked: bool = True) -> tuple[Coloring, 
     run = _Run(ha, trace)
     run.sweep(range(ha.n), step_keys(2), RED)
 
-    for idx in range(m):
-        if rank_of[idx] == 2 and run.mono(idx, BLUE):
-            trace.violate(f"E3 edge {idx} still all blue after step 1")
-        if run.mono(idx, RED):
-            trace.violate(f"edge {idx} monochromatic red after step 1")
+    run.audit(([idx for idx in run.inside(BLUE) if rank_of[idx] == 2],
+               "E3 edge {} still all blue after step 1"),
+              (run.inside(RED), "edge {} monochromatic red after step 1"))
 
     run.sweep(reversed(range(ha.n)), step_keys(0), GREEN, gate=GREEN)
 
-    for idx in range(m):
-        if rank_of[idx] == 0 and not run.meets(idx, GREEN):
-            trace.violate(f"E1 edge {idx} has no green vertex after step 2")
-        if rank_of[idx] in (0, 2) and run.mono(idx, BLUE):
-            trace.violate(f"E1/E3 edge {idx} still all blue after step 2")
-        if run.mono(idx, GREEN):
-            trace.violate(f"edge {idx} monochromatic green after step 2")
-        if run.mono(idx, RED):
-            trace.violate(f"edge {idx} monochromatic red after step 2")
+    run.audit(([idx for idx in run.missing(run.classes[GREEN]) if rank_of[idx] == 0],
+               "E1 edge {} has no green vertex after step 2"),
+              ([idx for idx in run.inside(BLUE) if rank_of[idx] in (0, 2)],
+               "E1/E3 edge {} still all blue after step 2"),
+              (run.inside(GREEN), "edge {} monochromatic green after step 2"),
+              (run.inside(RED), "edge {} monochromatic red after step 2"))
 
     run.sweep(range(ha.n), step_keys(1), YELLOW)
 
-    for idx in range(m):
-        if run.monochromatic(idx):
-            trace.violate(f"edge {idx} monochromatic at termination")
+    run.audit((run.inside_any(), "edge {} monochromatic at termination"))
 
     coloring = _finish(hg, run, spec.palette, checked)
     return coloring, trace
@@ -557,11 +561,8 @@ def color_i0_r4_2(hg: DirectedHypergraph, checked: bool = True) -> tuple[Colorin
     run = _Run(hn, trace)
     run.sweep(range(hn.n), _head_positions(hn), RED)
 
-    for idx in range(len(run.masks)):
-        if not run.meets(idx, RED):
-            trace.violate(f"edge {idx} ended with no red vertex")
-        if run.monochromatic(idx):
-            trace.violate(f"edge {idx} monochromatic at termination")
+    run.audit((run.missing(run.classes[RED]), "edge {} ended with no red vertex"),
+              (run.inside_any(), "edge {} monochromatic at termination"))
 
     coloring = _finish(hg, run, spec.palette, checked)
     return coloring, trace

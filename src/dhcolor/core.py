@@ -418,30 +418,43 @@ def normalize(hg: DirectedHypergraph) -> DirectedHypergraph:
     superset of a kept one and monochromaticity only depends on vertex sets.
     When no edge is dropped the result is ``hg`` itself; otherwise it is
     built from the kept edges' position rows, and builds no record until
-    its ``edges`` is read.
+    its ``edges`` is read.  It walks no edge pairs, on either of two paths.
 
-    It builds each position's bitset of the edges through it from
+    When every edge has one size, as on 2->1 inputs, one vertex set can
+    contain another only by being equal to it, so the first edge of each
+    mask in ``hg.index.masks`` is kept and the rest dropped: one hash of each
+    mask.
+
+    Otherwise it builds each position's bitset of the edges through it from
     ``hg.index.edges_at``, so the edges whose vertex set contains edge i's
-    are the AND of its vertices' bitsets: |e| big-int ANDs per edge, with no
-    walk over edge pairs.  Edges are visited in order and each one not yet
-    dropped drops all its other supersets.  That is the rule above: an edge
-    i still standing has no equal copy before it (that copy, or whatever
-    dropped it, would have dropped i), and an edge that should go has a kept
-    edge inside it, which drops it.
+    are the AND of its vertices' bitsets: |e| big-int ANDs per edge.  Edges
+    are visited in order and each one not yet dropped drops all its other
+    supersets.  That is the rule above: an edge i still standing has no
+    equal copy before it (that copy, or whatever dropped it, would have
+    dropped i), and an edge that should go has a kept edge inside it, which
+    drops it.
     """
-    bits = _row_masks(hg.index.edges_at)
-    dropped = 0
-    for i, row in enumerate(map(add, hg.index.head_rows, hg.index.tail_rows)):
-        if dropped >> i & 1:
-            continue
-        supersets = bits[row[0]]
-        for p in row[1:]:
-            supersets &= bits[p]
-        dropped |= supersets ^ (1 << i)
-    if not dropped:
-        return hg  # keeps its positions and index; nothing to revalidate
     index = hg.index
-    kept = [k for k in range(len(index.head_rows)) if not dropped >> k & 1]
+    masks = index.masks
+    if len(set(map(int.bit_count, masks))) < 2:
+        if len(set(masks)) == len(masks):
+            return hg  # keeps its positions and index; nothing to revalidate
+        # Read in reverse, each mask's entry ends up with its first edge.
+        first = dict(zip(reversed(masks), range(len(masks) - 1, -1, -1)))
+        kept = sorted(first.values())
+    else:
+        bits = _row_masks(index.edges_at)
+        dropped = 0
+        for i, row in enumerate(map(add, index.head_rows, index.tail_rows)):
+            if dropped >> i & 1:
+                continue
+            supersets = bits[row[0]]
+            for p in row[1:]:
+                supersets &= bits[p]
+            dropped |= supersets ^ (1 << i)
+        if not dropped:
+            return hg
+        kept = [k for k in range(len(masks)) if not dropped >> k & 1]
     return DirectedHypergraph._of(hg.vertices, [index.head_rows[k] for k in kept],
                                   [index.tail_rows[k] for k in kept])
 

@@ -412,6 +412,30 @@ class TestAuditsFire:
         monkeypatch.setattr(algorithms._Run, "sweep", faulty)
         self._assert_reported(ALGORITHMS[name].run, hg, message)
 
+    def test_report_order(self, monkeypatch):
+        # The red pass paints d, e and f in place of its own rule, so edge 1
+        # is all red and edges 0 and 2 all blue: edge 1 trips the second
+        # check of the audit only, edges 0 and 2 both checks.  An audit
+        # reports by edge index, and an edge's failures in check order.
+        def faulty(run, order, keys, c, gate=BLUE):
+            for p in (3, 4, 5):
+                run.move(p, c)
+
+        monkeypatch.setattr(algorithms._Run, "sweep", faulty)
+        hg = parse("e a b > c\ne d e > f\ne g h > i\n")
+        violations = [
+            "edge 0 ended with no red vertex",
+            "edge 0 monochromatic at termination",
+            "edge 1 monochromatic at termination",
+            "edge 2 ended with no red vertex",
+            "edge 2 monochromatic at termination",
+            "result is not a proper coloring of the input",
+        ]
+        assert ALGORITHMS["i0r4-2"].run(hg, checked=False)[1].violations == violations
+        with pytest.raises(InvariantViolationError) as exc:
+            ALGORITHMS["i0r4-2"].run(hg)
+        assert exc.value.violations == violations
+
     def test_vertex_processed_twice(self, monkeypatch):
         # A bisect_left that points at the last unprocessed position removes
         # f in place of each forced head, so e is processed twice: red, blue

@@ -28,6 +28,7 @@ from dhcolor import (
     gen_perm_tower,
     gen_random,
     is_proper,
+    is_two_to_one,
     normalize,
     paper_i,
     paper_r,
@@ -459,6 +460,71 @@ class TestNormalizeAgainstNaive:
         assert out.edges == naive_normalized_edges(hg)
         assert edge([], ["s3"]) in out.edges and edge(["s3"], []) not in out.edges
         assert all(e == edge([], ["s3"]) or "s3" not in e.vertices for e in out.edges)
+
+    @staticmethod
+    def _one_size_with_repeats(size, sets, copies, seed):
+        """Each of sets vertex sets of the given size once, and copies more
+        edges on earlier-drawn sets under other head/tail splits, shuffled, so
+        a copy can come before or after the first edge of its set."""
+        rng = random.Random(seed)
+        names = [f"w{i}" for i in range(3 * size)]
+        drawn = []
+        while len(drawn) < sets:
+            vs = frozenset(rng.sample(names, size))
+            if vs not in drawn:
+                drawn.append(vs)
+        edges = [_roles(vs, rng) for vs in drawn]
+        edges += [_roles(rng.choice(drawn), rng) for _ in range(copies)]
+        rng.shuffle(edges)
+        return DirectedHypergraph(tuple(names), tuple(edges)), len(drawn)
+
+    def test_one_size_repeats_under_other_heads(self):
+        rng = random.Random(8)
+        names = tuple(f"t{i}" for i in range(10))
+        triples = rng.sample(list(combinations(names, 3)), 40)
+        # Each triple under one to three of its heads, twice over for some.
+        edges = [edge(set(t) - {h}, [h]) for t in triples for h in t[:rng.randint(1, 3)]]
+        edges += [edge(set(t) - {t[2]}, [t[2]]) for t in triples[:10]]
+        rng.shuffle(edges)
+        hg = DirectedHypergraph(names, tuple(edges))
+        assert len(edges) > 64 and is_two_to_one(hg)
+        out = normalize(hg)
+        assert out.edges == naive_normalized_edges(hg)
+        assert out.vertices == hg.vertices and len(out.edges) == 40
+        # The first edge of each vertex set in input order is the one kept.
+        firsts = {}
+        for e in edges:
+            firsts.setdefault(e.vertices, e)
+        assert out.edges == tuple(firsts.values())
+
+    def test_four_uniform_repeats(self):
+        hg, sets = self._one_size_with_repeats(4, sets=50, copies=40, seed=3)
+        out = normalize(hg)
+        assert len(hg.edges) == 90 and len(out.edges) == sets
+        assert out.edges == naive_normalized_edges(hg)
+
+    def test_one_size_plus_one_other_size_takes_the_bitset_path(self):
+        # The extra edge lies inside some 3-sets and holds none, so it drops
+        # them; the 3-sets' own repeats go as well.
+        hg, _ = self._one_size_with_repeats(3, sets=60, copies=20, seed=4)
+        for extra in (edge(["w0"], ["w1"]), edge(["w0", "w1", "w2"], ["w3", "w4"])):
+            mixed = DirectedHypergraph(hg.vertices, hg.edges + (extra,))
+            out = normalize(mixed)
+            assert out.edges == naive_normalized_edges(mixed)
+            assert "edges_at" in vars(mixed.index)
+
+    def test_one_size_without_repeats_returns_its_input(self):
+        hg, _ = self._one_size_with_repeats(4, sets=70, copies=0, seed=5)
+        for one_size in (hg, paper_i(), gen_random(40, 90, cond="i0-free", seed=2),
+                         parse("e a > b\ne b > c\ne c > a\n"), parse("v a\n"), parse("")):
+            assert normalize(one_size) is one_size
+            assert naive_normalized_edges(one_size) == one_size.edges
+
+    def test_one_size_path_builds_no_edges_at(self):
+        hg, _ = self._one_size_with_repeats(3, sets=60, copies=20, seed=6)
+        for one_size in (hg, gen_random(40, 90, cond="r4-free", seed=2)):
+            normalize(one_size)
+            assert "edges_at" not in vars(one_size.index)
 
     def test_nothing_dropped_with_many_edges(self):
         # All 84 3-sets of nine vertices: none holds another.

@@ -13,14 +13,19 @@ f(1) is taken to be 1: the max ranges over an empty set there, and a
 3-uniform hypergraph on one vertex has no edges, so the value keeps the bound
 valid and the recursion total.
 
-Cost.  ``induce_good_coloring`` runs the R3 and E checks, which walk only
-the edge pairs sharing a vertex pair (see ``patterns``), then builds each
-edge's three shadow pairs once and looks each up in the color table before
+Cost.  ``induce_good_coloring`` runs the R3 and E checks (see
+``patterns``).  Both read the hypergraph's one pair view, which E finds
+built by R3, and each first asks whether two edges hold one vertex pair in
+the classes it needs; on an input avoiding both, neither class meets, so
+neither check builds a key list or walks one.  It then builds each edge's
+three shadow pairs once and looks each up in the color table before
 storing it: O(m) set and dict operations past the checks.
-``verify_good_coloring`` builds each edge's three pairs once and decides the
-apex shape from their three colors, reading the orientation of the red pairs.
-Both read the edges off the index's head and tail rows and name their
-positions through ``hg.vertices``, so neither builds a ``DirectedEdge``.
+``verify_good_coloring`` builds each edge's three pairs once, looks each up
+once in the colors and at most once in the orientations, and decides the
+apex shape from the three colors; only an edge off the shape is searched
+for an uncolored pair or an unoriented red one.  Both read the edges off
+the index's head and tail rows and name their positions through
+``hg.vertices``, so neither builds a ``DirectedEdge``.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from .patterns import contains_pattern
 
 RED_PAIR = "red"
 BLUE_PAIR = "blue"
+_MISSING = object()  # the color of an uncolored pair
 
 
 class RoleConflictError(ValueError):
@@ -75,6 +81,7 @@ def verify_good_coloring(gc: GoodColoring) -> bool:
     """
     colors = gc.colors
     orient = gc.orientation
+    color, arrow = colors.get, orient.get
     hg = gc.hypergraph
     name = hg.vertices.__getitem__
     for heads, tails in zip(hg.index.head_rows, hg.index.tail_rows):
@@ -83,23 +90,26 @@ def verify_good_coloring(gc: GoodColoring) -> bool:
             raise ValueError("good colorings are defined for 3-uniform hypergraphs")
         a, b, c = verts
         ab, ac, bc = pairs = (frozenset((a, b)), frozenset((a, c)), frozenset((b, c)))
-        for pair in pairs:
-            if pair not in colors:
-                raise ValueError(f"shadow edge {_shown(pair)} is uncolored")
-            if colors[pair] == RED_PAIR and pair not in orient:
-                raise ValueError(f"red shadow edge {_shown(pair)} has no orientation")
         # An apex shape has exactly one blue pair, and the apex is the vertex
-        # off it; its two red pairs must point away from the apex.
-        cab, cac, cbc = colors[ab], colors[ac], colors[bc]
+        # off it; its two red pairs must point away from the apex.  An edge
+        # of that shape has all three pairs colored and its red ones
+        # oriented, so each pair is looked up once per dict, and only an
+        # edge off the shape is searched for a structural problem.
+        cab, cac, cbc = shades = color(ab, _MISSING), color(ac, _MISSING), color(bc, _MISSING)
         if cbc == BLUE_PAIR:
-            ok = (cab == cac == RED_PAIR and orient[ab] == (a, b) and orient[ac] == (a, c))
+            ok = cab == cac == RED_PAIR and arrow(ab) == (a, b) and arrow(ac) == (a, c)
         elif cac == BLUE_PAIR:
-            ok = (cab == cbc == RED_PAIR and orient[ab] == (b, a) and orient[bc] == (b, c))
+            ok = cab == cbc == RED_PAIR and arrow(ab) == (b, a) and arrow(bc) == (b, c)
         elif cab == BLUE_PAIR:
-            ok = (cac == cbc == RED_PAIR and orient[ac] == (c, a) and orient[bc] == (c, b))
+            ok = cac == cbc == RED_PAIR and arrow(ac) == (c, a) and arrow(bc) == (c, b)
         else:
             ok = False
         if not ok:
+            for pair, shade in zip(pairs, shades):
+                if shade is _MISSING:
+                    raise ValueError(f"shadow edge {_shown(pair)} is uncolored")
+                if shade == RED_PAIR and pair not in orient:
+                    raise ValueError(f"red shadow edge {_shown(pair)} has no orientation")
             return False
     return True
 

@@ -7,7 +7,9 @@ are immutable after construction; every operation is a pure function.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import cached_property
+from itertools import chain, combinations
 from operator import add, attrgetter
 from typing import Iterable, Mapping
 
@@ -138,8 +140,10 @@ class HypergraphIndex:
     ``masks`` give each edge's bitmask of its heads, its tails and all its
     vertices; ``heads_at``, ``tails_at`` and ``edges_at`` give for each
     position the ascending indices of the edges it heads, is a tail of, or
-    lies in.  No view builds a ``DirectedEdge``.  It keeps no reference to
-    the hypergraph, so both are freed by reference counting alone.
+    lies in; ``pairs`` files the edges under their vertex pairs instead
+    (``PairKeys``).  No view builds a ``DirectedEdge``.  It keeps no
+    reference to the hypergraph, so both are freed by reference counting
+    alone.
     """
 
     def __init__(self, n: int, head_rows: list[tuple[int, ...]],
@@ -171,6 +175,63 @@ class HypergraphIndex:
     @cached_property
     def edges_at(self) -> list[list[int]]:
         return file_under_keys(map(add, self.head_rows, self.tail_rows), [[] for _ in range(self.n)])
+
+    @cached_property
+    def pairs(self) -> PairKeys:
+        return PairKeys(self)
+
+
+class PairKeys:
+    """Every edge's vertex pairs as keys p * n + q (positions p < q), laid
+    out as in HypergraphIndex (``index.pairs``): ``tail_rows[k]`` holds
+    each pair of edge k's tails, ``head_rows[k]`` each pair holding one of
+    its heads.  A key appears at most once in an edge's two rows, so a key
+    repeated in the rows is held by two edges.
+
+    Each view is built on first use and kept: ``heads_at`` and ``tails_at``
+    give for each key the ascending indices of the edges holding it as a
+    headed pair or as a tail pair, and ``heads_repeat``, ``tails_repeat``
+    and ``heads_meet_tails`` say whether two edges hold one key as headed
+    pairs, as tail pairs, or one as each.  The three tests are set
+    operations over the flattened rows and build no list, so a caller can
+    ask them before it walks the lists.
+    """
+
+    def __init__(self, index: HypergraphIndex) -> None:
+        n = index.n
+        self.head_rows: list[list[int]] = []
+        self.tail_rows: list[list[int]] = []
+        for hs, ts in zip(index.head_rows, index.tail_rows):
+            self.tail_rows.append([p * n + q for p, q in combinations(sorted(ts), 2)])
+            row = [p * n + q for p, q in combinations(sorted(hs), 2)] if len(hs) > 1 else []
+            for h in hs:
+                for t in ts:
+                    row.append(h * n + t if h < t else t * n + h)
+            self.head_rows.append(row)
+
+    @cached_property
+    def heads_at(self) -> defaultdict[int, list[int]]:
+        return file_under_keys(self.head_rows, defaultdict(list))
+
+    @cached_property
+    def tails_at(self) -> defaultdict[int, list[int]]:
+        return file_under_keys(self.tail_rows, defaultdict(list))
+
+    @cached_property
+    def _head_keys(self) -> set[int]:
+        return set(chain.from_iterable(self.head_rows))
+
+    @cached_property
+    def heads_repeat(self) -> bool:
+        return len(self._head_keys) < sum(map(len, self.head_rows))
+
+    @cached_property
+    def tails_repeat(self) -> bool:
+        return len(set(chain.from_iterable(self.tail_rows))) < sum(map(len, self.tail_rows))
+
+    @cached_property
+    def heads_meet_tails(self) -> bool:
+        return not self._head_keys.isdisjoint(chain.from_iterable(self.tail_rows))
 
 
 def _row_masks(rows: Iterable[Iterable[int]]) -> list[int]:

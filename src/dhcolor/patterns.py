@@ -29,6 +29,16 @@ head-incidence and tail-incidence lists.  A check asking only for
 two-vertex codes keys them by vertex pair instead, each edge under each of
 its C(|e|, 2) pairs: as a tail pair (both vertices tails) or a headed pair
 (it holds a head).  Which keys a check walks follows from its codes alone.
+The pair keys are one view of the index (``hg.index.pairs``, a
+``core.PairKeys``), built on a hypergraph's first two-vertex check and read
+by every later one, whose per-key lists are built on first need and kept.
+Before it walks pair keys, a check asks in which of its classes two edges
+hold one key, by set operations over the flattened key rows: a headed pair
+repeats, a tail pair repeats, or the headed and tail pairs intersect.
+That costs at most Σ C(|e|, 2) set inserts, and each class is tested only
+when a check needs it, once per hypergraph.  The check walks only the
+classes that meet; when none is left it returns no witnesses and
+``pairs_examined == 0``, as the walk would, and builds no key list.
 
 Crossings.  Every code guarantees one role class at its shared key: head
 of both edges (I0; I1 and E at a pair), tail of both (H1; H2), or head of
@@ -48,7 +58,8 @@ H1 and the two crossed roles R4; at a pair, tail x tail is H2 (the code
 the crossed roles R3, and head x head I1 when the pair holds a head of both
 edges and E otherwise.  On a 2->1 input with n = 200 and m = 800 avoiding
 R3 and E, the R3 and E checks meet no candidate where a walk over vertex
-keys would meet 6,383 pairs each.  ``matching_partners`` classifies
+keys would meet 6,383 pairs each; their classes meet no shared key, so
+neither builds a key list.  ``matching_partners`` classifies
 arbitrary pairs, for ``pair_code`` and the generator's accept tests.
 
 Witnesses.  A check stores its witness pairs as three columns, edge i, edge
@@ -64,13 +75,11 @@ ascending (i, j) order.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import defaultdict
 from functools import cached_property
-from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .core import (DirectedEdge, DirectedHypergraph, HypergraphIndex, Value, _mask_row,
-                   _row_masks, _setattr, file_under_keys, is_two_to_one)
+from .core import (DirectedEdge, DirectedHypergraph, HypergraphIndex, PairKeys, Value, _mask_row,
+                   _row_masks, _setattr, is_two_to_one)
 
 PATTERN_IDS = ("H2", "I1", "R3", "E", "I0", "H1", "R4")
 
@@ -277,28 +286,7 @@ def pair_code(h1: int, t1: int, h2: int, t2: int) -> int:
     return 0
 
 
-class _PairKeys:
-    """Every edge's vertex pairs as keys p * n + q (positions p < q), laid
-    out as in HypergraphIndex: each pair of its tails as a tail, each pair
-    holding a head as a head.  The lists at the keys are built when read."""
-
-    def __init__(self, index: HypergraphIndex) -> None:
-        n = index.n
-        self.head_rows: list[list[int]] = []
-        self.tail_rows: list[list[int]] = []
-        for hs, ts in zip(index.head_rows, index.tail_rows):
-            self.tail_rows.append([p * n + q for p, q in combinations(sorted(ts), 2)])
-            row = [p * n + q for p, q in combinations(sorted(hs), 2)] if len(hs) > 1 else []
-            for h in hs:
-                for t in ts:
-                    row.append(h * n + t if h < t else t * n + h)
-            self.head_rows.append(row)
-
-    heads_at = property(lambda self: file_under_keys(self.head_rows, defaultdict(list)))
-    tails_at = property(lambda self: file_under_keys(self.tail_rows, defaultdict(list)))
-
-
-def _crossings(keys: HypergraphIndex | _PairKeys,
+def _crossings(keys: HypergraphIndex | PairKeys,
                roles: int) -> list[tuple]:
     """(the keys each edge holds in one role, the lists it scans there, that
     role and the role the lists give their edges) for each crossing the
@@ -315,6 +303,15 @@ def _crossings(keys: HypergraphIndex | _PairKeys,
         (HEAD_TAIL, keys.tail_rows, heads, "tail", "head")) if roles & role]
 
 
+def _meeting(keys: PairKeys, roles: int) -> int:
+    """The classes in `roles` in which two edges hold one vertex pair, the
+    only ones whose crossings can meet a candidate.  A class's test runs
+    only when it is asked for, and the view keeps its answer."""
+    return ((HEAD_HEAD if roles & HEAD_HEAD and keys.heads_repeat else 0)
+            | (TAIL_TAIL if roles & TAIL_TAIL and keys.tails_repeat else 0)
+            | (HEAD_TAIL if roles & HEAD_TAIL and keys.heads_meet_tails else 0))
+
+
 def _rows(names: tuple[str, ...], common: int,
           h1: int, h2: int) -> tuple[tuple[str, str, str], ...]:
     """(vertex, role in edge 1, role in edge 2) for each vertex in the common mask."""
@@ -328,19 +325,26 @@ def _witnesses(hg: DirectedHypergraph, codes: int) -> tuple[tuple, int]:
     candidates the exact-share test saw.
 
     The keys are vertex positions when the mask holds a one-vertex code,
-    and vertex pairs (``_PairKeys``) otherwise.  Each edge i crosses its keys
-    with the lists the codes' role classes need (``_crossings``); a later
+    and vertex pairs (``hg.index.pairs``) otherwise; there the walk keeps
+    only the classes in which two edges hold one key (``_meeting``), and
+    returns at once when none is left.  Each edge i crosses its keys with
+    the lists the remaining role classes need (``_crossings``); a later
     edge j at a key is a hit only when ``masks[i] & masks[j]`` is that key's
     own mask, and the crossing names the hit's code (see the module
     docstring).
     """
     index = hg.index
     vertex_keys = codes & _ONE_VERTEX_CODES
-    keys = index if vertex_keys else _PairKeys(index)
+    if vertex_keys:
+        keys, roles = index, roles_of(codes)
+    else:
+        keys = index.pairs
+        roles = _meeting(keys, pair_roles_of(codes))
+        if not roles:
+            return _NO_WITNESSES, 0
     # Witnesses often repeat one shared vertex set with the same roles, so
     # each crossing builds a row once and shares it.
-    crossings = [(*crossing, {}) for crossing in _crossings(
-        keys, roles_of(codes) if vertex_keys else pair_roles_of(codes))]
+    crossings = [(*crossing, {}) for crossing in _crossings(keys, roles)]
     n, names = index.n, hg.vertices
     masks, heads, tails = index.masks, index.head_masks, index.tail_masks
     I: list[int] = []

@@ -1,8 +1,8 @@
 """What the package depends on and what depends on it.  The runtime stays
 stdlib-only: the package imports nothing else, and its import chain leaves
 out the costly stdlib modules it does not need.  Only ``core`` builds a
-``HypergraphIndex``, and the benchmark's tracer still finds every name it
-wraps."""
+``HypergraphIndex`` or its pair view, and the benchmark's tracer still finds
+every name it wraps."""
 
 import ast
 import importlib
@@ -58,14 +58,24 @@ def test_the_import_chain_leaves_out_dataclasses_and_inspect():
     assert {"dataclasses", "inspect", "dhcolor.cli"} <= loaded
 
 
-def test_only_core_builds_a_hypergraph_index():
+def calls_to(name):
+    """The source file of each call to `name`, plain or module-qualified."""
     calls = []
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             # HypergraphIndex(...) or core.HypergraphIndex(...)
-            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("HypergraphIndex"):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith(name):
                 calls.append(path.name)
+    return calls
+
+
+def test_only_core_builds_a_hypergraph_index():
+    calls = calls_to("HypergraphIndex")
     assert calls and set(calls) == {"core.py"}
+
+
+def test_only_core_builds_a_pair_view():
+    assert calls_to("PairKeys") == ["core.py"]
 
 
 def test_the_benchmark_tracer_wraps_and_restores_library_names(monkeypatch):

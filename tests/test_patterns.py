@@ -1,4 +1,5 @@
 import hashlib
+import json
 import pickle
 import random
 from dataclasses import dataclass
@@ -24,8 +25,9 @@ from dhcolor import (
     paper_i,
     paper_r,
     parse,
+    serialize,
 )
-from dhcolor import patterns
+from dhcolor import cli, core, patterns
 from dhcolor.patterns import (
     _PATTERN_CODES,
     ALL_ROLES,
@@ -628,7 +630,7 @@ class TestPairWalk:
                 for (i, e1), (j, e2) in combinations(enumerate(hg.edges), 2)
             }
             for roles in range(1, ALL_ROLES + 1):
-                walked = walked_pairs(patterns._PairKeys(hg.index), roles)
+                walked = walked_pairs(hg.index.pairs, roles)
                 assert walked == [p for p, c in classes.items() if any(r & roles for r in c)], (
                     idx, roles)
 
@@ -739,6 +741,106 @@ class TestPairsExamined:
         bare = PatternReport(report.pattern, report.avoided, report.witnesses)
         assert bare.pairs_examined == 0
         assert report == bare and repr(report) == repr(bare)
+
+
+GOODCHECK_INPUT = dict(n=200, m=800, cond="tails-only-2-intersect", seed=1101)
+CLASS_NAMES = {HEAD_HEAD: "hh", TAIL_TAIL: "tt", HEAD_TAIL: "ht"}
+# Inputs in which exactly one pair of edges shares a vertex pair, in exactly
+# one class, with edges around it sharing one vertex or none: (class, text).
+ONE_SHARED_PAIR = (
+    (TAIL_TAIL, "e a b > c\ne a b > d\ne c d > f"),           # H2
+    (TAIL_TAIL, "e a b x > c\ne a b > d\ne d f > g"),         # H2, a wider tail
+    (HEAD_TAIL, "e a b > c\ne b c > d\ne d f > g"),           # R3
+    (HEAD_TAIL, "e a > b c\ne b c x > d"),                     # a pair of heads, tails
+    (HEAD_HEAD, "e a b > c\ne a d > c\ne f g > b"),           # I1
+    (HEAD_HEAD, "e a b > c\ne d c > b\ne f g > a"),           # E
+    (HEAD_HEAD, "e a > b c\ne d > b c"),                       # a pair of heads in both
+)
+
+
+def meeting_classes(hg):
+    """The classes in which some pair of edges shares a vertex pair, from
+    the all-pairs scan."""
+    return sum(cls for cls, name in CLASS_NAMES.items() if naive_candidates(hg, 2, {name}))
+
+
+class TestPairView:
+    """The six two-vertex checks read one pair view per hypergraph
+    (``hg.index.pairs``) and walk only the classes in which two edges hold
+    one vertex pair."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        built = []
+
+        class Counted(core.PairKeys):
+            def __init__(self, index):
+                built.append(index)
+                super().__init__(index)
+
+        monkeypatch.setattr(core, "PairKeys", Counted)
+        return built
+
+    def test_built_once_per_hypergraph(self, builds):
+        for hg in (gen_random(**GOODCHECK_INPUT), gen_h2_tower(4)):
+            contains_pattern(hg, "R3")
+            contains_pattern(hg, "E")
+            contains_pattern(hg, "H2")
+            check_condition(hg, "tails-only-2-intersect")
+            assert hg.index.pairs is hg.index.pairs
+        assert len(builds) == 2 and builds[0] is not builds[1]
+
+    def test_built_once_by_goodcheck(self, builds, tmp_path, capsys):
+        path = tmp_path / "good.dhg"
+        path.write_text(serialize(gen_random(**GOODCHECK_INPUT)))
+        assert cli.main(["goodcheck", str(path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["valid"] is True
+        assert len(builds) == 1
+
+    def test_goodcheck_input_builds_no_key_list_for_r3_and_e(self):
+        hg = gen_random(**GOODCHECK_INPUT)
+        keys = hg.index.pairs
+        for pattern in ("R3", "E"):
+            report = contains_pattern(hg, pattern)
+            assert report.avoided and report.pairs_examined == 0
+        assert not {"heads_at", "tails_at"} & vars(keys).keys()
+        report = contains_pattern(hg, "H2")
+        assert len(report.witnesses) == report.pairs_examined == 15
+        assert "tails_at" in vars(keys) and "heads_at" not in vars(keys)
+
+    def test_each_class_is_tested_only_when_a_check_needs_it(self):
+        hg = gen_h2_tower(5)
+        keys = hg.index.pairs
+        assert len(contains_pattern(hg, "I1").witnesses) == 3810
+        assert {"heads_repeat", "heads_at"} <= vars(keys).keys()
+        assert not {"tails_repeat", "heads_meet_tails", "tails_at"} & vars(keys).keys()
+
+    def test_the_classes_that_meet(self):
+        instances = KERNEL_INSTANCES + GENERAL_TWO_VERTEX + TWO_ONE_TWO_VERTEX
+        seen = set()
+        for idx, hg in enumerate(instances):
+            want = meeting_classes(hg)
+            for roles in range(ALL_ROLES + 1):
+                assert patterns._meeting(hg.index.pairs, roles) == want & roles, (idx, roles)
+            seen.add(want)
+        assert seen == set(range(ALL_ROLES + 1))
+
+    @pytest.mark.parametrize("cls, text", ONE_SHARED_PAIR, ids=(
+        "H2", "H2-wide", "R3", "heads-x-tails", "I1", "E", "heads-x-heads"))
+    def test_one_shared_pair_against_the_oracles(self, cls, text):
+        hg = parse(text)
+        assert meeting_classes(hg) == cls
+        assert patterns._meeting(hg.index.pairs, ALL_ROLES) == cls
+        checks = TWO_VERTEX_CHECKS if is_two_to_one(hg) else TWO_VERTEX_CONDITIONS
+        found = 0
+        for check in checks:
+            report = run_check(hg, check)
+            naive = (naive_pattern_witnesses if check in PATTERN_IDS
+                     else naive_condition_witnesses)(hg, check)
+            assert list(report.witnesses) == naive, check
+            assert report.pairs_examined == len(naive_candidates(hg, *CANDIDATE_KEYS[check])), check
+            found += report.pairs_examined
+        assert found  # some check needs the class
 
 
 class TestReportValueSemantics:

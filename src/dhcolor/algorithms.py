@@ -502,11 +502,11 @@ def color_i0_4(hg: DirectedHypergraph, checked: bool = True) -> tuple[Coloring, 
 
     try:
         ha = augment_i0(hn, checked=False)
-    except InvariantViolationError as exc:
+    except InvariantViolationError:
         # Only reachable on inputs that break the i0-free hypothesis, which
-        # checked mode has already ruled out; keep going without augmentation
-        # (a checked run would raise these violations from _finish).
-        trace.violations.extend(exc.violations)
+        # checked mode has already ruled out.  Keep going without
+        # augmentation: _full_star_issues below reports the star that stopped
+        # it (a checked run would raise that from _finish).
         ha = hn
     # An I0 pair meets only at the head of both edges, so it lies in one
     # head-star, and any two edges of a triangle or of a full pivot star share

@@ -141,9 +141,9 @@ class HypergraphIndex:
     vertices; ``heads_at``, ``tails_at`` and ``edges_at`` give for each
     position the ascending indices of the edges it heads, is a tail of, or
     lies in; ``pairs`` files the edges under their vertex pairs instead
-    (``PairKeys``).  No view builds a ``DirectedEdge``.  It keeps no
-    reference to the hypergraph, so both are freed by reference counting
-    alone.
+    and says in which role classes two edges share a pair (``PairKeys``).
+    No view builds a ``DirectedEdge``.  It keeps no reference to the
+    hypergraph, so both are freed by reference counting alone.
     """
 
     def __init__(self, n: int, head_rows: list[tuple[int, ...]],
@@ -181,6 +181,12 @@ class HypergraphIndex:
         return PairKeys(self)
 
 
+# Role classes of a shared vertex or vertex pair: a head of both edges, a
+# tail of both, or a head of one and a tail of the other.  At a pair, a pair
+# of two tails counts as a tail and a pair holding a head as a head.
+HEAD_HEAD, TAIL_TAIL, HEAD_TAIL = 1, 2, 4
+
+
 class PairKeys:
     """Every edge's vertex pairs as keys p * n + q (positions p < q), laid
     out as in HypergraphIndex (``index.pairs``): ``tail_rows[k]`` holds
@@ -188,13 +194,14 @@ class PairKeys:
     its heads.  A key appears at most once in an edge's two rows, so a key
     repeated in the rows is held by two edges.
 
-    Each view is built on first use and kept: ``heads_at`` and ``tails_at``
-    give for each key the ascending indices of the edges holding it as a
-    headed pair or as a tail pair, and ``heads_repeat``, ``tails_repeat``
-    and ``heads_meet_tails`` say whether two edges hold one key as headed
-    pairs, as tail pairs, or one as each.  The three tests are set
-    operations over the flattened rows and build no list, so a caller can
-    ask them before it walks the lists.
+    ``meets`` is the mask of role classes in which two edges hold one key:
+    HEAD_HEAD when a headed pair repeats, TAIL_TAIL when a tail pair
+    repeats, HEAD_TAIL when a headed pair is also a tail pair.  It is
+    computed with the rows, by three set operations over them, so a caller
+    can read it before it builds or walks any list.  ``heads_at`` and
+    ``tails_at`` give for each key the ascending indices of the edges
+    holding it as a headed pair or as a tail pair; each is built on first
+    use and kept.
     """
 
     def __init__(self, index: HypergraphIndex) -> None:
@@ -208,6 +215,11 @@ class PairKeys:
                 for t in ts:
                     row.append(h * n + t if h < t else t * n + h)
             self.head_rows.append(row)
+        heads = set(chain.from_iterable(self.head_rows))
+        tails = set(chain.from_iterable(self.tail_rows))
+        self.meets = ((HEAD_HEAD if len(heads) < sum(map(len, self.head_rows)) else 0)
+                      | (TAIL_TAIL if len(tails) < sum(map(len, self.tail_rows)) else 0)
+                      | (HEAD_TAIL if not heads.isdisjoint(tails) else 0))
 
     @cached_property
     def heads_at(self) -> defaultdict[int, list[int]]:
@@ -216,22 +228,6 @@ class PairKeys:
     @cached_property
     def tails_at(self) -> defaultdict[int, list[int]]:
         return file_under_keys(self.tail_rows, defaultdict(list))
-
-    @cached_property
-    def _head_keys(self) -> set[int]:
-        return set(chain.from_iterable(self.head_rows))
-
-    @cached_property
-    def heads_repeat(self) -> bool:
-        return len(self._head_keys) < sum(map(len, self.head_rows))
-
-    @cached_property
-    def tails_repeat(self) -> bool:
-        return len(set(chain.from_iterable(self.tail_rows))) < sum(map(len, self.tail_rows))
-
-    @cached_property
-    def heads_meet_tails(self) -> bool:
-        return not self._head_keys.isdisjoint(chain.from_iterable(self.tail_rows))
 
 
 def _row_masks(rows: Iterable[Iterable[int]]) -> list[int]:

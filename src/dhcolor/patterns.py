@@ -32,13 +32,13 @@ its C(|e|, 2) pairs: as a tail pair (both vertices tails) or a headed pair
 The pair keys are one view of the index (``hg.index.pairs``, a
 ``core.PairKeys``), built on a hypergraph's first two-vertex check and read
 by every later one, whose per-key lists are built on first need and kept.
-Before it walks pair keys, a check asks in which of its classes two edges
-hold one key, by set operations over the flattened key rows: a headed pair
-repeats, a tail pair repeats, or the headed and tail pairs intersect.
-That costs at most Σ C(|e|, 2) set inserts, and each class is tested only
-when a check needs it, once per hypergraph.  The check walks only the
-classes that meet; when none is left it returns no witnesses and
-``pairs_examined == 0``, as the walk would, and builds no key list.
+As it files the keys, the view computes ``meets``, the classes in which two
+edges hold one key, by three set operations over the flattened key rows: a
+headed pair repeats, a tail pair repeats, or the headed and tail pairs
+intersect.  That costs at most Σ C(|e|, 2) set inserts, once per
+hypergraph.  A check walks only its classes that ``meets`` holds; when
+none is left it returns no witnesses and ``pairs_examined == 0``, as the
+walk would, and builds no key list.
 
 Crossings.  Every code guarantees one role class at its shared key: head
 of both edges (I0; I1 and E at a pair), tail of both (H1; H2), or head of
@@ -78,8 +78,9 @@ from bisect import bisect_right
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .core import (DirectedEdge, DirectedHypergraph, HypergraphIndex, PairKeys, Value, _mask_row,
-                   _row_masks, _setattr, is_two_to_one)
+from .core import (HEAD_HEAD, HEAD_TAIL, TAIL_TAIL, DirectedEdge, DirectedHypergraph,
+                   HypergraphIndex, PairKeys, Value, _mask_row, _row_masks, _setattr,
+                   is_two_to_one)
 
 PATTERN_IDS = ("H2", "I1", "R3", "E", "I0", "H1", "R4")
 
@@ -183,14 +184,12 @@ class PatternReport(Value):
 
 # Intersection codes of matching_partners and pair_code, one row each: the
 # pattern the pair realizes (for 2->1 edges), the conditions it violates, the
-# role class it guarantees at some shared vertex (a head of both edges, a
-# tail of both, or a head of one and a tail of the other; this holds for
-# general edges, not only 2->1 ones), and for a two-vertex code the class it
-# guarantees at the shared pair, read with a pair of two tails as a tail and
-# a pair holding a head as a head (0 for one-vertex codes).  Each condition
-# constrains only one- or two-vertex intersections, so pairs sharing no
-# vertex or three or more are code 0 and pass everything.
-HEAD_HEAD, TAIL_TAIL, HEAD_TAIL = 1, 2, 4
+# role class (``core.HEAD_HEAD`` and its siblings) it guarantees at some
+# shared vertex (this holds for general edges, not only 2->1 ones), and for a
+# two-vertex code the class it guarantees at the shared pair (0 for
+# one-vertex codes).  Each condition constrains only one- or two-vertex
+# intersections, so pairs sharing no vertex or three or more are code 0 and
+# pass everything.
 ALL_ROLES = HEAD_HEAD | TAIL_TAIL | HEAD_TAIL
 _CODE_TABLE: tuple[tuple[str | None, tuple[str, ...], int, int], ...] = (
     (None, (), 0, 0),                                              # 0 shared vertices, or >= 3
@@ -303,15 +302,6 @@ def _crossings(keys: HypergraphIndex | PairKeys,
         (HEAD_TAIL, keys.tail_rows, heads, "tail", "head")) if roles & role]
 
 
-def _meeting(keys: PairKeys, roles: int) -> int:
-    """The classes in `roles` in which two edges hold one vertex pair, the
-    only ones whose crossings can meet a candidate.  A class's test runs
-    only when it is asked for, and the view keeps its answer."""
-    return ((HEAD_HEAD if roles & HEAD_HEAD and keys.heads_repeat else 0)
-            | (TAIL_TAIL if roles & TAIL_TAIL and keys.tails_repeat else 0)
-            | (HEAD_TAIL if roles & HEAD_TAIL and keys.heads_meet_tails else 0))
-
-
 def _rows(names: tuple[str, ...], common: int,
           h1: int, h2: int) -> tuple[tuple[str, str, str], ...]:
     """(vertex, role in edge 1, role in edge 2) for each vertex in the common mask."""
@@ -326,8 +316,8 @@ def _witnesses(hg: DirectedHypergraph, codes: int) -> tuple[tuple, int]:
 
     The keys are vertex positions when the mask holds a one-vertex code,
     and vertex pairs (``hg.index.pairs``) otherwise; there the walk keeps
-    only the classes in which two edges hold one key (``_meeting``), and
-    returns at once when none is left.  Each edge i crosses its keys with
+    only the classes in which two edges hold one key (``PairKeys.meets``),
+    and returns at once when none is left.  Each edge i crosses its keys with
     the lists the remaining role classes need (``_crossings``); a later
     edge j at a key is a hit only when ``masks[i] & masks[j]`` is that key's
     own mask, and the crossing names the hit's code (see the module
@@ -339,7 +329,7 @@ def _witnesses(hg: DirectedHypergraph, codes: int) -> tuple[tuple, int]:
         keys, roles = index, roles_of(codes)
     else:
         keys = index.pairs
-        roles = _meeting(keys, pair_roles_of(codes))
+        roles = pair_roles_of(codes) & keys.meets
         if not roles:
             return _NO_WITNESSES, 0
     # Witnesses often repeat one shared vertex set with the same roles, so

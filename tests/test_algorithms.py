@@ -294,6 +294,19 @@ class TestColorI04:
         # machinery must say so.
         assert trace.violations
 
+    def test_unchecked_run_reports_a_broken_star_once(self):
+        # augment_i0 stops at c's star; the star audit reports it, once.
+        coloring, trace = color_i0_4(parse("e a b > c\ne d e > c\n"), checked=False)
+        assert trace.violations == [
+            "augmentation broke i0-freeness",
+            "head-star of a still empty after augmentation",
+            "head-star of b still empty after augmentation",
+            "head-star of c is neither empty, pivoted, nor a triangle; input not i0-free",
+            "head-star of d still empty after augmentation",
+            "head-star of e still empty after augmentation",
+            "recolored non-blue vertex c"]
+        assert dict(coloring.assignment) == {"a": 0, "b": 0, "c": 2, "d": 0, "e": 0}
+
     def test_broken_augmentation_raises_audit_and_star_issue(self, monkeypatch):
         # An augmentation that gives c a second edge with a disjoint tail
         # makes an I0 pair and an unclassifiable star: both are reported.
@@ -597,8 +610,11 @@ def _outcome(fn, hg, checked):
 
 
 # sha256 of the outcomes of every run of the pin corpus, recorded before the
-# algorithms shared one registry and one closing-vertex sweep.
-PINNED_RUNS_DIGEST = "afd1214fe1d324eb72bc6bb1f62e7e1364db88675632250286af13671f4eeb9e"
+# algorithms shared one registry and one closing-vertex sweep, and recorded
+# again when an unchecked i0-4 run stopped reporting twice the head-star that
+# stops augment_i0: 274 of the 1,214 unchecked i0-4 outcomes each lost that
+# duplicated first message, and no other run changed.
+PINNED_RUNS_DIGEST = "12df12a12e323bd0d973a9f420686c37392838b9b1fb32b24460b717bab5a048"
 
 
 def test_pinned_runs():

@@ -687,6 +687,11 @@ class TestColoringFile:
                 parse_coloring(f"a {token}")
         assert parse_coloring("a 007\nb 10") == Coloring({"a": 7, "b": 10}, 11)
 
+    def test_an_invalid_vertex_name_is_reported_with_its_line(self):
+        with pytest.raises(ParseError) as exc:
+            parse_coloring("a 0\n> 1\n")
+        assert str(exc.value) == "line 2: invalid vertex name: '>'"
+
     def test_k_defaults_past_the_largest_index_and_comments_are_skipped(self):
         text = "# a coloring\n\na 0  # blue\n   \nb 2\n"
         assert parse_coloring(text) == Coloring({"a": 0, "b": 2}, 3)

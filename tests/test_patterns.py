@@ -808,12 +808,17 @@ class TestPairView:
         assert len(report.witnesses) == report.pairs_examined == 15
         assert "tails_at" in vars(keys) and "heads_at" not in vars(keys)
 
-    def test_each_class_is_tested_only_when_a_check_needs_it(self):
+    def test_a_check_builds_only_the_key_lists_its_classes_walk(self):
         hg = gen_h2_tower(5)
         keys = hg.index.pairs
         assert len(contains_pattern(hg, "I1").witnesses) == 3810
-        assert {"heads_repeat", "heads_at"} <= vars(keys).keys()
-        assert not {"tails_repeat", "heads_meet_tails", "tails_at"} & vars(keys).keys()
+        assert "heads_at" in vars(keys) and "tails_at" not in vars(keys)
+
+    def test_meets_is_held_not_cached(self):
+        # the towers' edges share vertex pairs as headed pairs only
+        assert vars(gen_h2_tower(3).index.pairs)["meets"] == HEAD_HEAD
+        for name in ("meets", "_head_keys", "heads_repeat", "tails_repeat", "heads_meet_tails"):
+            assert not hasattr(core.PairKeys, name), name
 
     def test_the_classes_that_meet(self):
         instances = KERNEL_INSTANCES + GENERAL_TWO_VERTEX + TWO_ONE_TWO_VERTEX
@@ -821,7 +826,7 @@ class TestPairView:
         for idx, hg in enumerate(instances):
             want = meeting_classes(hg)
             for roles in range(ALL_ROLES + 1):
-                assert patterns._meeting(hg.index.pairs, roles) == want & roles, (idx, roles)
+                assert hg.index.pairs.meets & roles == want & roles, (idx, roles)
             seen.add(want)
         assert seen == set(range(ALL_ROLES + 1))
 
@@ -830,7 +835,7 @@ class TestPairView:
     def test_one_shared_pair_against_the_oracles(self, cls, text):
         hg = parse(text)
         assert meeting_classes(hg) == cls
-        assert patterns._meeting(hg.index.pairs, ALL_ROLES) == cls
+        assert hg.index.pairs.meets & ALL_ROLES == cls
         checks = TWO_VERTEX_CHECKS if is_two_to_one(hg) else TWO_VERTEX_CONDITIONS
         found = 0
         for check in checks:

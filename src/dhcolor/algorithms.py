@@ -31,12 +31,23 @@ class, or meeting none of it) and hand the offenders to one
 the order of the checks.  One ``_classify_star`` gives a head-star's kind
 and the pivot of the full star that ``augment_i0`` builds and its audit
 checks.
+
+i0-4 runs on the normalized input's edges and one completion per
+head-star, never on an index of the augmented hypergraph.  It reads the
+rows ``augment_i0`` adds once, into one ``_Star`` per head u: the pivot q
+and the mask of the w's of the added edges q w > u.  Its sweeps and audits
+test a star's edges with a few mask operations, and name an added edge by
+its index in ``augment_i0``'s list (the input's edges, then each head's
+added edges in ascending w), so its traces and messages are those of a
+run over the augmented edges.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_left
+from itertools import groupby
+from operator import lt
 from typing import Callable, NamedTuple
 
 from .core import (
@@ -177,12 +188,18 @@ def _head_positions(hg: DirectedHypergraph) -> list[int | None]:
 class _Run:
     """One run's coloring state: ``classes``, one bitmask of vertex
     positions per color (all blue at first).  ``names`` turns a position
-    into the vertex name that trace events and messages show."""
+    into the vertex name that trace events and messages show.  An i0-4 run
+    also holds each edge's rank (``ranks``) and, by head, the edges
+    ``augment_i0`` adds as completions of the head-stars (``stars``), which
+    its sweeps and audits read in place of those edges."""
 
-    def __init__(self, hg: DirectedHypergraph, trace: RunTrace) -> None:
+    def __init__(self, hg: DirectedHypergraph, trace: RunTrace,
+                 ranks: list[int] | None = None, stars: dict[int, _Star] | None = None) -> None:
         self.trace = trace
         self.names = hg.vertices
         self.masks = hg.index.masks
+        self.ranks = ranks
+        self.stars = {} if stars is None else stars
         self.classes = [(1 << hg.n) - 1] + [0] * (len(COLOR_NAMES) - 1)
 
     def color_of(self, p: int) -> int:
@@ -206,14 +223,22 @@ class _Run:
         mask = self.masks[idx]
         return self.classes[c] & mask == mask
 
-    def missing(self, out: int) -> list[int]:
+    def missing(self, out: int, ranks: tuple[int, ...] | None = None) -> list[int]:
         """The ascending indices of the edges with no vertex in the mask
-        out: with out a class, the edges that meet no vertex of its color."""
-        return [idx for idx, mask in enumerate(self.masks) if not mask & out]
+        out: with out a class, the edges that meet no vertex of its color.
+        With ranks, only the edges of those ranks (i0-4 runs)."""
+        found = [idx for idx, mask in enumerate(self.masks) if not mask & out]
+        if ranks is not None:
+            found = [idx for idx in found if self.ranks[idx] in ranks]
+        for star in self.stars.values():
+            if not star.hub & out:
+                ws = star.ws if ranks is None else sum(star.sides[r] for r in ranks)
+                found += map(star.index, _mask_row(ws & ~out))
+        return found
 
-    def inside(self, c: int) -> list[int]:
+    def inside(self, c: int, ranks: tuple[int, ...] | None = None) -> list[int]:
         """The ascending indices of the edges inside color class c."""
-        return self.missing(~self.classes[c])
+        return self.missing(~self.classes[c], ranks)
 
     def inside_any(self) -> list[int]:
         """The ascending indices of the edges inside some color class (an
@@ -232,9 +257,11 @@ class _Run:
         """Paint each position p of order c when it closes an edge of this
         pass (keys[idx] == p; None leaves edge idx out of the pass) that lies
         inside the blue class, or with gate=GREEN misses the green class; the
-        first such edge by index is the trigger.  Else keep p."""
-        add, masks, classes, names = self.trace.add, self.masks, self.classes, self.names
+        first such edge by index is the trigger.  Else keep p.  An i0-4 step
+        also closes, at each head, the star edges of the rank it paints."""
+        add, masks, classes, names, stars = self.trace.add, self.masks, self.classes, self.names, self.stars
         action = f"colored-{COLOR_NAMES[c]}"
+        rank = _STEP_RANK.get(c)
         closing: dict[int, list[int]] = {}
         for idx, p in enumerate(keys):
             if p is not None:
@@ -243,6 +270,10 @@ class _Run:
             # What an edge must miss to trigger: the non-blue or the green.
             out = classes[GREEN] if gate == GREEN else ~classes[BLUE]
             trigger = next((i for i in closing.get(p, ()) if not out & masks[i]), None)
+            # A star's edges follow every input edge, so they trigger only
+            # when no input edge does.
+            if trigger is None and p in stars:
+                trigger = stars[p].first(out, rank)
             if trigger is None:
                 add(names[p], "kept")
             else:
@@ -407,17 +438,24 @@ def classify_head_star(hg: DirectedHypergraph, u: str, checked: bool = True) -> 
     return HeadStar(kind, tuple(hg.vertices[p] for p in star))
 
 
-def _classify_star(hg: DirectedHypergraph, u: int) -> tuple[str, tuple[int, ...], int | None]:
-    """classify_head_star on positions: the kind, the positions it names, and
-    the pivot of the full star that augment_i0 completes it to.  That pivot
-    is the star's own, or for an empty star the first position but u; it is
-    None for a triangle, and for an empty star on fewer than three vertices,
-    which both stay as they are."""
+def _classify_star(hg: DirectedHypergraph, u: int,
+                   star: _Star | None = None) -> tuple[str, tuple[int, ...], int | None]:
+    """classify_head_star on positions, for u's head-star in hg with star's
+    edges q w > u added: the kind, the positions it names, and the pivot of
+    the full star that augment_i0 completes it to.  That pivot is the star's
+    own, or for an empty star the first position but u; it is None for a
+    triangle, and for an empty star on fewer than three vertices, which both
+    stay as they are."""
     index = hg.index
     ks = index.heads_at[u]
-    if not ks:
+    ws = 0 if star is None else star.ws
+    if not ks and not ws:
         return "empty", (), int(u == 0) if hg.n >= 3 else None
-    common, support = ~(1 << u), 0
+    common, support = ~(1 << u), 1 << u
+    if ws:
+        # The vertices all of star's edges hold: q, and w when there is one w.
+        common &= 1 << star.q | (ws if ws.bit_count() == 1 else 0)
+        support |= 1 << star.q | ws
     for k in ks:
         common &= index.masks[k]
         support |= index.masks[k]
@@ -425,10 +463,11 @@ def _classify_star(hg: DirectedHypergraph, u: int) -> tuple[str, tuple[int, ...]
         pivot = (common & -common).bit_length() - 1
         return "pivot", (pivot,), pivot
     support ^= 1 << u
-    if len(ks) == 3 and support.bit_count() == 3:
+    if len(ks) + ws.bit_count() == 3 and support.bit_count() == 3:
         # The three tails of a triangle are its support less one vertex each.
         triangle = _mask_row(support)
-        if {index.tail_masks[k] for k in ks} == {support ^ 1 << p for p in triangle}:
+        tails = {index.tail_masks[k] for k in ks} | {1 << star.q | 1 << w for w in _mask_row(ws)}
+        if tails == {support ^ 1 << p for p in triangle}:
             return "triangle", tuple(triangle), None
     raise InvariantViolationError([f"head-star of {hg.vertices[u]} is neither empty, pivoted, "
                                    "nor a triangle; input not i0-free"])
@@ -457,30 +496,96 @@ def augment_i0(hg: DirectedHypergraph, checked: bool = True) -> DirectedHypergra
         if pivot is None:
             continue
         existing = {index.tail_masks[k] for k in ks}
+        head = (u,)  # one row object for all the edges added at u
         for w in range(n):
             if w != u and w != pivot and (1 << pivot | 1 << w) not in existing:
-                head_rows.append((u,))
+                head_rows.append(head)
                 tail_rows.append((pivot, w))
     return DirectedHypergraph._of(hg.vertices, head_rows, tail_rows)
 
 
-def _full_star_issues(hg: DirectedHypergraph) -> list[str]:
+class _Star:
+    """The edges q w > u that augment_i0 adds to the head-star of u, one for
+    each w of the mask ws, numbered from base in ascending w.  All of them
+    hold the two vertices of the mask hub, and sides[r] holds the w's of
+    those of rank r, the number of an edge's tails below its head."""
+
+    __slots__ = ("u", "q", "ws", "base", "hub", "sides")
+
+    def __init__(self, u: int, q: int, ws: int, base: int) -> None:
+        self.u, self.q, self.ws, self.base = u, q, ws, base
+        self.hub = 1 << u | 1 << q
+        below = ws & ((1 << u) - 1)
+        self.sides = (0, ws ^ below, below) if q < u else (ws ^ below, below, 0)
+
+    def index(self, w: int) -> int:
+        """The index of the edge q w > u in augment_i0's list."""
+        return self.base + (self.ws & ((1 << w) - 1)).bit_count()
+
+    def first(self, out: int, rank: int) -> int | None:
+        """The index of the first edge of the rank with no vertex in out."""
+        free = 0 if self.hub & out else self.sides[rank] & ~out
+        return self.index((free & -free).bit_length() - 1) if free else None
+
+
+def _completions(ha: DirectedHypergraph, m: int) -> tuple[dict[int, _Star], list[int]]:
+    """Read once the rows that augment_i0 added to an input of m edges, ha's
+    rows past the m-th: the rows of each head u, one block of edges q w > u
+    whose tail pairs all hold q and whose w's ascend, as one ``_Star``.  A
+    tail pair is read as a set, whatever the order of its row.  Also returns
+    the indices of the added rows that are no such block's."""
+    head_rows, tail_rows = ha.index.head_rows, ha.index.tail_rows
+    stars: dict[int, _Star] = {}
+    strays: list[int] = []
+    end = m
+    for hs, block in groupby(head_rows[m:]):
+        start, end = end, end + len(list(block))
+        pairs = tail_rows[start:end]
+        if len(hs) == 1 and hs[0] not in stars and set(map(len, pairs)) == {2}:
+            u, (a, b) = hs[0], pairs[0]
+            # The tail all pairs hold (of a lone pair either: its edge, rank
+            # and index are the same).
+            q = a if len(pairs) == 1 or a in pairs[1] else b
+            ws = [y if x == q else x for x, y in pairs if x == q or y == q]
+            if len(ws) == len(pairs) and u != q and u not in ws and all(map(lt, ws, ws[1:])):
+                stars[u] = _Star(u, q, sum(map((1).__lshift__, ws)), start)
+                continue
+        strays += range(start, end)
+    return stars, strays
+
+
+def _star_issues(hg: DirectedHypergraph, stars: dict[int, _Star]) -> list[str]:
+    """What is wrong with each head-star of hg with its star's edges added:
+    a star that is neither empty, pivoted nor a triangle, one still empty,
+    or one that is pivoted but not every edge through its pivot."""
     issues = []
-    n, tail_masks = hg.n, hg.index.tail_masks
-    for u, ks in enumerate(hg.index.heads_at):
+    index, everyone = hg.index, (1 << hg.n) - 1
+    for u, ks in enumerate(index.heads_at):
+        star = stars.get(u)
         try:
-            kind, _, pivot = _classify_star(hg, u)
+            kind, _, pivot = _classify_star(hg, u, star)
         except InvariantViolationError as exc:
             issues.extend(exc.violations)
             continue
         if pivot is None:
             continue
-        want = {1 << pivot | 1 << w for w in range(n) if w != u and w != pivot}
         if kind == "empty":
             issues.append(f"head-star of {hg.vertices[u]} still empty after augmentation")
-        elif {tail_masks[k] for k in ks} != want:
+            continue
+        # A full star's tails are the pivot with each w but u and the pivot.
+        # The pivot is star's q, so its w's are ws, or else its one w, and
+        # then its one tail pair is the pivot and q.
+        ws = [index.tail_masks[k] ^ 1 << pivot for k in ks]
+        got = 0 if star is None else star.ws if star.q == pivot else 1 << star.q
+        for w in ws:
+            got |= w
+        if got != everyone ^ 1 << u ^ 1 << pivot or any(w.bit_count() != 1 for w in ws):
             issues.append(f"head-star of {hg.vertices[u]} is neither a triangle nor a full pivot star")
     return issues
+
+
+# The rank of the edges each i0-4 step closes, by the color it paints.
+_STEP_RANK = {RED: 2, GREEN: 0, YELLOW: 1}
 
 
 def color_i0_4(hg: DirectedHypergraph, checked: bool = True) -> tuple[Coloring, RunTrace]:
@@ -491,7 +596,11 @@ def color_i0_4(hg: DirectedHypergraph, checked: bool = True) -> tuple[Coloring, 
     star, split edges by where the head sits in index order (lowest E1, middle
     E2, highest E3), then: step 1 (ascending) reds heads of all-blue E3 edges;
     step 2 (descending) greens heads of E1 edges with no green vertex yet;
-    step 3 (ascending) yellows heads of all-blue E2 edges.  Trace edge indices
+    step 3 (ascending) yellows heads of all-blue E2 edges.  The steps and
+    audits read the normalized input's edges and, for each head u, the mask
+    of the w's of the edges q w > u that augment_i0 adds (``_completions``),
+    never an index of the augmented hypergraph, which only the i0-free
+    check reads, and only after a star fails its audit.  Trace edge indices
     refer to the augmented edge list.
     """
     spec, hn, trace = _start(hg, "i0-4", checked)
@@ -505,20 +614,23 @@ def color_i0_4(hg: DirectedHypergraph, checked: bool = True) -> tuple[Coloring, 
     except InvariantViolationError:
         # Only reachable on inputs that break the i0-free hypothesis, which
         # checked mode has already ruled out.  Keep going without
-        # augmentation: _full_star_issues below reports the star that stopped
-        # it (a checked run would raise that from _finish).
-        ha = hn
+        # augmentation: _star_issues below reports the star that stopped
+        # it (a checked run would raise that from _finish), and no added
+        # edge can have broken i0-freeness.
+        ha = None
+    stars, strays = ({}, []) if ha is None else _completions(ha, len(hn.index.head_rows))
     # An I0 pair meets only at the head of both edges, so it lies in one
     # head-star, and any two edges of a triangle or of a full pivot star share
     # two vertices: the i0-free audit can fail only when some star is neither.
-    issues = _full_star_issues(ha)
-    if issues and not check_condition(ha, "i0-free").avoided:
+    issues = [f"augmented edge {k} completes no head-star" for k in strays]
+    issues += _star_issues(hn, stars)
+    if issues and ha is not None and not check_condition(ha, "i0-free").avoided:
         trace.violate("augmentation broke i0-freeness")
     for issue in issues:
         trace.violate(issue)
 
-    masks = ha.index.masks
-    heads = _head_positions(ha)
+    masks = hn.index.masks
+    heads = _head_positions(hn)
     # The count of an edge's vertices below its head: 0 lowest (E1), 1 middle
     # (E2), 2 highest (E3); an edge with more than two tails (unchecked runs
     # only) ranks a head past its third vertex 2, and a headless one -1, in
@@ -529,23 +641,20 @@ def color_i0_4(hg: DirectedHypergraph, checked: bool = True) -> tuple[Coloring, 
     def step_keys(rank: int) -> list[int | None]:
         return [head if r == rank else None for head, r in zip(heads, rank_of)]
 
-    run = _Run(ha, trace)
-    run.sweep(range(ha.n), step_keys(2), RED)
+    run = _Run(hn, trace, rank_of, stars)
+    run.sweep(range(hn.n), step_keys(2), RED)
 
-    run.audit(([idx for idx in run.inside(BLUE) if rank_of[idx] == 2],
-               "E3 edge {} still all blue after step 1"),
+    run.audit((run.inside(BLUE, (2,)), "E3 edge {} still all blue after step 1"),
               (run.inside(RED), "edge {} monochromatic red after step 1"))
 
-    run.sweep(reversed(range(ha.n)), step_keys(0), GREEN, gate=GREEN)
+    run.sweep(reversed(range(hn.n)), step_keys(0), GREEN, gate=GREEN)
 
-    run.audit(([idx for idx in run.missing(run.classes[GREEN]) if rank_of[idx] == 0],
-               "E1 edge {} has no green vertex after step 2"),
-              ([idx for idx in run.inside(BLUE) if rank_of[idx] in (0, 2)],
-               "E1/E3 edge {} still all blue after step 2"),
+    run.audit((run.missing(run.classes[GREEN], (0,)), "E1 edge {} has no green vertex after step 2"),
+              (run.inside(BLUE, (0, 2)), "E1/E3 edge {} still all blue after step 2"),
               (run.inside(GREEN), "edge {} monochromatic green after step 2"),
               (run.inside(RED), "edge {} monochromatic red after step 2"))
 
-    run.sweep(range(ha.n), step_keys(1), YELLOW)
+    run.sweep(range(hn.n), step_keys(1), YELLOW)
 
     run.audit((run.inside_any(), "edge {} monochromatic at termination"))
 

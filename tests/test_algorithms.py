@@ -295,10 +295,10 @@ class TestColorI04:
         assert trace.violations
 
     def test_unchecked_run_reports_a_broken_star_once(self):
-        # augment_i0 stops at c's star; the star audit reports it, once.
+        # augment_i0 stops at c's star; the star audit reports it, once, and
+        # no augmentation is blamed for the input's own I0 pair.
         coloring, trace = color_i0_4(parse("e a b > c\ne d e > c\n"), checked=False)
         assert trace.violations == [
-            "augmentation broke i0-freeness",
             "head-star of a still empty after augmentation",
             "head-star of b still empty after augmentation",
             "head-star of c is neither empty, pivoted, nor a triangle; input not i0-free",
@@ -343,6 +343,48 @@ class TestColorI04:
             color_i0_4(parse("v a\nv b\nv c\nv d\ne a b > c"))
         assert exc.value.violations == [
             "head-star of d is neither a triangle nor a full pivot star"]
+
+    def test_augmentation_outside_the_stars_is_reported(self, monkeypatch):
+        # An added edge with three tails is no edge q w > c of c's star: it
+        # is named, and c's star, which it would not complete, is reported.
+        hg = parse("v a\nv b\nv c\nv d\ne a b > c\n")
+        wide = DirectedEdge(frozenset(("a", "b", "d")), frozenset(("c",)))
+        monkeypatch.setattr("dhcolor.algorithms.augment_i0", lambda hn, checked=True: (
+            DirectedHypergraph(hn.vertices, hn.edges + (wide,))))
+        with pytest.raises(InvariantViolationError) as exc:
+            color_i0_4(hg)
+        assert exc.value.violations == [
+            "augmented edge 1 completes no head-star",
+            "head-star of a still empty after augmentation",
+            "head-star of b still empty after augmentation",
+            "head-star of c is neither a triangle nor a full pivot star",
+            "head-star of d still empty after augmentation"]
+
+    def test_a_checked_run_builds_no_view_of_the_augmented_graph(self, monkeypatch):
+        # The steps and audits read the input's edges and the added rows,
+        # read once; trace events still name edges of the augmented list.
+        augmented = []
+
+        def recording(hn, checked=True):
+            augmented.append(augment_i0(hn, checked))
+            return augmented[-1]
+
+        monkeypatch.setattr("dhcolor.algorithms.augment_i0", recording)
+        added_triggers = []
+        for hg in (gen_random(24, 96, cond="i0-free", seed=1004), paper_i()):
+            coloring, trace = color_i0_4(hg)
+            assert is_proper(hg, coloring) and not trace.violations
+            ha, m = augmented[-1], len(hg.index.head_rows)
+            assert len(ha.index.head_rows) > m
+            assert not set(vars(ha.index)) & {"masks", "head_masks", "tail_masks", "heads_at",
+                                              "tails_at", "edges_at", "pairs"}
+            for ev in trace.events:
+                if ev.edge is not None:
+                    assert ha.edges[ev.edge].head == {ev.vertex}
+                    if ev.edge >= m:
+                        added_triggers.append(ev.edge)
+        assert len(augmented) == 2
+        assert added_triggers == [435, 319]
 
     def test_unchecked_mode_reports_edges_with_more_than_two_tails(self):
         for hg in (parse("e a b c > d"), gen_random(8, 10, seed=3, tail_range=(2, 4))):
@@ -613,8 +655,11 @@ def _outcome(fn, hg, checked):
 # algorithms shared one registry and one closing-vertex sweep, and recorded
 # again when an unchecked i0-4 run stopped reporting twice the head-star that
 # stops augment_i0: 274 of the 1,214 unchecked i0-4 outcomes each lost that
-# duplicated first message, and no other run changed.
-PINNED_RUNS_DIGEST = "12df12a12e323bd0d973a9f420686c37392838b9b1fb32b24460b717bab5a048"
+# duplicated first message, and no other run changed.  Recorded a third time
+# when such a run stopped reporting "augmentation broke i0-freeness" although
+# augment_i0 had added nothing: 263 unchecked i0-4 outcomes each lost that
+# first message, and no other run changed.
+PINNED_RUNS_DIGEST = "47d5d55e2d29f2263532c700dc4dbe8b57b2aa9c9571a97f71f05df9a7db2596"
 
 
 def test_pinned_runs():
